@@ -77,7 +77,7 @@ def _load_json(path: str) -> dict:
 def _from_dict(cls, payload, path: str):
     try:
         return cls.from_dict(payload)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise InputFormatError(f"{path}: missing or malformed field ({e})") from e
 
 
@@ -97,7 +97,7 @@ def _config_from_args(args) -> SdpiConfig:
         try:
             cfg = SdpiConfig(**payload)
         except TypeError as e:
-            raise InputFormatError(f"{args.config}: unknown config field ({e})") from e
+            raise InputFormatError(f"{args.config}: unknown or mistyped config field ({e})") from e
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg

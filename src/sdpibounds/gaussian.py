@@ -88,17 +88,14 @@ def exact_sum_rate(p: GaussianParams) -> float:
 def contour_rx(p: GaussianParams, ry: float) -> float:
     """Minimal rx meeting the dx target when the other terminal spends ry."""
     if not (np.isfinite(ry) and ry >= 0.0):
-        raise ValueError(f"ry must be finite and >= 0, got {ry!r}")
+        raise ValueError(f"the other terminal's rate must be finite and >= 0, got {ry!r}")
     r2 = p.rho * p.rho
     return max(0.0, 0.5 * float(np.log2((1.0 - r2 + r2 * 4.0 ** (-ry)) / p.dx)))
 
 
 def contour_ry(p: GaussianParams, rx: float) -> float:
     """Mirror image of contour_rx for the other terminal."""
-    if not (np.isfinite(rx) and rx >= 0.0):
-        raise ValueError(f"rx must be finite and >= 0, got {rx!r}")
-    r2 = p.rho * p.rho
-    return max(0.0, 0.5 * float(np.log2((1.0 - r2 + r2 * 4.0 ** (-rx)) / p.dy)))
+    return contour_rx(GaussianParams(p.rho, p.dy, p.dx), rx)
 
 
 def linearized_bounds(p: GaussianParams) -> tuple[float, float]:

@@ -15,6 +15,8 @@ rejected up front rather than patched downstream.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,8 @@ SUM_TOLERANCE = 1e-9
 NEGATIVE_TOLERANCE = 1e-12
 
 
-def _clean_pmf(values, ndim: int, what: str) -> np.ndarray:
+def _clean_pmf(values, ndim: int, what: str, axis: int | None = None) -> np.ndarray:
+    """Validated read-only copy of values with unit mass along axis (None: in total)."""
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ProbabilityError(f"{what}: expected a {ndim}-d array, got shape {arr.shape}")
@@ -42,12 +45,45 @@ def _clean_pmf(values, ndim: int, what: str) -> np.ndarray:
     if low < -NEGATIVE_TOLERANCE:
         raise ProbabilityError(f"{what}: negative mass {low:.3e}")
     np.clip(arr, 0.0, None, out=arr)
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise ProbabilityError(f"{what}: total mass {total!r} is not 1")
+    total = arr.sum(axis=axis, keepdims=True)
+    off = np.abs(total - 1.0)
+    if np.any(off > SUM_TOLERANCE):
+        raise ProbabilityError(f"{what}: total mass {total.flat[np.argmax(off)]!r} is not 1")
     arr /= total
     arr.setflags(write=False)
     return arr
+
+
+def _require_integer(value, what: str) -> int:
+    """value as an int, accepting numpy integers; TypeError for bool and non-integers."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _number_list(values, what: str) -> np.ndarray:
+    """A flat list of numbers as a float array; TypeError for anything else."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+    ):
+        raise TypeError(f"{what} must be a flat list of numbers")
+    return np.array(values, dtype=np.float64)
+
+
+def _sized_matrix(payload: dict, rows: str, cols: str, values: str, what: str) -> np.ndarray:
+    """payload[values] reshaped row-major to payload[rows] x payload[cols]."""
+    n, m = _require_integer(payload[rows], rows), _require_integer(payload[cols], cols)
+    if n < 1 or m < 1:
+        raise ProbabilityError(f"{what}: {rows} and {cols} must be positive, got {n}, {m}")
+    flat = _number_list(payload[values], values)
+    if flat.size != n * m:
+        raise ProbabilityError(
+            f"{what}: {values} has {flat.size} entries, expected {rows}*{cols} = {n * m}"
+        )
+    return flat.reshape(n, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +109,7 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Distribution":
-        return cls(np.asarray(payload["probs"], dtype=np.float64))
+        return cls(_number_list(payload["probs"], "probs"))
 
     def to_dict(self) -> dict:
         return {"probs": [float(v) for v in self.probs]}
@@ -105,15 +141,7 @@ class JointDistribution:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JointDistribution":
-        x_size = int(payload["x_size"])
-        y_size = int(payload["y_size"])
-        flat = np.asarray(payload["probs"], dtype=np.float64)
-        if flat.ndim != 1 or flat.size != x_size * y_size:
-            raise ProbabilityError(
-                f"JointDistribution: probs has {flat.size} entries, "
-                f"expected x_size*y_size = {x_size * y_size}"
-            )
-        return cls(flat.reshape(x_size, y_size))
+        return cls(_sized_matrix(payload, "x_size", "y_size", "probs", "JointDistribution"))
 
     def to_dict(self) -> dict:
         return {
@@ -125,35 +153,12 @@ class JointDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A row-stochastic matrix, one conditional pmf per input symbol.
-
-    The direction flag records which conditional this is when the channel
-    came from a joint: rows are P(Y=.|X=x) for "y_given_x" and P(X=.|Y=y)
-    for "x_given_y".  Standalone channels (test kernels, degrading maps)
-    default to "y_given_x".
-    """
+    """A row-stochastic matrix, one conditional pmf per input symbol."""
 
     rows: np.ndarray
-    direction: str = "y_given_x"
 
     def __post_init__(self):
-        arr = np.array(self.rows, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ProbabilityError(f"Channel: expected a matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ProbabilityError("Channel: non-finite entries")
-        if float(arr.min()) < -NEGATIVE_TOLERANCE:
-            raise ProbabilityError(f"Channel: negative entry {arr.min():.3e}")
-        np.clip(arr, 0.0, None, out=arr)
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > SUM_TOLERANCE):
-            worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ProbabilityError(f"Channel: row {worst} sums to {sums[worst]!r}")
-        arr /= sums[:, None]
-        arr.setflags(write=False)
-        if self.direction not in ("y_given_x", "x_given_y"):
-            raise ProbabilityError(f"Channel: unknown direction {self.direction!r}")
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _clean_pmf(self.rows, 2, "Channel", axis=1))
 
     @property
     def input_size(self) -> int:
@@ -164,8 +169,8 @@ class Channel:
         return self.rows.shape[1]
 
     @classmethod
-    def identity(cls, n: int, direction: str = "y_given_x") -> "Channel":
-        return cls(np.eye(n), direction)
+    def identity(cls, n: int) -> "Channel":
+        return cls(np.eye(n))
 
 
 def entropy(p: Distribution) -> float:
@@ -198,7 +203,7 @@ def conditional(j: JointDistribution, direction: str = "y_given_x") -> Channel:
         rows = j.probs.T / j.probs.sum(axis=0)[:, None]
     else:
         raise ProbabilityError(f"conditional: unknown direction {direction!r}")
-    return Channel(rows, direction)
+    return Channel(rows)
 
 
 def push_forward(q: Distribution, ch: Channel) -> Distribution:
@@ -212,9 +217,7 @@ def push_forward(q: Distribution, ch: Channel) -> Distribution:
 
 def mutual_information(j: JointDistribution) -> float:
     """I(X;Y) in bits."""
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-    return float(rel_entr(j.probs, np.outer(px, py)).sum() / LN2)
+    return _mi_from_matrix(j.probs)
 
 
 def tensor_product(a: JointDistribution, b: JointDistribution) -> JointDistribution:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import entr
 
 from .errors import ConvergenceError, DimensionMismatchError, InfeasibleDistortionError
-from .probability import LN2, Distribution, _mi_from_matrix
+from .probability import LN2, Distribution, _mi_from_matrix, _sized_matrix
 
 _LOG_FLOOR = 1e-300
 
@@ -65,15 +65,7 @@ class DistortionMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DistortionMatrix":
-        x_size = int(payload["x_size"])
-        xhat_size = int(payload["xhat_size"])
-        flat = np.asarray(payload["costs"], dtype=np.float64)
-        if flat.ndim != 1 or flat.size != x_size * xhat_size:
-            raise ValueError(
-                f"DistortionMatrix: costs has {flat.size} entries, "
-                f"expected x_size*xhat_size = {x_size * xhat_size}"
-            )
-        return cls(flat.reshape(x_size, xhat_size))
+        return cls(_sized_matrix(payload, "x_size", "xhat_size", "costs", "DistortionMatrix"))
 
     def to_dict(self) -> dict:
         return {
@@ -191,7 +183,8 @@ def blahut_arimoto(
     for it in range(1, max_iterations + 1):
         lam = np.maximum(A @ q, _LOG_FLOOR)
         obj = -float(p @ np.log2(lam))
-        assert obj <= prev_obj + 1e-9, "Lagrangian objective increased"
+        if obj > prev_obj + 1e-9:
+            raise ConvergenceError(f"Lagrangian objective increased at iteration {it}", gap=gap)
         prev_obj = obj
         c = (p / lam) @ A
         log_c = np.log2(np.maximum(c, _LOG_FLOOR))
@@ -204,6 +197,8 @@ def blahut_arimoto(
             f"no convergence after {max_iterations} iterations (gap {gap:.3e})", gap=gap
         )
 
+    # Subnormal q entries would leave p_x * p_y = 0 where p_xy > 0 in the rate.
+    q[q < _LOG_FLOOR] = 0.0
     lam = np.maximum(A @ q, _LOG_FLOOR)
     W = A * q / lam[:, None]
     distortion = float(p @ (W * d.costs).sum(axis=1))

@@ -29,11 +29,11 @@ from scipy.special import rel_entr
 
 from .errors import DegenerateRatioError, DimensionMismatchError, ProbabilityError
 from .probability import (
-    LN2,
     Channel,
     Distribution,
     JointDistribution,
     _mi_from_matrix,
+    _require_integer,
     conditional,
 )
 
@@ -64,6 +64,8 @@ class SdpiConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("grid_max_alphabet", "multistart_count", "max_iterations", "seed"):
+            _require_integer(getattr(self, name), name)
         if not self.exclusion_radius > 0.0:
             raise ValueError("exclusion_radius must be positive")
         if self.grid_resolution is not None and not 0.0 < self.grid_resolution <= 0.5:
@@ -89,9 +91,9 @@ class SdpiConfig:
 class SdpiResult:
     """Outcome of a contraction-constant search.
 
-    value is the best lower bound found (max over all searches and the
-    squared maximal correlation).  argmax_q is the best search point, or
-    None when the SVD bound beat every search point, i.e. the witness is a
+    value is the best lower bound found: the divergence ratio at argmax_q,
+    the best search point, or the squared maximal correlation with argmax_q
+    None when that SVD bound beat every search point, i.e. the witness is a
     local perturbation rather than a simplex point.  gap_note is non-empty
     when the exhaustive grid did not run and the value rests on local
     search alone.
@@ -148,9 +150,7 @@ def divergence_ratio(
             f"q is within total variation {tv:.2e} of the input marginal "
             f"(exclusion radius {exclusion_radius:g}); the ratio is 0/0 there"
         )
-    num = float(rel_entr(q.probs @ T, p_out).sum() / LN2)
-    den = float(rel_entr(q.probs, p_in).sum() / LN2)
-    return num / den
+    return float(_ratios(q.probs[None, :], p_in, p_out, T, exclusion_radius)[0])
 
 
 def maximal_correlation(j: JointDistribution) -> float:
@@ -340,7 +340,7 @@ def sstar(
         if mq is not None:
             cand_vals.append(np.array([mv]))
             cand_rows.append(mq[None, :])
-    best, best_q = _best_of(np.concatenate(cand_vals), np.vstack(cand_rows))
+    _, best_q = _best_of(np.concatenate(cand_vals), np.vstack(cand_rows))
 
     if len(ran) == 2:
         method = "combined"
@@ -355,12 +355,13 @@ def sstar(
             "the value rests on local search and is only a lower bound"
         )
 
-    if best >= rho2 and best_q is not None:
-        value = best
-        argmax = Distribution(best_q)
-    else:
-        value = rho2
-        argmax = None
+    value, argmax = rho2, None
+    if best_q is not None:
+        # Report the ratio at the pmf handed back, not at the unnormalized search row.
+        q = Distribution(best_q)
+        at_q = float(_ratios(q.probs[None, :], p_in, p_out, T, cfg.exclusion_radius)[0])
+        if at_q >= rho2:
+            value, argmax = at_q, q
     value = float(np.clip(value, 0.0, 1.0))
     return SdpiResult(
         value=value,

@@ -269,6 +269,37 @@ class TestParsing:
     def test_no_subcommand(self, capsys):
         assert run(capsys)[0] == 2
 
+    @pytest.mark.parametrize("kind, text", [
+        ("joint", '{"x_size": "a", "y_size": 2, "probs": [0.45, 0.05, 0.05, 0.45]}'),
+        ("joint", '{"x_size": 2.7, "y_size": 2, "probs": [0.45, 0.05, 0.05, 0.45]}'),
+        ("joint", '{"x_size": 1e400, "y_size": 2, "probs": [0.45, 0.05, 0.05, 0.45]}'),
+        ("joint", '{"x_size": 2, "y_size": 2, "probs": [[0.45, 0.05], [0.05, 0.45]]}'),
+        ("joint", '{"x_size": 2, "y_size": 2, "probs": [0.45, "a", 0.05, 0.45]}'),
+        ("source", '{"probs": ["a", 1]}'),
+        ("source", '{"probs": 5}'),
+        ("distortion", '{"x_size": 2, "xhat_size": "b", "costs": [0.0, 1.0, 1.0, 0.0]}'),
+        ("config", '{"max_iterations": 2.5}'),
+        ("config", '{"seed": 1.5}'),
+        ("config", '{"grid_max_alphabet": true}'),
+    ], ids=["size-str", "size-float", "size-overflow", "probs-nested", "probs-str",
+            "source-str", "source-scalar", "costs-size-str", "config-iterations-float",
+            "config-seed-float", "config-grid-bool"])
+    def test_wrongly_typed_field(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        joint = jfile(tmp_path, "j.json", DSBS)
+        source = jfile(tmp_path, "src.json", UNIFORM_BINARY)
+        argv = {
+            "joint": ["sstar", str(path)],
+            "config": ["sstar", joint, "--config", str(path)],
+            "source": ["rd", str(path), "--target", "0.1"],
+            "distortion": ["rd", source, str(path), "--target", "0.1"],
+        }[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

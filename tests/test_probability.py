@@ -93,9 +93,9 @@ class TestChannel:
         with pytest.raises(ProbabilityError):
             Channel([[0.5, 0.4], [0.5, 0.5]])
 
-    def test_rejects_unknown_direction(self):
+    def test_rejects_empty(self):
         with pytest.raises(ProbabilityError):
-            Channel(np.eye(2), "sideways")
+            Channel(np.zeros((0, 2)))
 
     def test_identity(self):
         ch = Channel.identity(3)
@@ -159,8 +159,9 @@ class TestJointOps:
         ch = conditional(dsbs, "y_given_x")
         np.testing.assert_allclose(ch.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
         back = conditional(dsbs, "x_given_y")
-        assert back.direction == "x_given_y"
         np.testing.assert_allclose(back.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
+        with pytest.raises(ProbabilityError):
+            conditional(dsbs, "sideways")
 
     def test_push_forward(self, dsbs):
         ch = conditional(dsbs, "y_given_x")

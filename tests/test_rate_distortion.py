@@ -93,6 +93,13 @@ class TestBlahutArimoto:
         with pytest.raises(DimensionMismatchError):
             blahut_arimoto(Distribution.uniform(3), DistortionMatrix.hamming(2), -1.0)
 
+    def test_underflowing_output_law_keeps_rate_finite(self):
+        # Some output-law entries end below 1e-300, where p_x * p_y underflows.
+        src = Distribution([0.0095, 0.1777, 0.1349, 0.477, 0.001, 0.1253, 0.0221, 0.0525])
+        pt = blahut_arimoto(src, DistortionMatrix.hamming(8), -1.956)
+        assert pt.rate == pytest.approx(0.0742, abs=1e-4)
+        assert pt.distortion == pytest.approx(0.479, abs=1e-3)
+
 
 class TestRdAtDistortion:
     def test_binary_uniform(self):

@@ -1,0 +1,23 @@
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_tracked_file_is_gitignored():
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    inside = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--show-toplevel"],
+        capture_output=True, text=True,
+    )
+    if inside.returncode != 0 or Path(inside.stdout.strip()).resolve() != ROOT:
+        pytest.skip("not a git checkout")
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-ci", "--exclude-standard"],
+        capture_output=True, text=True, check=True,
+    )
+    assert listed.stdout == ""

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sdpibounds
 from sdpibounds import (
     Channel,
     DegenerateRatioError,
@@ -22,6 +26,7 @@ from sdpibounds.sdpi import _grid_search, _multistart_search, _oriented, _simple
 from conftest import random_joint
 
 GRID_ONLY = SdpiConfig(multistart_count=0)
+DATA = Path(sdpibounds.__file__).parent / "data"
 
 
 class TestConfig:
@@ -140,13 +145,21 @@ class TestSstar:
         assert res.rho_m_squared == pytest.approx(0.04, abs=1e-12)
 
     def test_argmax_reproduces_value(self):
+        # The value is the ratio at the returned pmf exactly, up to the clip
+        # to [0, 1]; without a witness it is rho_m^2.
+        joints = [JointDistribution.from_dict(json.loads(path.read_text()))
+                  for path in sorted(DATA.glob("*.json"))]
+        joints.append(JointDistribution([[0.5, 0.5 - 1e-300], [1e-300, 0.0]]))
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            j = random_joint(rng, 2, 3)
-            res = sstar(j)
-            if res.argmax_q is not None:
-                got = divergence_ratio(res.argmax_q, j)
-                assert got == pytest.approx(res.value, abs=1e-9)
+        joints += [random_joint(rng, 2, 3) for _ in range(10)]
+        for j in joints:
+            for direction in ("x_to_y", "y_to_x"):
+                res = sstar(j, direction)
+                if res.argmax_q is None:
+                    assert res.value == res.rho_m_squared
+                else:
+                    got = divergence_ratio(res.argmax_q, j, direction)
+                    assert float(np.clip(got, 0.0, 1.0)) == res.value
 
     def test_deterministic(self, dsbs):
         a = sstar(dsbs, "x_to_y", SdpiConfig(seed=42))
