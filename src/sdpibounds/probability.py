@@ -64,11 +64,14 @@ def _require_integer(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """True for real numbers, numpy scalars included; False for bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number_list(values, what: str) -> np.ndarray:
     """A flat list of numbers as a float array; TypeError for anything else."""
-    if not isinstance(values, (list, tuple)) or not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, (list, tuple)) or not all(_is_real(v) for v in values):
         raise TypeError(f"{what} must be a flat list of numbers")
     return np.array(values, dtype=np.float64)
 

@@ -17,12 +17,20 @@ Every reported value is a lower bound on the true constant.  Grid and
 multi-start agree to ~1e-5 on small alphabets in practice, but nothing here
 certifies the supremum from above; results carry a note when the exhaustive
 grid could not run.
+
+The ascent backtracks in batches: a round tries every live start at its
+step, then the failures at one halving, then the remaining failures at all
+their halvings at once, and each start keeps its first improving try, the
+point a one-halving-at-a-time search reaches.  The evaluation count includes
+the batched tries such a search would have skipped, so it reads higher than
+the number of distinct tries it needed.  Each grid is built once per
+(alphabet size, resolution) in a process and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import rel_entr
@@ -32,6 +40,7 @@ from .probability import (
     Channel,
     Distribution,
     JointDistribution,
+    _is_real,
     _mi_from_matrix,
     _require_integer,
     conditional,
@@ -66,8 +75,13 @@ class SdpiConfig:
     def __post_init__(self):
         for name in ("grid_max_alphabet", "multistart_count", "max_iterations", "seed"):
             _require_integer(getattr(self, name), name)
-        if not self.exclusion_radius > 0.0:
-            raise ValueError("exclusion_radius must be positive")
+        for name in ("exclusion_radius", "grid_resolution", "step_tolerance"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "grid_resolution" and value is None)):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        # A total-variation radius of 1 or more excludes every pmf.
+        if not 0.0 < self.exclusion_radius < 1.0:
+            raise ValueError("exclusion_radius must lie in (0, 1)")
         if self.grid_resolution is not None and not 0.0 < self.grid_resolution <= 0.5:
             raise ValueError("grid_resolution must lie in (0, 0.5]")
         if self.grid_max_alphabet < 0:
@@ -76,8 +90,8 @@ class SdpiConfig:
             raise ValueError("multistart_count must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.step_tolerance > 0.0:
-            raise ValueError("step_tolerance must be positive")
+        if not 0.0 < self.step_tolerance < np.inf:
+            raise ValueError("step_tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -169,34 +183,49 @@ def maximal_correlation(j: JointDistribution) -> float:
     return float(np.clip(svals[1], 0.0, 1.0))
 
 
-def _ratios(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float) -> np.ndarray:
-    """Divergence ratio per row of Q; -inf inside the exclusion ball.
+def _evaluate(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float):
+    """(ratio, output law, numerator, denominator) per row of Q.
 
-    Computed in nats; the ratio is base-independent.
+    The ratio is -inf inside the exclusion ball.  Computed in nats; the
+    ratio is base-independent.
     """
-    num = rel_entr(Q @ T, p_out).sum(axis=1)
+    Qy = Q @ T
+    num = rel_entr(Qy, p_out).sum(axis=1)
     den = rel_entr(Q, p_in).sum(axis=1)
     tv = 0.5 * np.abs(Q - p_in).sum(axis=1)
-    out = np.full(Q.shape[0], -np.inf)
-    ok = tv > exclusion_radius
-    out[ok] = num[ok] / np.maximum(den[ok], _LOG_FLOOR)
-    return out
+    out = np.where(tv > exclusion_radius, num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    return out, Qy, num, den
+
+
+def _ratios(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float) -> np.ndarray:
+    """Divergence ratio per row of Q; -inf inside the exclusion ball."""
+    return _evaluate(Q, p_in, p_out, T, exclusion_radius)[0]
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
     """All pmfs on k symbols with entries that are multiples of resolution.
 
-    Compositions of n = round(1/resolution) into k parts, enumerated via the
-    stars-and-bars bijection with (k-1)-subsets of {0, ..., n+k-2}.
+    Read-only and shared: built on first use and cached per (k, n).
     """
-    n = int(round(1.0 / resolution))
-    if k == 1:
-        return np.ones((1, 1))
-    bars = np.array(list(combinations(range(n + k - 1), k - 1)), dtype=np.int64)
-    lo = np.full((bars.shape[0], 1), -1, dtype=np.int64)
-    hi = np.full((bars.shape[0], 1), n + k - 1, dtype=np.int64)
-    counts = np.diff(np.hstack([lo, bars, hi]), axis=1) - 1
-    return counts.astype(np.float64) / n
+    return _composition_grid(k, int(round(1.0 / resolution)))
+
+
+@lru_cache(maxsize=8)
+def _composition_grid(k: int, n: int) -> np.ndarray:
+    """Compositions of n into k parts, divided by n, in lexicographic order.
+
+    Built one part at a time: each row's last part, the mass still left,
+    is split into every (head, rest) pair.
+    """
+    comp = np.full((1, 1), n, dtype=np.int64)
+    for _ in range(k - 1):
+        reps = comp[:, -1] + 1
+        comp = np.repeat(comp, reps, axis=0)
+        head = np.arange(comp.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+        comp = np.column_stack([comp[:, :-1], head, comp[:, -1] - head])
+    grid = comp.astype(np.float64) / n
+    grid.flags.writeable = False
+    return grid
 
 
 def _lex_smallest(rows: np.ndarray) -> int:
@@ -229,18 +258,18 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     U = np.sort(V, axis=1)[:, ::-1]
     css = np.cumsum(U, axis=1) - 1.0
     ind = np.arange(1, k + 1)
-    rho = np.count_nonzero(U - css / ind > 0.0, axis=1)
+    rho = (U - css / ind > 0.0).sum(axis=1)
     theta = css[np.arange(V.shape[0]), rho - 1] / rho
     W = np.maximum(V - theta[:, None], 0.0)
     # Rescale away the float residue so every row is an exact pmf.
     return W / W.sum(axis=1, keepdims=True)
 
 
-def _log_ratio_grad(Q: np.ndarray, p_in, p_out, T) -> np.ndarray:
-    """Gradient of log(num/den) per row, zeroed where either part vanishes."""
-    Qy = Q @ T
-    num = rel_entr(Qy, p_out).sum(axis=1)
-    den = rel_entr(Q, p_in).sum(axis=1)
+def _log_ratio_grad(Q: np.ndarray, Qy, num, den, p_in, p_out, T) -> np.ndarray:
+    """Gradient of log(num/den) per row, zeroed where either part vanishes.
+
+    Qy, num and den are the output laws and ratio parts of Q from _evaluate.
+    """
     gn = (np.log(np.maximum(Qy, _LOG_FLOOR) / p_out) + 1.0) @ T.T
     gd = np.log(np.maximum(Q, _LOG_FLOOR) / p_in) + 1.0
     g = gn / np.maximum(num, _TINY)[:, None] - gd / np.maximum(den, _TINY)[:, None]
@@ -253,11 +282,20 @@ def _log_ratio_grad(Q: np.ndarray, p_in, p_out, T) -> np.ndarray:
     return g / scale[:, None]
 
 
+# Backtracking schedule of one ascent round, as halvings of the row's step:
+# the step itself, then one halving, then every remaining halving (40 tries
+# in all) in one batch.  A try past the first one runs only while its step
+# is at least step_tolerance.
+_HALVING_BATCHES = (np.arange(0, 1), np.arange(1, 2), np.arange(2, 40))
+
+
 def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     """Projected gradient ascent on the log ratio from random and corner starts.
 
     All starts advance in lockstep as one array; each keeps its own step
-    size with backtracking on failure and modest growth on success.
+    size with backtracking on failure and modest growth on success.  A row
+    accepts its first improving try of _HALVING_BATCHES, the point that
+    trying one halving at a time reaches.
     """
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -268,36 +306,44 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     else:
         Q = corners
     step = np.full(Q.shape[0], 0.1)
-    f = _ratios(Q, p_in, p_out, T, cfg.exclusion_radius)
+    f, Qy, num, den = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)
     evals = Q.shape[0]
     alive = np.ones(Q.shape[0], dtype=bool)
 
     for _ in range(cfg.max_iterations):
-        if not alive.any():
+        rows = np.flatnonzero(alive)
+        if rows.size == 0:
             break
-        G = _log_ratio_grad(Q, p_in, p_out, T)
-        pending = alive.copy()
-        for _ in range(40):
-            idx = np.flatnonzero(pending)
-            if idx.size == 0:
+        G = _log_ratio_grad(Q[rows], Qy[rows], num[rows], den[rows], p_in, p_out, T)
+        for halvings in _HALVING_BATCHES:
+            # Powers of two: the same steps as halving one at a time.
+            steps = step[rows, None] * 0.5 ** halvings
+            tried = steps >= (cfg.step_tolerance if halvings[0] else 0.0)
+            at, _ = np.nonzero(tried)
+            if at.size == 0:
                 break
-            trial = _project_rows(Q[idx] + step[idx, None] * G[idx])
-            ft = _ratios(trial, p_in, p_out, T, cfg.exclusion_radius)
-            evals += idx.size
-            better = ft > f[idx] + 1e-15
-            good = idx[better]
-            bad = idx[~better]
-            Q[good] = trial[better]
-            f[good] = ft[better]
-            step[good] = np.minimum(step[good] * 1.5, 1.0)
-            pending[good] = False
-            step[bad] *= 0.5
-            stuck = bad[step[bad] < cfg.step_tolerance]
-            alive[stuck] = False
-            pending[stuck] = False
-        # Rows that burned all backtracks this round have a useless
-        # direction at the current scale; retire them.
-        alive[pending] = False
+            idx = rows[at]
+            tried_steps = steps[tried]
+            trial = _project_rows(Q[idx] + tried_steps[:, None] * G[at])
+            ft, ty, tn, td = _evaluate(trial, p_in, p_out, T, cfg.exclusion_radius)
+            evals += at.size
+            hit = np.flatnonzero(ft > f[idx] + 1e-15)
+            # Tries are in row-major order; keep each row's first improvement.
+            first = np.ones(hit.size, dtype=bool)
+            first[1:] = at[hit[1:]] != at[hit[:-1]]
+            pick = hit[first]
+            acc = idx[pick]
+            Q[acc], f[acc], Qy[acc], num[acc], den[acc] = (
+                trial[pick], ft[pick], ty[pick], tn[pick], td[pick]
+            )
+            step[acc] = np.minimum(tried_steps[pick] * 1.5, 1.0)
+            pending = np.ones(rows.size, dtype=bool)
+            pending[at[pick]] = False
+            rows, G = rows[pending], G[pending]
+        # Rows that burned all backtracks this round, or whose step fell
+        # below the tolerance, have a useless direction at the current
+        # scale; retire them.
+        alive[rows] = False
 
     best, q = _best_of(f, Q)
     return best, q, evals

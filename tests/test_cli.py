@@ -79,6 +79,17 @@ class TestSstar:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"exclusion_radius": 1e400}', '{"exclusion_radius": 1.0}', '{"step_tolerance": 1e400}',
+    ])
+    def test_out_of_range_config_field(self, tmp_path, capsys, text):
+        joint = jfile(tmp_path, "j.json", DSBS)
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        code, _, err = run(capsys, "sstar", joint, "--config", str(config))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -281,9 +292,13 @@ class TestParsing:
         ("config", '{"max_iterations": 2.5}'),
         ("config", '{"seed": 1.5}'),
         ("config", '{"grid_max_alphabet": true}'),
+        ("config", '{"exclusion_radius": true}'),
+        ("config", '{"step_tolerance": true}'),
+        ("config", '{"grid_resolution": true}'),
     ], ids=["size-str", "size-float", "size-overflow", "probs-nested", "probs-str",
             "source-str", "source-scalar", "costs-size-str", "config-iterations-float",
-            "config-seed-float", "config-grid-bool"])
+            "config-seed-float", "config-grid-bool", "config-radius-bool",
+            "config-tolerance-bool", "config-resolution-bool"])
     def test_wrongly_typed_field(self, tmp_path, capsys, kind, text):
         path = tmp_path / "input.json"
         path.write_text(text)

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,16 @@ from sdpibounds import (
     tensorization_check,
     verify_sdpi_inequality,
 )
-from sdpibounds.sdpi import _grid_search, _multistart_search, _oriented, _simplex_grid
+from sdpibounds.sdpi import (
+    _best_of,
+    _evaluate,
+    _grid_search,
+    _log_ratio_grad,
+    _multistart_search,
+    _oriented,
+    _project_rows,
+    _simplex_grid,
+)
 from conftest import random_joint
 
 GRID_ONLY = SdpiConfig(multistart_count=0)
@@ -47,10 +58,23 @@ class TestConfig:
         {"max_iterations": 0},
         {"step_tolerance": 0.0},
         {"seed": -1},
+        {"exclusion_radius": 1.0},
+        {"exclusion_radius": float("inf")},
+        {"step_tolerance": float("inf")},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SdpiConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["exclusion_radius", "grid_resolution", "step_tolerance"])
+    @pytest.mark.parametrize("value", [True, "0.01"])
+    def test_rejects_non_real_float_fields(self, name, value):
+        with pytest.raises(TypeError):
+            SdpiConfig(**{name: value})
+
+    def test_accepts_numpy_reals(self):
+        cfg = SdpiConfig(exclusion_radius=np.float64(1e-3), step_tolerance=np.float32(1e-8))
+        assert cfg.exclusion_radius == 1e-3
 
 
 class TestDivergenceRatio:
@@ -208,6 +232,101 @@ class TestGridAndMultistartAgree:
         assert g.shape == (66, 3)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
         assert g.min() >= 0.0
+        for k in range(1, 6):
+            for resolution in (0.1, 0.25):
+                got = _simplex_grid(k, resolution)
+                want = _stars_and_bars(k, resolution)
+                assert got.shape == want.shape
+                assert np.array_equal(_lex_sorted(got), _lex_sorted(want))
+        assert _simplex_grid(3, 0.1) is g
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.5
+
+
+class TestBatchedLineSearch:
+    LIGHT = SdpiConfig(multistart_count=8, max_iterations=200)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(20261018)
+        joints = [random_joint(rng, k, int(rng.integers(2, 5))) for k in (2, 3, 4) for _ in range(7)]
+        return joints + [quantized_gaussian_joint(0.6, 9)]
+
+    @staticmethod
+    def check(joints, cfg):
+        for j in joints:
+            p_in, p_out, T = _oriented(j, "x_to_y")
+            got, got_q, got_evals = _multistart_search(p_in, p_out, T, cfg)
+            want, want_q, want_evals = _sequential_multistart(p_in, p_out, T, cfg)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert (got_q is None) == (want_q is None)
+            assert got_evals >= want_evals
+
+    def test_matches_one_halving_at_a_time(self):
+        self.check(self.cases(), self.LIGHT)
+
+    # Tolerances that end a round's halvings early, only after all 40 tries,
+    # and before its second try.
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-15, 0.3])
+    def test_matches_at_other_step_tolerances(self, tolerance):
+        self.check(self.cases()[::3], replace(self.LIGHT, step_tolerance=tolerance))
+
+
+def _stars_and_bars(k, resolution):
+    """Grid rows from (k-1)-subsets of bar positions among n + k - 1 slots."""
+    n = int(round(1 / resolution))
+    rows = []
+    for bars in combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        rows.append([(b - a - 1) / n for a, b in zip(edges, edges[1:])])
+    return np.array(rows)
+
+
+def _lex_sorted(rows):
+    return rows[np.lexsort(rows[:, ::-1].T)]
+
+
+def _sequential_multistart(p_in, p_out, T, cfg):
+    """Multistart ascent that backtracks one halving at a time.
+
+    The batched line search of _multistart_search must accept the same
+    points; this loop tries each halving only after the previous one failed.
+    """
+    k = p_in.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    corners = 0.999 * np.eye(k) + 0.001 / k
+    Q = np.vstack([rng.dirichlet(np.ones(k), size=cfg.multistart_count), corners])
+    step = np.full(Q.shape[0], 0.1)
+    f = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)[0]
+    evals = Q.shape[0]
+    alive = np.ones(Q.shape[0], dtype=bool)
+    for _ in range(cfg.max_iterations):
+        if not alive.any():
+            break
+        _, Qy, num, den = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)
+        G = _log_ratio_grad(Q, Qy, num, den, p_in, p_out, T)
+        pending = alive.copy()
+        for _ in range(40):
+            idx = np.flatnonzero(pending)
+            if idx.size == 0:
+                break
+            trial = _project_rows(Q[idx] + step[idx, None] * G[idx])
+            ft = _evaluate(trial, p_in, p_out, T, cfg.exclusion_radius)[0]
+            evals += idx.size
+            better = ft > f[idx] + 1e-15
+            good = idx[better]
+            bad = idx[~better]
+            Q[good] = trial[better]
+            f[good] = ft[better]
+            step[good] = np.minimum(step[good] * 1.5, 1.0)
+            pending[good] = False
+            step[bad] *= 0.5
+            stuck = bad[step[bad] < cfg.step_tolerance]
+            alive[stuck] = False
+            pending[stuck] = False
+        alive[pending] = False
+    best, q = _best_of(f, Q)
+    return best, q, evals
 
 
 class TestRhoStar:
