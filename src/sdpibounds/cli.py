@@ -104,10 +104,9 @@ def _config_from_args(args) -> SdpiConfig:
 
 
 def _cmd_sstar(args) -> None:
-    cfg = _config_from_args(args)
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
-    res_xy = sstar(j, "x_to_y", cfg)
-    res_yx = sstar(j, "y_to_x", cfg)
+    res_xy = sstar(j, "x_to_y", args.cfg)
+    res_yx = sstar(j, "y_to_x", args.cfg)
     for label, res in (("x_to_y", res_xy), ("y_to_x", res_yx)):
         if res.gap_note:
             print(f"caveat [{label}]: {res.gap_note}", file=sys.stderr)
@@ -132,12 +131,11 @@ def _cmd_rd(args) -> None:
 
 
 def _cmd_bounds(args) -> None:
-    cfg = _config_from_args(args)
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
     dxm = _from_dict(DistortionMatrix, _load_json(args.dx_costs), args.dx_costs)
     dym = _from_dict(DistortionMatrix, _load_json(args.dy_costs), args.dy_costs)
     t = RateDistortionTuple(rx=args.rx, ry=args.ry, dx=args.dx, dy=args.dy)
-    reports = full_report(j, dxm, dym, t, cfg)
+    reports = full_report(j, dxm, dym, t, args.cfg)
     for key in ("sstar_note_xy", "sstar_note_yx"):
         note = reports[0].inputs.get(key, "")
         if note:
@@ -252,6 +250,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # --config is global: every subcommand rejects a bad file the same way.
+        args.cfg = _config_from_args(args)
         args.func(args)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)

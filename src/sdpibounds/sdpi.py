@@ -44,6 +44,7 @@ from .probability import (
     _mi_from_matrix,
     _require_integer,
     conditional,
+    tensor_product,
 )
 
 # Floor for log arguments inside the ascent; keeps gradients finite on the
@@ -52,46 +53,46 @@ _LOG_FLOOR = 1e-300
 # Numerator/denominator below this are treated as zero when forming ascent
 # directions (the ratio itself is still computed exactly).
 _TINY = 1e-15
+# Total-variation radius of the ball around the input marginal that every
+# search skips: the ratio is 0/0 at the marginal itself, and its limit there
+# is at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
+# which the SVD bound already supplies, so one fixed small ball loses nothing.
+EXCLUSION_RADIUS = 1e-4
 
 
 @dataclass(frozen=True)
 class SdpiConfig:
     """Knobs for the contraction-constant search.
 
-    grid_resolution None picks 1/200 for binary inputs and 1/100 otherwise.
+    grid_resolution is 1/n for an integer n >= 2, or None for 1/200 on
+    binary inputs and 1/100 otherwise.
     Setting multistart_count or grid_max_alphabet to 0 disables that search
     entirely (useful for isolating one method; the reported value is then a
     weaker lower bound).
     """
 
-    exclusion_radius: float = 1e-4
     grid_resolution: float | None = None
     grid_max_alphabet: int = 4
     multistart_count: int = 64
     max_iterations: int = 2000
-    step_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         for name in ("grid_max_alphabet", "multistart_count", "max_iterations", "seed"):
             _require_integer(getattr(self, name), name)
-        for name in ("exclusion_radius", "grid_resolution", "step_tolerance"):
-            value = getattr(self, name)
-            if not (_is_real(value) or (name == "grid_resolution" and value is None)):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-        # A total-variation radius of 1 or more excludes every pmf.
-        if not 0.0 < self.exclusion_radius < 1.0:
-            raise ValueError("exclusion_radius must lie in (0, 1)")
-        if self.grid_resolution is not None and not 0.0 < self.grid_resolution <= 0.5:
-            raise ValueError("grid_resolution must lie in (0, 0.5]")
+        res = self.grid_resolution
+        if not (res is None or _is_real(res)):
+            raise TypeError(f"grid_resolution must be a real number, got {res!r}")
+        # The grid pitch is 1/round(1/res): refuse any other value rather
+        # than search a grid the caller did not ask for.
+        if res is not None and not (0.0 < res <= 0.5 and abs(np.rint(1 / res) * res - 1) <= 1e-9):
+            raise ValueError(f"grid_resolution must be 1/n for an integer n >= 2, got {res!r}")
         if self.grid_max_alphabet < 0:
             raise ValueError("grid_max_alphabet must be >= 0")
         if self.multistart_count < 0:
             raise ValueError("multistart_count must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.step_tolerance < np.inf:
-            raise ValueError("step_tolerance must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -118,7 +119,15 @@ class SdpiResult:
     rho_m_squared: float
     method: str
     evaluations: int
-    gap_note: str = ""
+
+    @property
+    def gap_note(self) -> str:
+        if self.method in ("grid", "combined"):
+            return ""
+        return (
+            "exhaustive grid skipped for this input alphabet; "
+            "the value rests on local search and is only a lower bound"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -146,11 +155,10 @@ def divergence_ratio(
     q: Distribution,
     j: JointDistribution,
     direction: str = "x_to_y",
-    exclusion_radius: float = 1e-4,
 ) -> float:
     """D(q_out || P_out) / D(q || P_in) for one candidate input law.
 
-    q must stay at total-variation distance > exclusion_radius from the
+    q must stay at total-variation distance > EXCLUSION_RADIUS from the
     true input marginal; at the marginal itself the ratio is 0/0.
     """
     p_in, p_out, T = _oriented(j, direction)
@@ -159,12 +167,12 @@ def divergence_ratio(
             f"divergence_ratio: q has {q.alphabet_size} symbols, joint input has {p_in.shape[0]}"
         )
     tv = 0.5 * float(np.abs(q.probs - p_in).sum())
-    if tv <= exclusion_radius:
+    if tv <= EXCLUSION_RADIUS:
         raise DegenerateRatioError(
             f"q is within total variation {tv:.2e} of the input marginal "
-            f"(exclusion radius {exclusion_radius:g}); the ratio is 0/0 there"
+            f"(exclusion radius {EXCLUSION_RADIUS:g}); the ratio is 0/0 there"
         )
-    return float(_ratios(q.probs[None, :], p_in, p_out, T, exclusion_radius)[0])
+    return float(_ratios(q.probs[None, :], p_in, p_out, T)[0])
 
 
 def maximal_correlation(j: JointDistribution) -> float:
@@ -183,7 +191,7 @@ def maximal_correlation(j: JointDistribution) -> float:
     return float(np.clip(svals[1], 0.0, 1.0))
 
 
-def _evaluate(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float):
+def _evaluate(Q: np.ndarray, p_in, p_out, T):
     """(ratio, output law, numerator, denominator) per row of Q.
 
     The ratio is -inf inside the exclusion ball.  Computed in nats; the
@@ -193,13 +201,13 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float):
     num = rel_entr(Qy, p_out).sum(axis=1)
     den = rel_entr(Q, p_in).sum(axis=1)
     tv = 0.5 * np.abs(Q - p_in).sum(axis=1)
-    out = np.where(tv > exclusion_radius, num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    out = np.where(tv > EXCLUSION_RADIUS, num / np.maximum(den, _LOG_FLOOR), -np.inf)
     return out, Qy, num, den
 
 
-def _ratios(Q: np.ndarray, p_in, p_out, T, exclusion_radius: float) -> np.ndarray:
+def _ratios(Q: np.ndarray, p_in, p_out, T) -> np.ndarray:
     """Divergence ratio per row of Q; -inf inside the exclusion ball."""
-    return _evaluate(Q, p_in, p_out, T, exclusion_radius)[0]
+    return _evaluate(Q, p_in, p_out, T)[0]
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -245,9 +253,9 @@ def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | 
     return float(values[pick]), rows[pick].copy()
 
 
-def _grid_search(p_in, p_out, T, resolution, exclusion_radius):
+def _grid_search(p_in, p_out, T, resolution):
     grid = _simplex_grid(p_in.shape[0], resolution)
-    vals = _ratios(grid, p_in, p_out, T, exclusion_radius)
+    vals = _ratios(grid, p_in, p_out, T)
     best, q = _best_of(vals, grid)
     return best, q, grid.shape[0]
 
@@ -285,8 +293,9 @@ def _log_ratio_grad(Q: np.ndarray, Qy, num, den, p_in, p_out, T) -> np.ndarray:
 # Backtracking schedule of one ascent round, as halvings of the row's step:
 # the step itself, then one halving, then every remaining halving (40 tries
 # in all) in one batch.  A try past the first one runs only while its step
-# is at least step_tolerance.
+# is at least _STEP_TOLERANCE.
 _HALVING_BATCHES = (np.arange(0, 1), np.arange(1, 2), np.arange(2, 40))
+_STEP_TOLERANCE = 1e-10
 
 
 def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
@@ -300,13 +309,9 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
     corners = 0.999 * np.eye(k) + 0.001 / k
-    if cfg.multistart_count > 0:
-        starts = rng.dirichlet(np.ones(k), size=cfg.multistart_count)
-        Q = np.vstack([starts, corners])
-    else:
-        Q = corners
+    Q = np.vstack([rng.dirichlet(np.ones(k), size=cfg.multistart_count), corners])
     step = np.full(Q.shape[0], 0.1)
-    f, Qy, num, den = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)
+    f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
     evals = Q.shape[0]
     alive = np.ones(Q.shape[0], dtype=bool)
 
@@ -318,14 +323,14 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
         for halvings in _HALVING_BATCHES:
             # Powers of two: the same steps as halving one at a time.
             steps = step[rows, None] * 0.5 ** halvings
-            tried = steps >= (cfg.step_tolerance if halvings[0] else 0.0)
+            tried = steps >= (_STEP_TOLERANCE if halvings[0] else 0.0)
             at, _ = np.nonzero(tried)
             if at.size == 0:
                 break
             idx = rows[at]
             tried_steps = steps[tried]
             trial = _project_rows(Q[idx] + tried_steps[:, None] * G[at])
-            ft, ty, tn, td = _evaluate(trial, p_in, p_out, T, cfg.exclusion_radius)
+            ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
             evals += at.size
             hit = np.flatnonzero(ft > f[idx] + 1e-15)
             # Tries are in row-major order; keep each row's first improvement.
@@ -367,13 +372,13 @@ def sstar(
     rho2 = maximal_correlation(j) ** 2
 
     corners = np.eye(k)
-    cand_vals = [_ratios(corners, p_in, p_out, T, cfg.exclusion_radius)]
+    cand_vals = [_ratios(corners, p_in, p_out, T)]
     cand_rows = [corners]
     evals = k
 
     ran = []
     if 2 <= k <= cfg.grid_max_alphabet:
-        gv, gq, n = _grid_search(p_in, p_out, T, cfg.resolution_for(k), cfg.exclusion_radius)
+        gv, gq, n = _grid_search(p_in, p_out, T, cfg.resolution_for(k))
         evals += n
         ran.append("grid")
         if gq is not None:
@@ -394,18 +399,12 @@ def sstar(
         method = ran[0]
     else:
         method = "vertex"
-    gap_note = ""
-    if "grid" not in ran:
-        gap_note = (
-            "exhaustive grid skipped for this input alphabet; "
-            "the value rests on local search and is only a lower bound"
-        )
 
     value, argmax = rho2, None
     if best_q is not None:
         # Report the ratio at the pmf handed back, not at the unnormalized search row.
         q = Distribution(best_q)
-        at_q = float(_ratios(q.probs[None, :], p_in, p_out, T, cfg.exclusion_radius)[0])
+        at_q = float(_ratios(q.probs[None, :], p_in, p_out, T)[0])
         if at_q >= rho2:
             value, argmax = at_q, q
     value = float(np.clip(value, 0.0, 1.0))
@@ -415,7 +414,6 @@ def sstar(
         rho_m_squared=rho2,
         method=method,
         evaluations=evals,
-        gap_note=gap_note,
     )
 
 
@@ -462,8 +460,6 @@ def tensorization_check(
             f"tensorization_check: product alphabet {j.x_size ** 2}x{j.y_size ** 2} "
             "exceeds the 16-state limit"
         )
-    from .probability import tensor_product
-
     single = sstar(j, "x_to_y", cfg).value
     product = sstar(tensor_product(j, j), "x_to_y", cfg).value
     return single, product, product - single

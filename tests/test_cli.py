@@ -79,9 +79,7 @@ class TestSstar:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("text", [
-        '{"exclusion_radius": 1e400}', '{"exclusion_radius": 1.0}', '{"step_tolerance": 1e400}',
-    ])
+    @pytest.mark.parametrize("text", ['{"grid_resolution": 0.3}'])
     def test_out_of_range_config_field(self, tmp_path, capsys, text):
         joint = jfile(tmp_path, "j.json", DSBS)
         config = tmp_path / "cfg.json"
@@ -314,6 +312,26 @@ class TestParsing:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rd", "SOURCE", "--target", "0.1"],
+        ["cr", "--rate", "1", "--randomness", "1", "--sstar", "0.5"],
+        ["ceo", "--rates", "1.0,2.0", "--sstars", "0.5,0.25", "--target-rate", "0.9"],
+        ["gauss-figures", "--rho", "0.8"],
+    ], ids=["rd", "cr", "ceo", "gauss-figures"])
+    @pytest.mark.parametrize("text, code", [
+        (None, 4), ("{not json", 2), ('{"no_such_knob": 1}', 2),
+    ], ids=["missing", "not-json", "unknown-field"])
+    def test_every_command_checks_config(self, tmp_path, capsys, argv, text, code):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text)
+        source = jfile(tmp_path, "src.json", UNIFORM_BINARY)
+        argv = [source if a == "SOURCE" else a for a in argv]
+        got, out, err = run(capsys, *argv, "--config", str(config))
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 import sdpibounds
+from sdpibounds import sdpi
 from sdpibounds import (
     Channel,
     DegenerateRatioError,
@@ -43,38 +43,41 @@ DATA = Path(sdpibounds.__file__).parent / "data"
 class TestConfig:
     def test_defaults(self):
         cfg = SdpiConfig()
-        assert cfg.exclusion_radius == 1e-4
+        assert sdpi.EXCLUSION_RADIUS == 1e-4
         assert cfg.resolution_for(2) == pytest.approx(1 / 200)
         assert cfg.resolution_for(4) == pytest.approx(1 / 100)
         assert cfg.resolution_for(3) == SdpiConfig(grid_resolution=0.01).resolution_for(3)
 
     @pytest.mark.parametrize("kwargs", [
-        {"exclusion_radius": 0.0},
-        {"exclusion_radius": -1.0},
         {"grid_resolution": 0.6},
         {"grid_resolution": -0.1},
         {"grid_max_alphabet": -1},
         {"multistart_count": -1},
         {"max_iterations": 0},
-        {"step_tolerance": 0.0},
         {"seed": -1},
-        {"exclusion_radius": 1.0},
-        {"exclusion_radius": float("inf")},
-        {"step_tolerance": float("inf")},
+        {"grid_resolution": 0.0},
+        {"grid_resolution": float("nan")},
+        # Not 1/n: the grid pitch would silently become 1/3 and 1/2.
+        {"grid_resolution": 0.3},
+        {"grid_resolution": 0.45},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SdpiConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["exclusion_radius", "grid_resolution", "step_tolerance"])
+    @pytest.mark.parametrize("name", ["grid_resolution"])
     @pytest.mark.parametrize("value", [True, "0.01"])
     def test_rejects_non_real_float_fields(self, name, value):
         with pytest.raises(TypeError):
             SdpiConfig(**{name: value})
 
     def test_accepts_numpy_reals(self):
-        cfg = SdpiConfig(exclusion_radius=np.float64(1e-3), step_tolerance=np.float32(1e-8))
-        assert cfg.exclusion_radius == 1e-3
+        cfg = SdpiConfig(grid_resolution=np.float64(0.01))
+        assert cfg.resolution_for(3) == 0.01
+
+    @pytest.mark.parametrize("resolution", [1 / 3, 1 / 7, 0.01, 0.1, 0.25])
+    def test_accepts_reciprocal_integer_resolutions(self, resolution):
+        assert SdpiConfig(grid_resolution=resolution).resolution_for(3) == resolution
 
 
 class TestDivergenceRatio:
@@ -97,10 +100,6 @@ class TestDivergenceRatio:
             divergence_ratio(Distribution([0.50005, 0.49995]), dsbs)
         # just outside the default radius is fine
         divergence_ratio(Distribution([0.502, 0.498]), dsbs)
-
-    def test_respects_custom_radius(self, dsbs):
-        with pytest.raises(DegenerateRatioError):
-            divergence_ratio(Distribution([0.51, 0.49]), dsbs, exclusion_radius=0.05)
 
     def test_dimension_mismatch(self, dsbs):
         with pytest.raises(DimensionMismatchError):
@@ -222,7 +221,7 @@ class TestGridAndMultistartAgree:
         for _ in range(100):
             j = random_joint(rng, 2, 2)
             p_in, p_out, T = _oriented(j, "x_to_y")
-            gv, gq, _ = _grid_search(p_in, p_out, T, 1 / 200, 1e-4)
+            gv, gq, _ = _grid_search(p_in, p_out, T, 1 / 200)
             mv, mq, _ = _multistart_search(p_in, p_out, T, cfg)
             assert abs(gv - mv) <= 0.01
             assert gq is not None and mq is not None
@@ -268,8 +267,9 @@ class TestBatchedLineSearch:
     # Tolerances that end a round's halvings early, only after all 40 tries,
     # and before its second try.
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-15, 0.3])
-    def test_matches_at_other_step_tolerances(self, tolerance):
-        self.check(self.cases()[::3], replace(self.LIGHT, step_tolerance=tolerance))
+    def test_matches_at_other_step_tolerances(self, tolerance, monkeypatch):
+        monkeypatch.setattr(sdpi, "_STEP_TOLERANCE", tolerance)
+        self.check(self.cases()[::3], self.LIGHT)
 
 
 def _stars_and_bars(k, resolution):
@@ -297,13 +297,13 @@ def _sequential_multistart(p_in, p_out, T, cfg):
     corners = 0.999 * np.eye(k) + 0.001 / k
     Q = np.vstack([rng.dirichlet(np.ones(k), size=cfg.multistart_count), corners])
     step = np.full(Q.shape[0], 0.1)
-    f = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)[0]
+    f = _evaluate(Q, p_in, p_out, T)[0]
     evals = Q.shape[0]
     alive = np.ones(Q.shape[0], dtype=bool)
     for _ in range(cfg.max_iterations):
         if not alive.any():
             break
-        _, Qy, num, den = _evaluate(Q, p_in, p_out, T, cfg.exclusion_radius)
+        _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
         G = _log_ratio_grad(Q, Qy, num, den, p_in, p_out, T)
         pending = alive.copy()
         for _ in range(40):
@@ -311,7 +311,7 @@ def _sequential_multistart(p_in, p_out, T, cfg):
             if idx.size == 0:
                 break
             trial = _project_rows(Q[idx] + step[idx, None] * G[idx])
-            ft = _evaluate(trial, p_in, p_out, T, cfg.exclusion_radius)[0]
+            ft = _evaluate(trial, p_in, p_out, T)[0]
             evals += idx.size
             better = ft > f[idx] + 1e-15
             good = idx[better]
@@ -321,7 +321,7 @@ def _sequential_multistart(p_in, p_out, T, cfg):
             step[good] = np.minimum(step[good] * 1.5, 1.0)
             pending[good] = False
             step[bad] *= 0.5
-            stuck = bad[step[bad] < cfg.step_tolerance]
+            stuck = bad[step[bad] < sdpi._STEP_TOLERANCE]
             alive[stuck] = False
             pending[stuck] = False
         alive[pending] = False
