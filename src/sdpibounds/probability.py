@@ -30,6 +30,8 @@ LN2 = float(np.log(2.0))
 SUM_TOLERANCE = 1e-9
 # Entries slightly negative from upstream float arithmetic clip to zero.
 NEGATIVE_TOLERANCE = 1e-12
+# The next double above -1 (see _kl_rows).
+_ABOVE_MINUS_ONE = float(np.nextafter(-1.0, 0.0))
 
 
 def _clean_pmf(values, ndim: int, what: str, axis: int | None = None) -> np.ndarray:
@@ -187,10 +189,13 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
         raise DimensionMismatchError(
             f"kl_divergence: alphabets {q.alphabet_size} vs {p.alphabet_size}"
         )
-    terms = rel_entr(q.probs, p.probs)
-    if np.any(np.isinf(terms)):
+    support = p.probs > 0.0
+    if np.any(q.probs[~support] > 0.0):
         raise ProbabilityError("kl_divergence: q puts mass where p has none")
-    return float(terms.sum() / LN2)
+    ps = p.probs[support]
+    d = q.probs[support] - ps
+    # Each term is >= 0; rounding can leave the sum a few ulps below 0.
+    return max(float(_kl_rows(ps + d, d, ps)) / LN2, 0.0)
 
 
 def marginals(j: JointDistribution) -> tuple[Distribution, Distribution]:
@@ -230,6 +235,25 @@ def tensor_product(a: JointDistribution, b: JointDistribution) -> JointDistribut
     both axes, which is exactly the Kronecker product layout.
     """
     return JointDistribution(np.kron(a.probs, b.probs))
+
+
+def _kl_rows(A: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(a || p) in nats along the last axis, for a = A >= 0 and d = A - p.
+
+    p has full support, and A is p + d as rounded in floats, or 0 where
+    that is negative.  Summed as a log(1 + d/p) - d, a term per symbol that
+    is non-negative in exact arithmetic, so rounding costs a few ulps of d
+    per term, about 1e-16 / |d/p| relative, instead of a few ulps of a,
+    which cancel across symbols when a is near p.
+    """
+    t = d / p
+    # Every a > 0 has d/p > -1 in floats.  Where a == 0, one step above -1
+    # keeps log1p finite, so the term is -d rather than 0 * -inf.
+    np.maximum(t, _ABOVE_MINUS_ONE, out=t)
+    np.log1p(t, out=t)
+    t *= A
+    t -= d
+    return t.sum(axis=-1)
 
 
 def _mi_from_matrix(pxy: np.ndarray) -> float:

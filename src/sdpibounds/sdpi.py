@@ -18,13 +18,20 @@ multi-start agree to ~1e-5 on small alphabets in practice, but nothing here
 certifies the supremum from above; results carry a note when the exhaustive
 grid could not run.
 
+Both divergences are sums of a non-negative term per symbol (see
+probability._kl_rows), so a ratio near the input marginal, where the
+supremum is often approached, keeps about 11 significant digits (measured
+within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
+1e-4 to 1e-2).
+
 The ascent backtracks in batches: a round tries every live start at its
 step, then the failures at one halving, then the remaining failures at all
 their halvings at once, and each start keeps its first improving try, the
-point a one-halving-at-a-time search reaches.  The evaluation count includes
-the batched tries such a search would have skipped, so it reads higher than
-the number of distinct tries it needed.  Each grid is built once per
-(alphabet size, resolution) in a process and shared read-only.
+point a one-halving-at-a-time search reaches.  A successful step grows by
+half without a cap.  The evaluation count includes the batched tries such a
+search would have skipped, so it reads higher than the number of distinct
+tries it needed.  Each grid is built once per (alphabet size, resolution)
+in a process and shared read-only.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import DegenerateRatioError, DimensionMismatchError, ProbabilityError
 from .probability import (
@@ -41,6 +47,7 @@ from .probability import (
     Distribution,
     JointDistribution,
     _is_real,
+    _kl_rows,
     _mi_from_matrix,
     _require_integer,
     conditional,
@@ -195,12 +202,18 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     """(ratio, output law, numerator, denominator) per row of Q.
 
     The ratio is -inf inside the exclusion ball.  Computed in nats; the
-    ratio is base-independent.
+    ratio is base-independent.  The output law is p_out plus the input's
+    offset pushed through T, which keeps the digits that Q @ T - p_out
+    would cancel near the marginal, clipped at 0 where rounding leaves it a
+    hair below.  Both laws reach the kernel as marginal plus offset, the
+    form _kl_rows needs.
     """
-    Qy = Q @ T
-    num = rel_entr(Qy, p_out).sum(axis=1)
-    den = rel_entr(Q, p_in).sum(axis=1)
-    tv = 0.5 * np.abs(Q - p_in).sum(axis=1)
+    d = Q - p_in
+    dy = d @ T
+    Qy = np.maximum(dy + p_out, 0.0)
+    num = _kl_rows(Qy, dy, p_out)
+    den = _kl_rows(d + p_in, d, p_in)
+    tv = 0.5 * np.abs(d).sum(axis=1)
     out = np.where(tv > EXCLUSION_RADIUS, num / np.maximum(den, _LOG_FLOOR), -np.inf)
     return out, Qy, num, den
 
@@ -253,9 +266,18 @@ def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | 
     return float(values[pick]), rows[pick].copy()
 
 
+# Grid rows per kernel call.  The kernel holds about six row-sized
+# temporaries; in chunks they stay near 0.5 MB each on four symbols instead
+# of 5.7 MB for the whole 176,851-row grid.
+_GRID_CHUNK = 1 << 14
+
+
 def _grid_search(p_in, p_out, T, resolution):
     grid = _simplex_grid(p_in.shape[0], resolution)
-    vals = _ratios(grid, p_in, p_out, T)
+    vals = np.concatenate([
+        _ratios(grid[i:i + _GRID_CHUNK], p_in, p_out, T)
+        for i in range(0, grid.shape[0], _GRID_CHUNK)
+    ])
     best, q = _best_of(vals, grid)
     return best, q, grid.shape[0]
 
@@ -302,9 +324,13 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     """Projected gradient ascent on the log ratio from random and corner starts.
 
     All starts advance in lockstep as one array; each keeps its own step
-    size with backtracking on failure and modest growth on success.  A row
+    size with backtracking on failure and growth by half on success.  A row
     accepts its first improving try of _HALVING_BATCHES, the point that
-    trying one halving at a time reaches.
+    trying one halving at a time reaches.  Step growth has no cap: the
+    direction's length cap in _log_ratio_grad counts the constant component
+    that the simplex projection removes, so on binary inputs useful steps
+    reach 1e3 and more.  With a cap of 1.0 those starts crawled through
+    every round; now they retire within about 50.
     """
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -322,26 +348,28 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
         G = _log_ratio_grad(Q[rows], Qy[rows], num[rows], den[rows], p_in, p_out, T)
         for halvings in _HALVING_BATCHES:
             # Powers of two: the same steps as halving one at a time.
-            steps = step[rows, None] * 0.5 ** halvings
-            tried = steps >= (_STEP_TOLERANCE if halvings[0] else 0.0)
-            at, _ = np.nonzero(tried)
-            if at.size == 0:
+            steps = (step[rows, None] * 0.5 ** halvings).ravel()
+            flat = (steps >= (_STEP_TOLERANCE if halvings[0] else 0.0)).nonzero()[0]
+            if flat.size == 0:
                 break
+            # A one-try batch tries row i of rows as try i.
+            at = flat if halvings.size == 1 else flat // halvings.size
             idx = rows[at]
-            tried_steps = steps[tried]
+            tried_steps = steps[flat]
             trial = _project_rows(Q[idx] + tried_steps[:, None] * G[at])
             ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
-            evals += at.size
-            hit = np.flatnonzero(ft > f[idx] + 1e-15)
-            # Tries are in row-major order; keep each row's first improvement.
-            first = np.ones(hit.size, dtype=bool)
-            first[1:] = at[hit[1:]] != at[hit[:-1]]
-            pick = hit[first]
+            evals += flat.size
+            pick = (ft > f[idx] + 1e-15).nonzero()[0]
+            if halvings.size > 1:
+                # Tries are in row-major order; keep each row's first improvement.
+                first = np.ones(pick.size, dtype=bool)
+                first[1:] = at[pick[1:]] != at[pick[:-1]]
+                pick = pick[first]
             acc = idx[pick]
             Q[acc], f[acc], Qy[acc], num[acc], den[acc] = (
                 trial[pick], ft[pick], ty[pick], tn[pick], td[pick]
             )
-            step[acc] = np.minimum(tried_steps[pick] * 1.5, 1.0)
+            step[acc] = tried_steps[pick] * 1.5
             pending = np.ones(rows.size, dtype=bool)
             pending[at[pick]] = False
             rows, G = rows[pending], G[pending]
