@@ -260,8 +260,14 @@ def _mi_from_matrix(pxy: np.ndarray) -> float:
     """Mutual information of a raw joint matrix, tolerating zero marginals.
 
     Internal helper for derived joints (e.g. X paired with an auxiliary U)
-    that may legitimately have unused output symbols.
+    that may legitimately have unused output symbols.  Summed by _kl_rows
+    over the support of px (x) py, so a joint near independence keeps its
+    digits instead of cancelling to a few ulps either side of zero.
     """
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
-    return float(rel_entr(pxy, np.outer(px, py)).sum() / LN2)
+    rows, cols = px > 0.0, py > 0.0
+    a = pxy[rows][:, cols]
+    p = np.outer(px[rows], py[cols])
+    # Each term is >= 0; rounding can leave the sum a few ulps below 0.
+    return max(float(_kl_rows(a, a - p, p).sum()) / LN2, 0.0)

@@ -312,6 +312,47 @@ def _log_ratio_grad(Q: np.ndarray, Qy, num, den, p_in, p_out, T) -> np.ndarray:
     return g / scale[:, None]
 
 
+# Input alphabets up to this size get Newton directions on concave rows.
+# Measured: at k <= 4 every row still live late in the search sits where the
+# log ratio is locally concave, and Newton retires it in a few rounds instead
+# of 2,000.  On quantized Gaussians (k >= 9) only 0-10 of 19-68 live rows are
+# concave in any round, so rows crawl all the same, and testing every row in
+# every round took one benchmark workload from 18 s to 136 s.
+_NEWTON_MAX_ALPHABET = 4
+
+
+def _newton_directions(Q, Qy, num, den, p_in, p_out, T):
+    """(concave, direction) per row: the Newton direction of log(num/den).
+
+    Works in the sum-zero tangent space with an orthonormal basis B (k x k-1).
+    A row is concave when the reduced Hessian
+        H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
+    H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
+    g_D = log(q/p_in), is negative definite; one batched eigh decides that
+    and solves for the direction.  Other rows get a zero direction.
+    """
+    k = Q.shape[1]
+    B = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1]
+    N = np.maximum(num, _TINY)[:, None]
+    D = np.maximum(den, _TINY)[:, None]
+    bN = np.log(np.maximum(Qy, _LOG_FLOOR) / p_out) @ T.T @ B
+    bD = np.log(np.maximum(Q, _LOG_FLOOR) / p_in) @ B
+    TB = T.T @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (np.einsum("yi,ry,yj->rij", TB, 1.0 / np.maximum(Qy, _LOG_FLOOR), TB)
+             - np.einsum("ri,rj->rij", bN, bN / N)) / N[:, :, None]
+        H -= (np.einsum("xi,rx,xj->rij", B, 1.0 / np.maximum(Q, _LOG_FLOOR), B)
+              - np.einsum("ri,rj->rij", bD, bD / D)) / D[:, :, None]
+    usable = np.isfinite(H).all(axis=(1, 2)) & (num >= _TINY) & (den >= _TINY)
+    H[~usable] = 0.0
+    w, V = np.linalg.eigh(H)
+    concave = usable & (w.max(axis=1) < 0.0)
+    # -inf eigenvalues give the other rows a zero direction.
+    w[~concave] = -np.inf
+    b = np.einsum("rji,rj->ri", V, bN / N - bD / D)
+    return concave, -np.einsum("rij,rj->ri", V, b / w) @ B.T
+
+
 # Backtracking schedule of one ascent round, as halvings of the row's step:
 # the step itself, then one halving, then every remaining halving (40 tries
 # in all) in one batch.  A try past the first one runs only while its step
@@ -331,6 +372,11 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     that the simplex projection removes, so on binary inputs useful steps
     reach 1e3 and more.  With a cap of 1.0 those starts crawled through
     every round; now they retire within about 50.
+
+    On input alphabets up to _NEWTON_MAX_ALPHABET, a row where the log ratio
+    is locally concave takes the Newton direction from step 1.0 instead:
+    those basins are badly conditioned, and a gradient step crossed them in
+    hundreds to thousands of rounds where Newton needs a few.
     """
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -346,6 +392,12 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
         if rows.size == 0:
             break
         G = _log_ratio_grad(Q[rows], Qy[rows], num[rows], den[rows], p_in, p_out, T)
+        if k <= _NEWTON_MAX_ALPHABET:
+            concave, newton = _newton_directions(
+                Q[rows], Qy[rows], num[rows], den[rows], p_in, p_out, T
+            )
+            G[concave] = newton[concave]
+            step[rows[concave]] = 1.0
         for halvings in _HALVING_BATCHES:
             # Powers of two: the same steps as halving one at a time.
             steps = (step[rows, None] * 0.5 ** halvings).ravel()
