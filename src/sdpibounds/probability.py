@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr, rel_entr
+from scipy.special import entr
 
 from .errors import DimensionMismatchError, ProbabilityError
 

@@ -11,7 +11,9 @@ this module estimates it three ways and takes the best:
 
  - the squared maximal correlation (a certified lower bound via SVD);
  - an exhaustive simplex grid, feasible for input alphabets up to ~4;
- - vectorized multi-start projected gradient ascent on the log ratio.
+ - vectorized multi-start projected ascent on the log ratio: gradient
+   steps, and Newton steps where the log ratio is locally concave on input
+   alphabets up to 4.
 
 Every reported value is a lower bound on the true constant.  Grid and
 multi-start agree to ~1e-5 on small alphabets in practice, but nothing here
@@ -28,10 +30,12 @@ The ascent backtracks in batches: a round tries every live start at its
 step, then the failures at one halving, then the remaining failures at all
 their halvings at once, and each start keeps its first improving try, the
 point a one-halving-at-a-time search reaches.  A successful step grows by
-half without a cap.  The evaluation count includes the batched tries such a
-search would have skipped, so it reads higher than the number of distinct
-tries it needed.  Each grid is built once per (alphabet size, resolution)
-in a process and shared read-only.
+half without a cap; a Newton direction is tried from step 1.0 each round.
+The evaluation count includes the batched tries such a search would have
+skipped, so it reads higher than the number of distinct tries it needed
+(180,022 on the bundled quaternary joint, 22,745 on dsbs_p10).  Each grid
+is built once per (alphabet size, resolution) in a process and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -313,11 +317,12 @@ def _log_ratio_grad(Q: np.ndarray, Qy, num, den, p_in, p_out, T) -> np.ndarray:
 
 
 # Input alphabets up to this size get Newton directions on concave rows.
-# Measured: at k <= 4 every row still live late in the search sits where the
-# log ratio is locally concave, and Newton retires it in a few rounds instead
-# of 2,000.  On quantized Gaussians (k >= 9) only 0-10 of 19-68 live rows are
-# concave in any round, so rows crawl all the same, and testing every row in
-# every round took one benchmark workload from 18 s to 136 s.
+# Measured with gradient steps alone on the 3-4 symbol benchmark inputs of
+# one seed: 403 of the 433 rows still live at round 2,000 sat where the log
+# ratio is locally concave, a basin Newton finishes in a few rounds.  On 12
+# quantized Gaussians (k >= 9) any row was concave in only 3 to 253 of the
+# 2,000 rounds, so rows crawl all the same, and testing every row in every
+# round made their multistart 11 times slower (8.8 s to 94 s, 2-core Xeon).
 _NEWTON_MAX_ALPHABET = 4
 
 
@@ -362,7 +367,7 @@ _STEP_TOLERANCE = 1e-10
 
 
 def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
-    """Projected gradient ascent on the log ratio from random and corner starts.
+    """Projected ascent on the log ratio from random and corner starts.
 
     All starts advance in lockstep as one array; each keeps its own step
     size with backtracking on failure and growth by half on success.  A row
