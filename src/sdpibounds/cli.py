@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import ConvergenceError
 from .gaussian import figure_data, rows_to_csv
-from .probability import Distribution, JointDistribution
+from .probability import Distribution, JointDistribution, _is_real
 from .rate_distortion import DistortionMatrix, rd_at_distortion, rd_curve
 from .sdpi import SdpiConfig, sstar
 
@@ -147,12 +147,12 @@ def _cmd_gauss_figures(args) -> None:
     grid = None
     if args.grid:
         payload = _load_json(args.grid)
-        if not isinstance(payload, list):
-            raise InputFormatError(f"{args.grid}: expected a JSON list of [dx, dy] pairs")
-        try:
-            grid = [(float(dx), float(dy)) for dx, dy in payload]
-        except (TypeError, ValueError) as e:
-            raise InputFormatError(f"{args.grid}: expected [dx, dy] pairs ({e})") from e
+        if not (isinstance(payload, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(_is_real(v) for v in pair)
+            for pair in payload
+        )):
+            raise InputFormatError(f"{args.grid}: expected a JSON list of [dx, dy] number pairs")
+        grid = [(float(dx), float(dy)) for dx, dy in payload]
     rows = figure_data(args.rho, grid)
     if args.out:
         rows_to_csv(rows, args.out)

@@ -24,8 +24,10 @@ from scipy.special import ndtr
 
 from .probability import JointDistribution
 
-# Cells at the quantizer's ends extend to this many standard deviations;
-# the mass beyond it is ~1e-32, far below every tolerance in the package.
+# Quantizer levels are evenly spaced on [-_SPAN, _SPAN] standard deviations.
+# Cells at the quantizer's ends extend to _TAIL standard deviations; the mass
+# beyond it is ~1e-32, far below every tolerance in the package.
+_SPAN = 4.0
 _TAIL = 12.0
 _QUAD_NODES = 40
 
@@ -182,21 +184,19 @@ def rows_to_csv(rows, destination) -> None:
             _write(f)
 
 
-def quantized_gaussian_joint(rho: float, levels: int, span: float = 4.0) -> JointDistribution:
+def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     """Joint law of the Gaussian pair after nearest-level quantization.
 
-    Both coordinates snap to `levels` points evenly spaced on [-span, span];
-    the outer cells absorb the tails.  Cell masses come from Gauss-Legendre
-    quadrature of the conditional normal cdf across each x-cell, accurate to
-    ~1e-13, then one overall renormalization.
+    Both coordinates snap to `levels` points evenly spaced on [-_SPAN, _SPAN]
+    = [-4, 4]; the outer cells absorb the tails.  Cell masses come from
+    Gauss-Legendre quadrature of the conditional normal cdf across each
+    x-cell, accurate to ~1e-13, then one overall renormalization.
     """
     if not (np.isfinite(rho) and abs(rho) < 1.0):
         raise ValueError(f"need |rho| < 1, got {rho!r}")
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if not span > 0.0:
-        raise ValueError("span must be positive")
-    centers = np.linspace(-span, span, levels)
+    centers = np.linspace(-_SPAN, _SPAN, levels)
     mids = 0.5 * (centers[:-1] + centers[1:])
     edges = np.concatenate([[-_TAIL], mids, [_TAIL]])
     nodes, weights = leggauss(_QUAD_NODES)

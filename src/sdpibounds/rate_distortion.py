@@ -156,17 +156,22 @@ def _zero_rate_distortion(source: Distribution, d: DistortionMatrix) -> float:
     return float((source.probs @ d.costs).min())
 
 
+# Stopping rule of blahut_arimoto: optimality gap in bits, and iteration cap.
+_BA_TOLERANCE = 1e-10
+_BA_MAX_ITERATIONS = 20000
+
+
 def blahut_arimoto(
     source: Distribution,
     d: DistortionMatrix | None = None,
     slope: float = -1.0,
-    tol: float = 1e-10,
-    max_iterations: int = 20000,
 ) -> RdPoint:
     """Curve point at a fixed Lagrangian slope (bits per unit distortion, <= 0).
 
-    Iterates the output-law update until the optimality gap drops below tol.
-    The Lagrangian objective is checked to be non-increasing every step.
+    Iterates the output-law update until the optimality gap drops below
+    _BA_TOLERANCE bits, and raises ConvergenceError, carrying the gap left,
+    after _BA_MAX_ITERATIONS iterations without.  The Lagrangian objective
+    is checked to be non-increasing every step.
     """
     d = _check_pair(source, d)
     if not (np.isfinite(slope) and slope <= 0.0):
@@ -180,7 +185,7 @@ def blahut_arimoto(
     prev_obj = np.inf
     it = 0
     gap = np.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _BA_MAX_ITERATIONS + 1):
         lam = np.maximum(A @ q, _LOG_FLOOR)
         obj = -float(p @ np.log2(lam))
         if obj > prev_obj + 1e-9:
@@ -190,11 +195,11 @@ def blahut_arimoto(
         log_c = np.log2(np.maximum(c, _LOG_FLOOR))
         q = q * c
         gap = float(log_c.max() - q @ log_c)
-        if gap < tol:
+        if gap < _BA_TOLERANCE:
             break
     else:
         raise ConvergenceError(
-            f"no convergence after {max_iterations} iterations (gap {gap:.3e})", gap=gap
+            f"no convergence after {_BA_MAX_ITERATIONS} iterations (gap {gap:.3e})", gap=gap
         )
 
     # Subnormal q entries would leave p_x * p_y = 0 where p_xy > 0 in the rate.
@@ -206,20 +211,27 @@ def blahut_arimoto(
     return RdPoint(distortion, max(rate, 0.0), slope, it)
 
 
+# Distortion accuracy at which rd_at_distortion's bisection stops.
+_DISTORTION_TOLERANCE = 1e-6
+
+
 def rd_at_distortion(
     source: Distribution,
     d: DistortionMatrix | None = None,
     target: float = 0.0,
-    tol: float = 1e-6,
 ) -> RdPoint:
     """Curve point at a target distortion, by bisection on the slope.
 
-    tol applies to the achieved distortion.  If the target lies on a linear
+    The bisection stops at a point whose distortion is within
+    _DISTORTION_TOLERANCE of the target.  If the target lies on a linear
     curve segment the bisection cannot land inside it; the point returned
     then has distortion <= target, so its rate is a safe stand-in (an upper
-    bound on the rate function, achievable at the target).
+    bound on the rate function, achievable at the target).  A non-finite
+    target is a ValueError.
     """
     d = _check_pair(source, d)
+    if not np.isfinite(target):
+        raise ValueError(f"target distortion must be finite, got {target!r}")
     if np.all(d.costs == 0.0):
         # Free reproduction everywhere: the curve is identically zero.
         if target < 0.0:
@@ -235,19 +247,19 @@ def rd_at_distortion(
 
     lo = -64.0
     pt = blahut_arimoto(source, d, lo)
-    while pt.distortion > target + tol:
+    while pt.distortion > target + _DISTORTION_TOLERANCE:
         lo *= 2.0
         if lo < -2.0 ** 20:
             raise ConvergenceError(f"slope bracket exhausted at {lo}")
         pt = blahut_arimoto(source, d, lo)
-    if abs(pt.distortion - target) <= tol:
+    if abs(pt.distortion - target) <= _DISTORTION_TOLERANCE:
         return pt
     hi = 0.0
     best_low = pt
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         pt = blahut_arimoto(source, d, mid)
-        if abs(pt.distortion - target) <= tol:
+        if abs(pt.distortion - target) <= _DISTORTION_TOLERANCE:
             return pt
         if pt.distortion > target:
             hi = mid

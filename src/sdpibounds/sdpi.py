@@ -33,9 +33,9 @@ point a one-halving-at-a-time search reaches.  A successful step grows by
 half without a cap; a Newton direction is tried from step 1.0 each round.
 The evaluation count includes the batched tries such a search would have
 skipped, so it reads higher than the number of distinct tries it needed
-(180,022 on the bundled quaternary joint, 22,745 on dsbs_p10).  Each grid
-is built once per (alphabet size, resolution) in a process and shared
-read-only.
+(180,022 on the bundled quaternary joint, 22,745 on dsbs_p10).  The grid
+pitch is 1/200 on binary inputs and 1/100 otherwise; each grid is built
+once per alphabet size in a process and shared read-only.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .probability import (
     Channel,
     Distribution,
     JointDistribution,
-    _is_real,
     _kl_rows,
     _mi_from_matrix,
     _require_integer,
@@ -75,14 +74,12 @@ EXCLUSION_RADIUS = 1e-4
 class SdpiConfig:
     """Knobs for the contraction-constant search.
 
-    grid_resolution is 1/n for an integer n >= 2, or None for 1/200 on
-    binary inputs and 1/100 otherwise.
-    Setting multistart_count or grid_max_alphabet to 0 disables that search
-    entirely (useful for isolating one method; the reported value is then a
-    weaker lower bound).
+    The grid runs on input alphabets up to grid_max_alphabet, at the fixed
+    pitch of _grid_search.  Setting multistart_count or grid_max_alphabet to
+    0 disables that search entirely (useful for isolating one method; the
+    reported value is then a weaker lower bound).
     """
 
-    grid_resolution: float | None = None
     grid_max_alphabet: int = 4
     multistart_count: int = 64
     max_iterations: int = 2000
@@ -91,13 +88,6 @@ class SdpiConfig:
     def __post_init__(self):
         for name in ("grid_max_alphabet", "multistart_count", "max_iterations", "seed"):
             _require_integer(getattr(self, name), name)
-        res = self.grid_resolution
-        if not (res is None or _is_real(res)):
-            raise TypeError(f"grid_resolution must be a real number, got {res!r}")
-        # The grid pitch is 1/round(1/res): refuse any other value rather
-        # than search a grid the caller did not ask for.
-        if res is not None and not (0.0 < res <= 0.5 and abs(np.rint(1 / res) * res - 1) <= 1e-9):
-            raise ValueError(f"grid_resolution must be 1/n for an integer n >= 2, got {res!r}")
         if self.grid_max_alphabet < 0:
             raise ValueError("grid_max_alphabet must be >= 0")
         if self.multistart_count < 0:
@@ -106,11 +96,6 @@ class SdpiConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def resolution_for(self, alphabet_size: int) -> float:
-        if self.grid_resolution is not None:
-            return self.grid_resolution
-        return 1.0 / 200.0 if alphabet_size <= 2 else 1.0 / 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +168,7 @@ def divergence_ratio(
             f"q is within total variation {tv:.2e} of the input marginal "
             f"(exclusion radius {EXCLUSION_RADIUS:g}); the ratio is 0/0 there"
         )
-    return float(_ratios(q.probs[None, :], p_in, p_out, T)[0])
+    return float(_evaluate(q.probs[None, :], p_in, p_out, T)[0][0])
 
 
 def maximal_correlation(j: JointDistribution) -> float:
@@ -222,25 +207,14 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     return out, Qy, num, den
 
 
-def _ratios(Q: np.ndarray, p_in, p_out, T) -> np.ndarray:
-    """Divergence ratio per row of Q; -inf inside the exclusion ball."""
-    return _evaluate(Q, p_in, p_out, T)[0]
-
-
-def _simplex_grid(k: int, resolution: float) -> np.ndarray:
-    """All pmfs on k symbols with entries that are multiples of resolution.
-
-    Read-only and shared: built on first use and cached per (k, n).
-    """
-    return _composition_grid(k, int(round(1.0 / resolution)))
-
-
 @lru_cache(maxsize=8)
 def _composition_grid(k: int, n: int) -> np.ndarray:
     """Compositions of n into k parts, divided by n, in lexicographic order.
 
-    Built one part at a time: each row's last part, the mass still left,
-    is split into every (head, rest) pair.
+    All pmfs on k symbols whose entries are multiples of 1/n, read-only and
+    shared: built on first use and cached per (k, n).  Built one part at a
+    time: each row's last part, the mass still left, is split into every
+    (head, rest) pair.
     """
     comp = np.full((1, 1), n, dtype=np.int64)
     for _ in range(k - 1):
@@ -276,10 +250,12 @@ def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | 
 _GRID_CHUNK = 1 << 14
 
 
-def _grid_search(p_in, p_out, T, resolution):
-    grid = _simplex_grid(p_in.shape[0], resolution)
+def _grid_search(p_in, p_out, T):
+    """Best grid point at pitch 1/200 on binary inputs, 1/100 otherwise."""
+    k = p_in.shape[0]
+    grid = _composition_grid(k, 200 if k <= 2 else 100)
     vals = np.concatenate([
-        _ratios(grid[i:i + _GRID_CHUNK], p_in, p_out, T)
+        _evaluate(grid[i:i + _GRID_CHUNK], p_in, p_out, T)[0]
         for i in range(0, grid.shape[0], _GRID_CHUNK)
     ])
     best, q = _best_of(vals, grid)
@@ -457,13 +433,13 @@ def sstar(
     rho2 = maximal_correlation(j) ** 2
 
     corners = np.eye(k)
-    cand_vals = [_ratios(corners, p_in, p_out, T)]
+    cand_vals = [_evaluate(corners, p_in, p_out, T)[0]]
     cand_rows = [corners]
     evals = k
 
     ran = []
     if 2 <= k <= cfg.grid_max_alphabet:
-        gv, gq, n = _grid_search(p_in, p_out, T, cfg.resolution_for(k))
+        gv, gq, n = _grid_search(p_in, p_out, T)
         evals += n
         ran.append("grid")
         if gq is not None:
@@ -489,7 +465,7 @@ def sstar(
     if best_q is not None:
         # Report the ratio at the pmf handed back, not at the unnormalized search row.
         q = Distribution(best_q)
-        at_q = float(_ratios(q.probs[None, :], p_in, p_out, T)[0])
+        at_q = float(_evaluate(q.probs[None, :], p_in, p_out, T)[0][0])
         if at_q >= rho2:
             value, argmax = at_q, q
     value = float(np.clip(value, 0.0, 1.0))

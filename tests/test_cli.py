@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdpibounds
 from sdpibounds import quantized_gaussian_joint
 from sdpibounds.cli import main
 
@@ -79,7 +84,7 @@ class TestSstar:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("text", ['{"grid_resolution": 0.3}'])
+    @pytest.mark.parametrize("text", ['{"max_iterations": 0}'])
     def test_out_of_range_config_field(self, tmp_path, capsys, text):
         joint = jfile(tmp_path, "j.json", DSBS)
         config = tmp_path / "cfg.json"
@@ -146,6 +151,14 @@ class TestRd:
         d = jfile(tmp_path, "d.json",
                   {"x_size": 2, "xhat_size": 2, "costs": [1.0, 2.0, 2.0, 1.0]})
         assert run(capsys, "rd", source, d, "--target", "0.5")[0] == 3
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target(self, tmp_path, capsys, target):
+        source = jfile(tmp_path, "src.json", {"probs": [0.3, 0.7]})
+        code, out, err = run(capsys, "rd", source, "--target", target)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: target distortion must be finite, got {target}\n"
 
 
 class TestBounds:
@@ -293,10 +306,15 @@ class TestParsing:
         ("config", '{"exclusion_radius": true}'),
         ("config", '{"step_tolerance": true}'),
         ("config", '{"grid_resolution": true}'),
+        ("config", '{"grid_resolution": 0.01}'),
+        ("config", '{"grid_resolution": 0.3}'),
+        ("grid", '[[true, 0.5]]'),
+        ("grid", '[["0.1", "0.2"]]'),
     ], ids=["size-str", "size-float", "size-overflow", "probs-nested", "probs-str",
             "source-str", "source-scalar", "costs-size-str", "config-iterations-float",
             "config-seed-float", "config-grid-bool", "config-radius-bool",
-            "config-tolerance-bool", "config-resolution-bool"])
+            "config-tolerance-bool", "config-resolution-bool", "config-resolution-0.01",
+            "config-resolution-0.3", "grid-bool", "grid-str"])
     def test_wrongly_typed_field(self, tmp_path, capsys, kind, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -307,9 +325,11 @@ class TestParsing:
             "config": ["sstar", joint, "--config", str(path)],
             "source": ["rd", str(path), "--target", "0.1"],
             "distortion": ["rd", source, str(path), "--target", "0.1"],
+            "grid": ["gauss-figures", "--rho", "0.8", "--grid", str(path)],
         }[kind]
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -342,3 +362,18 @@ class TestParsing:
             "--out", str(tmp_path / "no" / "such" / "dir.json"),
         )
         assert code == 4
+
+
+def test_output_does_not_depend_on_blas_threads():
+    package = Path(sdpibounds.__file__).parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(package.parent), "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "sdpibounds", "sstar", str(package / "data" / "quaternary.json")],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

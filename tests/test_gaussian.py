@@ -200,5 +200,3 @@ class TestQuantizedJoint:
             quantized_gaussian_joint(1.0, 9)
         with pytest.raises(ValueError):
             quantized_gaussian_joint(0.5, 1)
-        with pytest.raises(ValueError):
-            quantized_gaussian_joint(0.5, 9, span=0.0)

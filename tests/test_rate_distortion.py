@@ -15,6 +15,7 @@ from sdpibounds import (
     rd_at_distortion,
     rd_curve,
 )
+from sdpibounds import rate_distortion
 
 
 class TestDistortionMatrix:
@@ -84,9 +85,10 @@ class TestBlahutArimoto:
         assert pt.distortion == pytest.approx(d, rel=1e-8)
         assert pt.rate == pytest.approx(binary_hamming_rd(0.5, d), rel=1e-7)
 
-    def test_convergence_error_carries_gap(self):
+    def test_convergence_error_carries_gap(self, monkeypatch):
+        monkeypatch.setattr(rate_distortion, "_BA_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            blahut_arimoto(Distribution([0.2, 0.8]), slope=-1.0, max_iterations=1)
+            blahut_arimoto(Distribution([0.2, 0.8]), slope=-1.0)
         assert exc.value.gap is not None and exc.value.gap > 0.0
 
     def test_dimension_mismatch(self):
@@ -129,6 +131,16 @@ class TestRdAtDistortion:
         d = DistortionMatrix([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(InfeasibleDistortionError):
             rd_at_distortion(Distribution.uniform(2), d, target=0.5)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("d", [None, DistortionMatrix(np.zeros((2, 2)))], ids=["hamming", "free"])
+    def test_rejects_non_finite_target(self, monkeypatch, target, d):
+        def no_solve(*args):
+            raise AssertionError("Blahut-Arimoto ran on a non-finite target")
+
+        monkeypatch.setattr(rate_distortion, "blahut_arimoto", no_solve)
+        with pytest.raises(ValueError, match=f"target distortion must be finite, got {target!r}"):
+            rd_at_distortion(Distribution([0.3, 0.7]), d, target=target)
 
     def test_all_zero_costs_fast_path(self):
         d = DistortionMatrix(np.zeros((2, 2)))

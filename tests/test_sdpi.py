@@ -27,6 +27,7 @@ from sdpibounds import (
 )
 from sdpibounds.sdpi import (
     _best_of,
+    _composition_grid,
     _evaluate,
     _grid_search,
     _log_ratio_grad,
@@ -34,7 +35,6 @@ from sdpibounds.sdpi import (
     _newton_directions,
     _oriented,
     _project_rows,
-    _simplex_grid,
 )
 from conftest import random_joint
 
@@ -43,43 +43,32 @@ DATA = Path(sdpibounds.__file__).parent / "data"
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = SdpiConfig()
+    def test_defaults(self, dsbs, quaternary):
         assert sdpi.EXCLUSION_RADIUS == 1e-4
-        assert cfg.resolution_for(2) == pytest.approx(1 / 200)
-        assert cfg.resolution_for(4) == pytest.approx(1 / 100)
-        assert cfg.resolution_for(3) == SdpiConfig(grid_resolution=0.01).resolution_for(3)
+        # Grid-only evaluations are the k vertices plus the grid: pitch
+        # 1/200 on binary inputs (201 points), 1/100 on four symbols
+        # (C(103, 3) = 176,851 points).
+        assert sstar(dsbs, "x_to_y", GRID_ONLY).evaluations == 203
+        assert sstar(quaternary, "x_to_y", GRID_ONLY).evaluations == 176_855
 
     @pytest.mark.parametrize("kwargs", [
-        {"grid_resolution": 0.6},
-        {"grid_resolution": -0.1},
         {"grid_max_alphabet": -1},
         {"multistart_count": -1},
         {"max_iterations": 0},
         {"seed": -1},
-        {"grid_resolution": 0.0},
-        {"grid_resolution": float("nan")},
-        # Not 1/n: the grid pitch would silently become 1/3 and 1/2.
-        {"grid_resolution": 0.3},
-        {"grid_resolution": 0.45},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SdpiConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["grid_resolution"])
-    @pytest.mark.parametrize("value", [True, "0.01"])
-    def test_rejects_non_real_float_fields(self, name, value):
-        with pytest.raises(TypeError):
-            SdpiConfig(**{name: value})
-
-    def test_accepts_numpy_reals(self):
-        cfg = SdpiConfig(grid_resolution=np.float64(0.01))
-        assert cfg.resolution_for(3) == 0.01
-
-    @pytest.mark.parametrize("resolution", [1 / 3, 1 / 7, 0.01, 0.1, 0.25])
-    def test_accepts_reciprocal_integer_resolutions(self, resolution):
-        assert SdpiConfig(grid_resolution=resolution).resolution_for(3) == resolution
+    def test_accepts_numpy_reals(self, dsbs):
+        # Integer fields take numpy integer scalars as well as int.
+        cfg = SdpiConfig(grid_max_alphabet=np.int64(2), multistart_count=np.int32(8),
+                         max_iterations=np.int64(50), seed=np.uint8(3))
+        want = sstar(dsbs, "x_to_y", SdpiConfig(grid_max_alphabet=2, multistart_count=8,
+                                                max_iterations=50, seed=3))
+        got = sstar(dsbs, "x_to_y", cfg)
+        assert (got.value, got.evaluations) == (want.value, want.evaluations)
 
 
 class TestDivergenceRatio:
@@ -287,6 +276,18 @@ class TestInvariance:
             want = sstar(j, "y_to_x").value
             assert sstar(j.swapped(), "x_to_y").value == pytest.approx(want, rel=1e-12)
 
+    def test_splitting_an_output_column(self):
+        # Y -> (Y, Z) with Z drawn from Y alone leaves every likelihood
+        # ratio on the outputs, hence D(q_Y || P_Y), unchanged.
+        rng = np.random.default_rng(34)
+        for j in self.joints(33, (3, 4)):
+            c = int(rng.integers(j.y_size))
+            u = float(rng.uniform(0.2, 0.8))
+            split = np.column_stack([j.probs, (1.0 - u) * j.probs[:, c]])
+            split[:, c] *= u
+            want = sstar(j, "x_to_y").value
+            assert sstar(JointDistribution(split), "x_to_y").value == pytest.approx(want, rel=1e-12)
+
 
 class TestGridAndMultistartAgree:
     def test_on_random_binary_joints(self):
@@ -295,23 +296,23 @@ class TestGridAndMultistartAgree:
         for _ in range(100):
             j = random_joint(rng, 2, 2)
             p_in, p_out, T = _oriented(j, "x_to_y")
-            gv, gq, _ = _grid_search(p_in, p_out, T, 1 / 200)
+            gv, gq, _ = _grid_search(p_in, p_out, T)
             mv, mq, _ = _multistart_search(p_in, p_out, T, cfg)
             assert abs(gv - mv) <= 0.01
             assert gq is not None and mq is not None
 
     def test_simplex_grid_shape(self):
-        g = _simplex_grid(3, 0.1)
+        g = _composition_grid(3, 10)
         assert g.shape == (66, 3)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
         assert g.min() >= 0.0
         for k in range(1, 6):
-            for resolution in (0.1, 0.25):
-                got = _simplex_grid(k, resolution)
-                want = _stars_and_bars(k, resolution)
+            for n in (10, 4):
+                got = _composition_grid(k, n)
+                want = _stars_and_bars(k, n)
                 assert got.shape == want.shape
                 assert np.array_equal(_lex_sorted(got), _lex_sorted(want))
-        assert _simplex_grid(3, 0.1) is g
+        assert _composition_grid(3, 10) is g
         with pytest.raises(ValueError):
             g[0, 0] = 0.5
 
@@ -372,9 +373,8 @@ def _decimal_ratio(q, j, direction):
         return float(kl(q_out, p_out) / kl(qd, p_in))
 
 
-def _stars_and_bars(k, resolution):
+def _stars_and_bars(k, n):
     """Grid rows from (k-1)-subsets of bar positions among n + k - 1 slots."""
-    n = int(round(1 / resolution))
     rows = []
     for bars in combinations(range(n + k - 1), k - 1):
         edges = (-1, *bars, n + k - 1)
