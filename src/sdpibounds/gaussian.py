@@ -15,12 +15,12 @@ approach rho**2 as the quantizer refines.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 from .probability import JointDistribution
 
@@ -30,6 +30,13 @@ from .probability import JointDistribution
 _SPAN = 4.0
 _TAIL = 12.0
 _QUAD_NODES = 40
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal cdf, 1/2 erfc(-x / sqrt 2), one math.erfc call per entry."""
+    return 0.5 * _ERFC(-x / math.sqrt(2.0)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,7 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
         a, b = edges[i], edges[i + 1]
         t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         w = 0.5 * (b - a) * weights * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-        upper = ndtr((edges[1:][:, None] - rho * t[None, :]) / s)
-        lower = ndtr((edges[:-1][:, None] - rho * t[None, :]) / s)
-        mass[i] = ((upper - lower) * w[None, :]).sum(axis=1)
+        cdf = _normal_cdf((edges[:, None] - rho * t[None, :]) / s)
+        mass[i] = ((cdf[1:] - cdf[:-1]) * w[None, :]).sum(axis=1)
     mass /= mass.sum()
     return JointDistribution(mass)

@@ -20,7 +20,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from .errors import DimensionMismatchError, ProbabilityError
 
@@ -178,9 +177,18 @@ class Channel:
         return cls(np.eye(n))
 
 
+def _entr(x) -> np.ndarray:
+    """-x ln x elementwise for x >= 0, with 0 ln 0 = 0."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = -x[pos] * np.log(x[pos])
+    return out
+
+
 def entropy(p: Distribution) -> float:
     """Shannon entropy of p in bits."""
-    return float(entr(p.probs).sum() / LN2)
+    return float(_entr(p.probs).sum() / LN2)
 
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:

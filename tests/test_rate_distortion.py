@@ -18,6 +18,39 @@ from sdpibounds import (
 from sdpibounds import rate_distortion
 
 
+def plain_blahut_arimoto(p, costs, slope):
+    """The multiplicative iteration alone, from the uniform law, with the
+    solver's stopping rule: the reference the Newton-accelerated solver must
+    agree with.  Returns (distortion, rate), or None without convergence.
+    """
+    A = np.exp2(slope * costs)
+    q = np.full(costs.shape[1], 1.0 / costs.shape[1])
+    for _ in range(rate_distortion._BA_MAX_ITERATIONS):
+        lam = np.maximum(A @ q, 1e-300)
+        c = (p / lam) @ A
+        log_c = np.log2(np.maximum(c, 1e-300))
+        q = q * c
+        if log_c.max() - q @ log_c < rate_distortion._BA_TOLERANCE:
+            break
+    else:
+        return None
+    q[q < 1e-300] = 0.0
+    lam = np.maximum(A @ q, 1e-300)
+    pxy = p[:, None] * A * q / lam[:, None]
+    outer = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
+    cells = pxy > 0.0
+    rate = float(np.sum(pxy[cells] * np.log2(pxy[cells] / outer[cells])))
+    return float((pxy * costs).sum()), max(rate, 0.0)
+
+
+def random_cost_source(rng, n):
+    """Random source on n symbols with random zero-diagonal costs."""
+    src = Distribution(rng.dirichlet(np.ones(n)))
+    costs = rng.uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(costs, 0.0)
+    return src, DistortionMatrix(costs)
+
+
 class TestDistortionMatrix:
     def test_hamming(self):
         d = DistortionMatrix.hamming(3)
@@ -58,6 +91,12 @@ class TestRdPoint:
         d = RdPoint(0.1, 0.5, -2.0, 7).to_dict()
         assert set(d) == {"distortion", "rate", "slope", "iterations"}
 
+    def test_output_law_is_outside_dict_and_equality(self):
+        pt = blahut_arimoto(Distribution([0.3, 0.7]), slope=-2.0)
+        assert pt.output_law.shape == (2,) and pt.output_law.sum() == pytest.approx(1.0)
+        assert "output_law" not in pt.to_dict()
+        assert pt == RdPoint(pt.distortion, pt.rate, pt.slope, pt.iterations)
+
 
 class TestBlahutArimoto:
     def test_rejects_positive_slope(self):
@@ -94,6 +133,50 @@ class TestBlahutArimoto:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             blahut_arimoto(Distribution.uniform(3), DistortionMatrix.hamming(2), -1.0)
+
+    # Both solvers stop at a gap below 1e-10 bits; on these draws their
+    # distortions and rates differ by at most 3e-9.
+    AGREEMENT = 1e-8
+
+    def test_agrees_with_plain_iteration(self):
+        rng = np.random.default_rng(20240)
+        compared = 0
+        for _ in range(60):
+            nx, ny = (int(v) for v in rng.integers(2, 7, size=2))
+            src = Distribution(rng.dirichlet(np.ones(nx)))
+            costs = DistortionMatrix(rng.uniform(0.0, 1.0, size=(nx, ny)))
+            slope = -float(np.exp2(rng.uniform(-3.0, 4.0)))
+            pt = blahut_arimoto(src, costs, slope)
+            want = plain_blahut_arimoto(src.probs, costs.costs, slope)
+            if want is None:
+                continue
+            compared += 1
+            assert pt.distortion == pytest.approx(want[0], abs=self.AGREEMENT)
+            assert pt.rate == pytest.approx(want[1], abs=self.AGREEMENT)
+        assert compared >= 50
+
+    def test_warm_start_reaches_the_same_point(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            src, costs = random_cost_source(rng, n)
+            slope = -float(np.exp2(rng.uniform(-2.0, 4.0)))
+            cold = blahut_arimoto(src, costs, slope)
+            warm = blahut_arimoto(src, costs, slope, start=rng.dirichlet(np.ones(n)))
+            assert warm.distortion == pytest.approx(cold.distortion, abs=self.AGREEMENT)
+            assert warm.rate == pytest.approx(cold.rate, abs=self.AGREEMENT)
+
+    @pytest.mark.parametrize("start", [[0.5, 0.5, 0.0], [-0.1, 1.1], [np.nan, 1.0], [0.0, 0.0]])
+    def test_rejects_bad_start(self, start):
+        with pytest.raises(ValueError, match="start must be an output law"):
+            blahut_arimoto(Distribution([0.3, 0.7]), slope=-1.0, start=start)
+
+    def test_critical_slope_converges(self):
+        # At slope -log2(0.8/0.2) = -2 the rate of Bernoulli(0.2) reaches
+        # zero; the plain iteration stalls there with a gap near 1.6e-9.
+        pt = blahut_arimoto(Distribution([0.2, 0.8]), slope=-2.0)
+        assert pt.distortion == pytest.approx(0.2, abs=1e-6)
+        assert pt.rate == pytest.approx(binary_hamming_rd(0.2, pt.distortion), abs=1e-12)
 
     def test_underflowing_output_law_keeps_rate_finite(self):
         # Some output-law entries end below 1e-300, where p_x * p_y underflows.
@@ -149,6 +232,77 @@ class TestRdAtDistortion:
         with pytest.raises(InfeasibleDistortionError):
             rd_at_distortion(Distribution.uniform(2), d, target=-0.1)
 
+    def test_bernoulli_sweep_matches_closed_form(self):
+        # 14 of these 19 targets raised ConvergenceError under slope bisection.
+        for target in np.linspace(0.01, 0.19, 19):
+            pt = rd_at_distortion(Distribution([0.2, 0.8]), target=float(target))
+            assert abs(pt.distortion - target) <= 1e-6
+            assert pt.rate == pytest.approx(binary_hamming_rd(0.2, pt.distortion), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "probs, target",
+        [
+            # Hamming marginals of random benchmark joints (seeds 1, 9001
+            # and 2) on which the plain iteration ran out of iterations.
+            ([0.5285154629291083, 0.27236777086717945, 0.19911676620371213], 0.4009468425528101),
+            (
+                [0.4054648258460647, 0.23675249785238542, 0.1787706758391444, 0.1790120004624054],
+                0.5211166681339413,
+            ),
+            (
+                [0.5164656664981038, 0.17093827236398762, 0.08346579123057973, 0.22913026990732893],
+                0.39289521348433293,
+            ),
+        ],
+    )
+    def test_benchmark_points_that_used_to_raise(self, probs, target):
+        pt = rd_at_distortion(Distribution(probs), target=target)
+        assert abs(pt.distortion - target) <= 1e-6
+        assert 0.0 < pt.rate < 1.0
+
+    @pytest.mark.parametrize(
+        "probs, costs, target",
+        [
+            # A target on a linear segment: solves land next to the slope
+            # where the dual is flat along a face.
+            (
+                [0.13732228541204744, 0.8626777145879526],
+                [
+                    [0.8730269422265322, 0.2821428477429727, 0.9256119104041685,
+                     0.8889919952581794, 0.7184865468648028],
+                    [0.9994905604369455, 0.6205070956625057, 0.12151602673707174,
+                     0.7063827671033145, 0.14235847921728917],
+                ],
+                0.20835448266045986,
+            ),
+            # Near the zero-rate end, with two cost columns that differ only
+            # in the row of a 4e-4 source symbol.
+            (
+                [0.029954042369419228, 0.9696640190252248, 0.0003819386053559893],
+                [[2.0, 3.0, 1.0, 1.0, 3.0, 1.0], [1.0, 0.0, 3.0, 2.0, 3.0, 2.0],
+                 [2.0, 0.0, 2.0, 1.0, 3.0, 3.0]],
+                0.08980221902351884,
+            ),
+        ],
+    )
+    def test_fuzzed_inputs_that_used_to_raise(self, probs, costs, target):
+        pt = rd_at_distortion(Distribution(probs), DistortionMatrix(costs), target=target)
+        assert pt.distortion <= target + 1e-6
+
+    def test_linear_segment_returns_point_below_target(self):
+        # A third reproduction symbol erases at cost 0.2.  The uniform bit's
+        # curve follows 1 - h(D) up to D ~ 0.036, then the straight line of
+        # time sharing with erasure to (0.2, 0).  D(s) jumps across that
+        # line at one slope, where the dual is flat along a face.
+        d = DistortionMatrix([[0.0, 1.0, 0.2], [1.0, 0.0, 0.2]])
+        curve = rd_curve(Distribution.uniform(2), d, n_points=65)
+        lo = max(p.distortion for p in curve.points if p.distortion < 0.1)
+        hi = min(p.distortion for p in curve.points if p.distortion > 0.1)
+        target = 0.5 * (lo + hi)
+        pt = rd_at_distortion(Distribution.uniform(2), d, target=target)
+        assert pt.distortion <= target + 1e-6
+        assert pt.rate >= np.interp(target, curve.distortions, curve.rates) - 1e-6
+
     def test_matches_closed_form_fuzz(self):
         rng = np.random.default_rng(1234)
         for _ in range(10):
@@ -180,6 +334,15 @@ class TestRdCurve:
             src = Distribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
             costs = DistortionMatrix(rng.uniform(0.0, 2.0, (n, n)) * (1.0 - np.eye(n)))
             rd_curve(src, costs, n_points=12)
+
+    def test_random_cost_curves_all_converge(self):
+        # 22 of these 40 curves raised ConvergenceError without the Newton
+        # step, on slopes where a reproduction symbol enters or leaves.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            src, d = random_cost_source(rng, int(rng.integers(2, 9)))
+            c = rd_curve(src, d, 33)
+            assert c.rates[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):

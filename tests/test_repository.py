@@ -1,5 +1,7 @@
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,13 @@ def test_no_tracked_file_is_gitignored():
         capture_output=True, text=True, check=True,
     )
     assert listed.stdout == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # The library needs numpy alone; scipy costs a CLI run about 0.3 s.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, sdpibounds.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
