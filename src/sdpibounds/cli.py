@@ -64,10 +64,10 @@ def _emit_json(payload, out_path: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise InputFormatError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(payload, (dict, list)):
         raise InputFormatError(f"{path}: expected a JSON object")

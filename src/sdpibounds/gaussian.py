@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .probability import JointDistribution
+from .probability import JointDistribution, _require_integer
 
 # Quantizer levels are evenly spaced on [-_SPAN, _SPAN] standard deviations.
 # Cells at the quantizer's ends extend to _TAIL standard deviations; the mass
@@ -32,6 +32,11 @@ _TAIL = 12.0
 _QUAD_NODES = 40
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _check_rho(rho: float) -> None:
+    if not (np.isfinite(rho) and abs(rho) < 1.0):
+        raise ValueError(f"need |rho| < 1, got {rho!r}")
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -48,8 +53,7 @@ class GaussianParams:
     dy: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and abs(self.rho) < 1.0):
-            raise ValueError(f"need |rho| < 1, got {self.rho!r}")
+        _check_rho(self.rho)
         for field in ("dx", "dy"):
             v = getattr(self, field)
             if not (np.isfinite(v) and 0.0 < v <= 1.0):
@@ -134,8 +138,7 @@ def cooperative_bound(p: GaussianParams) -> float:
 
 def gaussian_rho_star(rho: float) -> float:
     """Both contraction constants of the Gaussian pair equal rho squared."""
-    if not (np.isfinite(rho) and abs(rho) < 1.0):
-        raise ValueError(f"need |rho| < 1, got {rho!r}")
+    _check_rho(rho)
     return rho * rho
 
 
@@ -199,9 +202,8 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     Gauss-Legendre quadrature of the conditional normal cdf across each
     x-cell, accurate to ~1e-13, then one overall renormalization.
     """
-    if not (np.isfinite(rho) and abs(rho) < 1.0):
-        raise ValueError(f"need |rho| < 1, got {rho!r}")
-    if levels < 2:
+    _check_rho(rho)
+    if _require_integer(levels, "levels") < 2:
         raise ValueError("levels must be >= 2")
     centers = np.linspace(-_SPAN, _SPAN, levels)
     mids = 0.5 * (centers[:-1] + centers[1:])

@@ -330,11 +330,6 @@ def rd_at_distortion(
     d = _check_pair(source, d)
     if not np.isfinite(target):
         raise ValueError(f"target distortion must be finite, got {target!r}")
-    if np.all(d.costs == 0.0):
-        # Free reproduction everywhere: the curve is identically zero.
-        if target < 0.0:
-            raise InfeasibleDistortionError(f"negative distortion {target!r}")
-        return RdPoint(float(target), 0.0, 0.0, 0)
     d_min = float(source.probs @ d.costs.min(axis=1))
     if target < d_min - 1e-9:
         raise InfeasibleDistortionError(

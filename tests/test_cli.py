@@ -188,6 +188,20 @@ class TestBounds:
         sum_rate = next(r for r in json.loads(out) if r["name"] == "sum-rate")
         assert not sum_rate["satisfied"]
 
+    def test_one_symbol_alphabet(self, tmp_path, capsys):
+        joint = jfile(tmp_path, "j.json", {"x_size": 1, "y_size": 2, "probs": [0.5, 0.5]})
+        dx = jfile(tmp_path, "dx.json", {"x_size": 1, "xhat_size": 1, "costs": [0.0]})
+        dy = jfile(tmp_path, "dy.json", HAMMING_2)
+        code, out, _ = run(capsys, "sstar", joint)
+        assert code == 0
+        assert json.loads(out)["rho_star"] == 0.0
+        code, out, _ = run(
+            capsys, "bounds", joint, dx, dy,
+            "--rx", "0", "--ry", "1", "--dx", "0", "--dy", "0",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["inputs"]["rho_star"] == 0.0
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", DSBS)
         dx = jfile(tmp_path, "dx.json", HAMMING_4)
@@ -332,6 +346,18 @@ class TestParsing:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+    ], ids=["deep-nesting", "not-utf8"])
+    def test_undecodable_json(self, tmp_path, capsys, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "sstar", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["rd", "SOURCE", "--target", "0.1"],

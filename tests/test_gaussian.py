@@ -200,3 +200,24 @@ class TestQuantizedJoint:
             quantized_gaussian_joint(1.0, 9)
         with pytest.raises(ValueError):
             quantized_gaussian_joint(0.5, 1)
+
+    @pytest.mark.parametrize("levels", [2.5, 9.0, True, "9"])
+    def test_levels_must_be_an_integer(self, levels):
+        with pytest.raises(TypeError, match="levels must be an integer"):
+            quantized_gaussian_joint(0.5, levels)
+
+    def test_accepts_numpy_integer_levels(self):
+        j = quantized_gaussian_joint(0.5, np.int64(5))
+        assert np.array_equal(j.probs, quantized_gaussian_joint(0.5, 5).probs)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan"), float("inf")])
+def test_every_entry_point_rejects_rho_alike(rho):
+    calls = [
+        lambda: GaussianParams(rho, 0.5, 0.5),
+        lambda: gaussian_rho_star(rho),
+        lambda: quantized_gaussian_joint(rho, 5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"need \|rho\| < 1"):
+            call()

@@ -232,6 +232,14 @@ class TestRdAtDistortion:
         with pytest.raises(InfeasibleDistortionError):
             rd_at_distortion(Distribution.uniform(2), d, target=-0.1)
 
+    def test_all_zero_costs_get_the_usual_slack_below_the_minimum(self):
+        d = DistortionMatrix(np.zeros((2, 2)))
+        for target in (-1e-9, -5e-10):
+            pt = rd_at_distortion(Distribution.uniform(2), d, target=target)
+            assert pt.distortion == 0.0 and pt.rate == 0.0
+        with pytest.raises(InfeasibleDistortionError, match="below the attainable minimum 0.0"):
+            rd_at_distortion(Distribution.uniform(2), d, target=-2e-9)
+
     def test_bernoulli_sweep_matches_closed_form(self):
         # 14 of these 19 targets raised ConvergenceError under slope bisection.
         for target in np.linspace(0.01, 0.19, 19):

@@ -28,11 +28,10 @@ from sdpibounds import (
 from sdpibounds.sdpi import (
     _best_of,
     _composition_grid,
+    _directions,
     _evaluate,
     _grid_search,
-    _log_ratio_grad,
     _multistart_search,
-    _newton_directions,
     _oriented,
     _project_rows,
 )
@@ -174,6 +173,16 @@ class TestSstar:
         assert res.argmax_q is None
         assert res.method == "combined"
         assert res.gap_note == ""
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [[0.3], [0.7]]], ids=["1x2", "2x1"])
+    def test_one_symbol_alphabet(self, probs):
+        # One input symbol leaves no law but the marginal; one output symbol
+        # makes every output law the marginal.  Either way s* is rho_m^2 = 0.
+        j = JointDistribution(probs)
+        for direction in ("x_to_y", "y_to_x"):
+            res = sstar(j, direction)
+            assert res.value == 0.0 and res.rho_m_squared == 0.0
+        assert rho_star(j) == 0.0
 
     def test_binary_inputs_retire_early(self, dsbs):
         # Every start retires within a short round budget, so the default
@@ -347,6 +356,71 @@ class TestBatchedLineSearch:
         self.check(self.cases()[::3], self.LIGHT)
 
 
+class TestDirections:
+    """_directions against finite differences of log(num/den) on the simplex."""
+
+    H = 1e-6
+
+    @staticmethod
+    def interior_rows(seed):
+        """(p_in, p_out, T, Q, B) for random 3-4 symbol joints and interior rows."""
+        rng = np.random.default_rng(seed)
+        for k in (3, 4):
+            for ny in (2, 3, 4):
+                j = random_joint(rng, k, ny)
+                p_in, p_out, T = _oriented(j, "x_to_y")
+                Q = rng.dirichlet(np.full(k, 3.0), size=40)
+                Q = Q[0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05]
+                B = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1]
+                yield p_in, p_out, T, Q, B
+
+    @staticmethod
+    def directions(Q, p_in, p_out, T):
+        return _directions(Q, *_evaluate(Q, p_in, p_out, T)[1:], p_in, p_out, T)
+
+    @staticmethod
+    def log_ratio(Q, p_in, p_out, T):
+        _, _, num, den = _evaluate(Q, p_in, p_out, T)
+        return np.log(num / den)
+
+    def central_differences(self, values, k1):
+        """Rows q + H b_i then q - H b_i, i < k1, to derivatives along b_i."""
+        return (values[:k1] - values[k1:]) / (2 * self.H)
+
+    def test_gradient_matches_central_differences(self):
+        checked = 0
+        for p_in, p_out, T, Q, B in self.interior_rows(11):
+            concave, G = self.directions(Q, p_in, p_out, T)
+            # Rows where the length cap binds have a rescaled gradient.
+            keep = ~concave & (np.abs(G).max(axis=1) < 99.0)
+            for q, g in zip(Q[keep], G[keep]):
+                pts = np.vstack([q + self.H * B.T, q - self.H * B.T])
+                diffs = self.central_differences(self.log_ratio(pts, p_in, p_out, T), B.shape[1])
+                np.testing.assert_allclose(B.T @ g, diffs, rtol=1e-6, atol=1e-7)
+                checked += 1
+        assert checked >= 50
+
+    def test_newton_solves_the_reduced_system(self, monkeypatch):
+        cases = list(self.interior_rows(12))
+        newton = [self.directions(Q, p_in, p_out, T) for p_in, p_out, T, Q, _ in cases]
+        # With Newton switched off every row's direction is the gradient.
+        monkeypatch.setattr(sdpi, "_NEWTON_MAX_ALPHABET", 0)
+        checked = 0
+        for (p_in, p_out, T, Q, B), (concave, G) in zip(cases, newton):
+            assert not self.directions(Q, p_in, p_out, T)[0].any()
+            for q, d in zip(Q[concave], G[concave]):
+                assert d.sum() == pytest.approx(0.0, abs=1e-12)
+                pts = np.vstack([q, q + self.H * B.T, q - self.H * B.T])
+                grads = self.directions(pts, p_in, p_out, T)[1]
+                if np.abs(grads).max() >= 99.0:
+                    continue
+                red = grads @ B
+                hess = self.central_differences(red[1:], B.shape[1])
+                np.testing.assert_allclose(hess @ (B.T @ d), -red[0], rtol=1e-5, atol=1e-6)
+                checked += 1
+        assert checked >= 15
+
+
 def _decimal_ratio(q, j, direction):
     """divergence_ratio in 50-digit decimal arithmetic.
 
@@ -391,8 +465,8 @@ def _sequential_multistart(p_in, p_out, T, cfg):
 
     The batched line search of _multistart_search must accept the same
     points; this loop tries each halving only after the previous one failed.
-    It takes the library's direction per row: Newton from step 1.0 where the
-    log ratio is locally concave on small alphabets, else the gradient.
+    It takes the library's direction per row from _directions, and resets
+    the step to 1.0 on the rows that get a Newton direction.
     """
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -406,11 +480,8 @@ def _sequential_multistart(p_in, p_out, T, cfg):
         if not alive.any():
             break
         _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-        G = _log_ratio_grad(Q, Qy, num, den, p_in, p_out, T)
-        if k <= sdpi._NEWTON_MAX_ALPHABET:
-            concave, newton = _newton_directions(Q, Qy, num, den, p_in, p_out, T)
-            G[concave] = newton[concave]
-            step[concave] = 1.0
+        concave, G = _directions(Q, Qy, num, den, p_in, p_out, T)
+        step[concave] = 1.0
         pending = alive.copy()
         for _ in range(40):
             idx = np.flatnonzero(pending)
