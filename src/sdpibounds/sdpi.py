@@ -37,6 +37,16 @@ skipped, so it reads higher than the number of distinct tries it needed
 (180,022 on the bundled quaternary joint, 22,745 on dsbs_p10).  The grid
 pitch is 1/200 on binary inputs and 1/100 otherwise; each grid is built
 once per alphabet size in a process and shared read-only.
+
+The grid is stored symbol-major, one contiguous column per symbol, and
+_evaluate keeps the layout of its input.  Grid rows hold only 2 to 4
+entries, and numpy sums such short rows one at a time, at about three
+times the cost of the logarithms; a symbol-major chunk sums as k vector
+adds instead.  The ascent's row-major batches are computed as before.  Up
+to 7 output symbols both layouts give the same bits, since numpy adds a
+row of fewer than 8 entries in order; on wider outputs it adds a row-major
+row pairwise, and a grid ratio moves by rounding only (within 1e-15
+relative).
 """
 
 from __future__ import annotations
@@ -196,10 +206,12 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     offset pushed through T, which keeps the digits that Q @ T - p_out
     would cancel near the marginal, clipped at 0 where rounding leaves it a
     hair below.  Both laws reach the kernel as marginal plus offset, the
-    form _kl_rows needs.
+    form _kl_rows needs.  Every temporary keeps Q's layout, row-major or
+    symbol-major (see the module docstring).
     """
     d = Q - p_in
-    dy = d @ T
+    # dy takes d's layout, so a symbol-major grid chunk stays symbol-major.
+    dy = np.matmul(d, T, out=np.empty_like(d, shape=(d.shape[0], T.shape[1])))
     Qy = np.maximum(dy + p_out, 0.0)
     num = _kl_rows(Qy, dy, p_out)
     den = _kl_rows(d + p_in, d, p_in)
@@ -212,10 +224,10 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
 def _composition_grid(k: int, n: int) -> np.ndarray:
     """Compositions of n into k parts, divided by n, in lexicographic order.
 
-    All pmfs on k symbols whose entries are multiples of 1/n, read-only and
-    shared: built on first use and cached per (k, n).  Built one part at a
-    time: each row's last part, the mass still left, is split into every
-    (head, rest) pair.
+    All pmfs on k symbols whose entries are multiples of 1/n, stored
+    symbol-major (Fortran order), read-only and shared: built on first use
+    and cached per (k, n).  Built one part at a time: each row's last part,
+    the mass still left, is split into every (head, rest) pair.
     """
     comp = np.full((1, 1), n, dtype=np.int64)
     for _ in range(k - 1):
@@ -223,9 +235,24 @@ def _composition_grid(k: int, n: int) -> np.ndarray:
         comp = np.repeat(comp, reps, axis=0)
         head = np.arange(comp.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
         comp = np.column_stack([comp[:, :-1], head, comp[:, -1] - head])
-    grid = comp.astype(np.float64) / n
+    # Divided straight into the symbol-major buffer, with no float copy of
+    # comp in between.
+    grid = np.empty(comp.shape, order="F")
+    np.divide(comp, n, out=grid)
     grid.flags.writeable = False
     return grid
+
+
+@lru_cache(maxsize=8)
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k x k-1) of the sum-zero vectors on k symbols.
+
+    Read-only and cached per k, like the grid: every ascent round on k
+    symbols uses the same basis.
+    """
+    basis = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1]
+    basis.flags.writeable = False
+    return basis
 
 
 def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -240,9 +267,13 @@ def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | 
 
 
 # Grid rows per kernel call.  The kernel holds about six row-sized
-# temporaries; in chunks they stay near 0.5 MB each on four symbols instead
-# of 5.7 MB for the whole 176,851-row grid.
-_GRID_CHUNK = 1 << 14
+# temporaries; in chunks they stay near 0.25 MB each on four symbols
+# instead of 5.7 MB for the whole 176,851-row grid.  A chunk of the
+# symbol-major grid is k strided columns, and its temporaries are
+# symbol-major too.  Timed on 4-symbol grids in alternating rounds, 8,192
+# rows beat 16,384 in 24 of 30 rounds, by about 2 % of the median; 4,096
+# and 32,768 were slower than both.
+_GRID_CHUNK = 1 << 13
 
 
 def _grid_search(p_in, p_out, T):
@@ -309,7 +340,7 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     if k > _NEWTON_MAX_ALPHABET:
         return np.zeros(Q.shape[0], dtype=bool), G
 
-    B = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1]
+    B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
     bD = log_in @ B
     TB = T.T @ B

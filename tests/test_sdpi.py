@@ -34,6 +34,7 @@ from sdpibounds.sdpi import (
     _multistart_search,
     _oriented,
     _project_rows,
+    _sum_zero_basis,
 )
 from conftest import random_joint
 
@@ -321,9 +322,47 @@ class TestGridAndMultistartAgree:
                 want = _stars_and_bars(k, n)
                 assert got.shape == want.shape
                 assert np.array_equal(_lex_sorted(got), _lex_sorted(want))
+                assert got.flags.f_contiguous
         assert _composition_grid(3, 10) is g
         with pytest.raises(ValueError):
             g[0, 0] = 0.5
+
+
+class TestEvaluateLayout:
+    """_evaluate on a symbol-major batch against its row-major copy."""
+
+    @staticmethod
+    def both_layouts(seed, k, ny):
+        """_evaluate of one batch stored symbol-major and row-major.
+
+        The batch mixes the k-symbol grid at pitch 1/30, random laws
+        and laws at total variation 1e-4 to 1e-2 from the marginal.
+        """
+        rng = np.random.default_rng(seed)
+        j = random_joint(rng, k, ny)
+        p_in, p_out, T = _oriented(j, "x_to_y")
+        grid = _composition_grid(k, 30)
+        Q = rng.dirichlet(np.ones(k), size=200)
+        near = p_in + 10.0 ** rng.uniform(-4, -2, size=(200, 1)) * (Q - p_in)
+        Q = np.asfortranarray(np.vstack([grid, Q, near]))
+        return _evaluate(Q, p_in, p_out, T), _evaluate(np.ascontiguousarray(Q), p_in, p_out, T)
+
+    @pytest.mark.parametrize("ny", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bit_identical_up_to_seven_outputs(self, k, ny):
+        cols, rows = self.both_layouts(100 * k + ny, k, ny)
+        assert cols[1].flags.f_contiguous and rows[1].flags.c_contiguous
+        for got, want in zip(cols, rows):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ny", [8, 9, 12, 33])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rounding_level_on_wider_outputs(self, k, ny):
+        cols, rows = self.both_layouts(100 * k + ny, k, ny)
+        np.testing.assert_allclose(cols[0], rows[0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cols[2], rows[2], rtol=1e-15, atol=0.0)
+        # The input side sums k <= 4 entries a row, in order either way.
+        assert np.array_equal(cols[3], rows[3])
 
 
 class TestBatchedLineSearch:
@@ -371,7 +410,7 @@ class TestDirections:
                 p_in, p_out, T = _oriented(j, "x_to_y")
                 Q = rng.dirichlet(np.full(k, 3.0), size=40)
                 Q = Q[0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05]
-                B = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1]
+                B = _sum_zero_basis(k)
                 yield p_in, p_out, T, Q, B
 
     @staticmethod
@@ -386,6 +425,16 @@ class TestDirections:
     def central_differences(self, values, k1):
         """Rows q + H b_i then q - H b_i, i < k1, to derivatives along b_i."""
         return (values[:k1] - values[k1:]) / (2 * self.H)
+
+    def test_sum_zero_basis(self):
+        for k in range(2, 6):
+            B = _sum_zero_basis(k)
+            assert B.shape == (k, k - 1)
+            np.testing.assert_allclose(B.T @ B, np.eye(k - 1), atol=1e-14)
+            np.testing.assert_allclose(B.sum(axis=0), 0.0, atol=1e-14)
+            assert _sum_zero_basis(k) is B
+            with pytest.raises(ValueError):
+                B[0, 0] = 0.5
 
     def test_gradient_matches_central_differences(self):
         checked = 0
