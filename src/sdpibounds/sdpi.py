@@ -27,16 +27,17 @@ supremum is often approached, keeps about 11 significant digits (measured
 within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 1e-4 to 1e-2).
 
-The ascent backtracks in batches: a round tries every live start at its
-step, then the failures at one halving, then the remaining failures at all
-their halvings at once, and each start keeps its first improving try, the
-point a one-halving-at-a-time search reaches.  A successful step grows by
-half without a cap; a Newton direction is tried from step 1.0 each round.
-The evaluation count includes the batched tries such a search would have
-skipped, so it reads higher than the number of distinct tries it needed
-(180,022 on the bundled quaternary joint, 22,745 on dsbs_p10).  The grid
-pitch is 1/200 on binary inputs and 1/100 otherwise; each grid is built
-once per alphabet size in a process and shared read-only.
+Each ascent start keeps its own rounds and backtracking; _multistart_search
+has the schedule.  The evaluation count includes the tries that halving one
+try at a time would skip (180,431 on the bundled quaternary joint, 22,967
+on dsbs_p10).  The grid pitch is 1/200 on binary inputs and 1/100
+otherwise; each grid is built once per alphabet size in a process and
+shared read-only.
+
+A row's ratio, output law and direction can move in the last bits with the
+number of rows in its _evaluate or _directions call: on 17 and 33 input
+symbols at 116 and 62 of 199 subset sizes of a 200-row batch, on 2 to 9
+only for a row alone.  So a batching change is checked on its results.
 
 The grid is stored symbol-major, one contiguous column per symbol, and
 _evaluate keeps the layout of its input.  Grid rows hold only 2 to 4
@@ -360,30 +361,26 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     return concave, G
 
 
-# Backtracking schedule of one ascent round, as halvings of the row's step:
-# the step itself, then one halving, then every remaining halving (40 tries
-# in all) in one batch.  A try past the first one runs only while its step
-# is at least _STEP_TOLERANCE.
-_HALVING_BATCHES = (np.arange(0, 1), np.arange(1, 2), np.arange(2, 40))
+# A round tries a start's step, then each halving of it, 40 tries at most;
+# past the first, a try runs only while its step is at least
+# _STEP_TOLERANCE.  A round's first sweep makes _FIRST_TRIES of them.
+_HALVINGS = 40
+_FIRST_TRIES = 2
 _STEP_TOLERANCE = 1e-10
 
 
 def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     """Projected ascent on the log ratio from random and corner starts.
 
-    All starts advance in lockstep as one array; each keeps its own step
-    size with backtracking on failure and growth by half on success.  A row
-    accepts its first improving try of _HALVING_BATCHES, the point that
-    trying one halving at a time reaches.  Step growth has no cap: the
-    direction's length cap in _directions counts the constant component
-    that the simplex projection removes, so on binary inputs useful steps
-    reach 1e3 and more.  With a cap of 1.0 those starts crawled through
-    every round; now they retire within about 50.
-
-    On input alphabets up to _NEWTON_MAX_ALPHABET, a row where the log ratio
-    is locally concave takes the Newton direction from step 1.0 instead:
-    those basins are badly conditioned, and a gradient step crossed them in
-    hundreds to thousands of rounds where Newton needs a few.
+    Each start keeps its own step, round count and backtracking phase.  A
+    round takes a direction from _directions (a Newton one from step 1.0)
+    and tries the step and one halving; if both fail, the next sweep tries
+    the other halvings.  A start accepts its first improving try, as
+    halving one at a time would, and retires when a whole round fails or
+    after cfg.max_iterations rounds.  Every sweep scores all tries in one
+    projection and one evaluation.  A step grows by half on success, with
+    no cap: the direction's length cap counts the constant component that
+    the projection removes, so useful steps on binary inputs reach 1e3.
     """
     k = p_in.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -392,44 +389,47 @@ def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
     evals = Q.shape[0]
-    alive = np.ones(Q.shape[0], dtype=bool)
+    G = np.empty_like(Q)
+    # Rounds each start has left, 0 once retired; none comes near 2**63.
+    left = np.full(Q.shape[0], min(cfg.max_iterations, np.iinfo(np.int64).max))
+    deep = np.zeros(Q.shape[0], dtype=bool)
+    # Try h >= 1 steps by exactly step * 2**-h, and runs if step >= floor[h - 1].
+    floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
+    # Starts that begin a round, with Qy, num and den of their points.
+    fresh = np.arange(Q.shape[0])
 
-    for _ in range(cfg.max_iterations):
-        rows = np.flatnonzero(alive)
-        if rows.size == 0:
-            break
-        concave, G = _directions(Q[rows], Qy[rows], num[rows], den[rows], p_in, p_out, T)
-        step[rows[concave]] = 1.0
-        for halvings in _HALVING_BATCHES:
-            # Powers of two: the same steps as halving one at a time.
-            steps = (step[rows, None] * 0.5 ** halvings).ravel()
-            flat = (steps >= (_STEP_TOLERANCE if halvings[0] else 0.0)).nonzero()[0]
-            if flat.size == 0:
-                break
-            at = flat // halvings.size
-            idx = rows[at]
-            tried_steps = steps[flat]
-            trial = _project_rows(Q[idx] + tried_steps[:, None] * G[at])
-            ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
-            evals += flat.size
-            pick = (ft > f[idx] + 1e-15).nonzero()[0]
-            # Tries are in row-major order; keep each row's first improvement.
-            won = at[pick]
-            first = np.ones(pick.size, dtype=bool)
-            first[1:] = won[1:] != won[:-1]
-            pick = pick[first]
-            acc = idx[pick]
-            Q[acc], f[acc], Qy[acc], num[acc], den[acc] = (
-                trial[pick], ft[pick], ty[pick], tn[pick], td[pick]
-            )
-            step[acc] = tried_steps[pick] * 1.5
-            pending = np.ones(rows.size, dtype=bool)
-            pending[at[pick]] = False
-            rows, G = rows[pending], G[pending]
-        # Rows that burned all backtracks this round, or whose step fell
-        # below the tolerance, have a useless direction at the current
-        # scale; retire them.
-        alive[rows] = False
+    while (rows := np.flatnonzero(left)).size:
+        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T)
+        step[fresh[concave]] = 1.0
+        late = deep[rows]
+        # Row r tries halvings lo[r] to hi[r] - 1, in order.
+        usable = 1 + np.searchsorted(floor, step[rows], side="right")
+        lo = late * _FIRST_TRIES
+        hi = np.where(late, usable, np.minimum(usable, _FIRST_TRIES))
+        at = np.repeat(np.arange(rows.size), hi - lo)
+        halvings = np.arange(at.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        idx = rows[at]
+        tried_steps = np.ldexp(step[idx], -halvings)
+        trial = _project_rows(Q[idx] + tried_steps[:, None] * G[idx])
+        ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
+        evals += at.size
+        pick = (ft > f[idx] + 1e-15).nonzero()[0]
+        # Tries run row by row in halving order; keep each first improvement.
+        won = at[pick]
+        first = np.ones(pick.size, dtype=bool)
+        first[1:] = won[1:] != won[:-1]
+        pick = pick[first]
+        acc = idx[pick]
+        Q[acc], f[acc] = trial[pick], ft[pick]
+        step[acc] = tried_steps[pick] * 1.5
+        left[acc] -= 1
+        failed = np.bincount(at[pick], minlength=rows.size) == 0
+        # A failed first window goes on to any usable halvings left; any
+        # other failure leaves a direction useless at this scale: retire.
+        deep[rows] = failed & ~late & (usable > _FIRST_TRIES)
+        left[rows[failed & ~deep[rows]]] = 0
+        pick = pick[left[acc] > 0]
+        fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
 
     best, q = _best_of(f, Q)
     return best, q, evals

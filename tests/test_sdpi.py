@@ -209,6 +209,15 @@ class TestSstar:
                 if _oriented(j, direction)[0].size == 2:
                     assert res.evaluations < 30_000
 
+    def test_round_cap_past_int64(self, dsbs):
+        # Every start here retires long before 2,000 rounds, so a cap past
+        # the int64 range must change nothing: round counts neither overflow
+        # nor wrap.
+        for j in (dsbs, random_joint(np.random.default_rng(5), 3, 3)):
+            want = sstar(j, "x_to_y")
+            got = sstar(j, "x_to_y", SdpiConfig(max_iterations=10**30))
+            assert got.to_dict() == want.to_dict()
+
     def test_quaternary(self, quaternary):
         res = sstar(quaternary)
         assert res.value == pytest.approx(0.04529, abs=2e-4)
@@ -386,6 +395,14 @@ class TestBatchedLineSearch:
 
     def test_matches_one_halving_at_a_time(self):
         self.check(self.cases(), self.LIGHT)
+
+    # Each start stops after max_iterations rounds of its own; a sweep spent
+    # on the later halvings of a round does not count as another round.
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7])
+    @pytest.mark.parametrize("case", range(22))
+    def test_matches_under_round_caps(self, case, max_iterations):
+        cfg = SdpiConfig(multistart_count=8, max_iterations=max_iterations)
+        self.check([self.cases()[case]], cfg)
 
     # Tolerances that end a round's halvings early, only after all 40 tries,
     # and before its second try.
