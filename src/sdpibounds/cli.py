@@ -6,7 +6,7 @@ fields, bad flags), 3 well-formed input that violates a model invariant or
 lies outside an operation's domain, 4 filesystem trouble.
 
 Floats in emitted JSON and CSV are rounded to 12 significant digits, which
-keeps byte-identical output for identical inputs and seed.  Non-finite
+keeps byte-identical output for identical inputs.  Non-finite
 values (the vacuous common-randomness cap) serialize as null.
 """
 
@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .bounds import (
     CeoQuery,
@@ -98,8 +97,6 @@ def _config_from_args(args) -> SdpiConfig:
             cfg = SdpiConfig(**payload)
         except TypeError as e:
             raise InputFormatError(f"{args.config}: unknown or mistyped config field ({e})") from e
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -179,15 +176,20 @@ def _cmd_cr(args) -> None:
     _emit_json(cr_ratio_bound(q).to_dict(), args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one line, like every other input error."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdpibounds",
         description="Contraction constants and outer bounds for distributed source coding.",
     )
 
     def _add_globals(target, default):
-        target.add_argument("--seed", type=int, default=default,
-                            help="override the search seed")
         target.add_argument("--config", default=default,
                             help="JSON file with solver config fields")
         target.add_argument("--out", default=default,
@@ -196,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_globals(parser, None)
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from stomping a value parsed at the top level.
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     _add_globals(shared, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         # --config is global: every subcommand rejects a bad file the same way.
         args.cfg = _config_from_args(args)
         args.func(args)
@@ -262,6 +261,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except SystemExit as e:
+        return int(e.code or 0)
     return EXIT_OK
 
 

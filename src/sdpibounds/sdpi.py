@@ -7,19 +7,18 @@ The contraction constant in direction X -> Y is the supremum of
 over input laws q_X != P_X, where q_Y is q_X pushed through the conditional
 P(Y|X).  It lives in [0, 1] and is lower bounded by the squared maximal
 correlation of the pair.  The supremum has no closed form in general, so
-this module estimates it three ways and takes the best:
+this module estimates it from below and takes the best of:
 
  - the squared maximal correlation (a certified lower bound via SVD);
- - an exhaustive simplex grid, feasible for input alphabets up to ~4;
+ - the k vertices, and a simplex grid at pitch 1/20 on small alphabets;
  - vectorized multi-start projected ascent on the log ratio: gradient
    steps, and Newton steps where the log ratio is locally concave on input
-   alphabets up to 4; _directions picks each start's direction.
+   alphabets up to 4; _directions picks each start's direction.  It starts
+   at the corners and at the grid's best points or, without a grid, along
+   two SVD tilts (_tilt_starts).  No start is random.
 
-Every reported value is a lower bound on the true constant.  In 396
-searches on random and benchmark joints of 2 to 4 symbols, the grid's best
-never beat the multi-start's by more than 1e-12 relative, but nothing here
-certifies the supremum from above; results carry a note when the exhaustive
-grid could not run.
+Nothing here certifies the supremum from above.  Results carry a note when
+the grid did not run.
 
 Both divergences are sums of a non-negative term per symbol (see
 probability._kl_rows), so a ratio near the input marginal, where the
@@ -29,25 +28,13 @@ within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 
 Each ascent start keeps its own rounds and backtracking; _multistart_search
 has the schedule.  The evaluation count includes the tries that halving one
-try at a time would skip (180,431 on the bundled quaternary joint, 22,967
-on dsbs_p10).  The grid pitch is 1/200 on binary inputs and 1/100
-otherwise; each grid is built once per alphabet size in a process and
-shared read-only.
+try at a time would skip (2,299 on the bundled quaternary joint, 3,251
+on dsbs_p10).
 
 A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
 symbols at 116 and 62 of 199 subset sizes of a 200-row batch, on 2 to 9
 only for a row alone.  So a batching change is checked on its results.
-
-The grid is stored symbol-major, one contiguous column per symbol, and
-_evaluate keeps the layout of its input.  Grid rows hold only 2 to 4
-entries, and numpy sums such short rows one at a time, at about three
-times the cost of the logarithms; a symbol-major chunk sums as k vector
-adds instead.  The ascent's row-major batches are computed as before.  Up
-to 7 output symbols both layouts give the same bits, since numpy adds a
-row of fewer than 8 entries in order; on wider outputs it adds a row-major
-row pairwise, and a grid ratio moves by rounding only (within 1e-15
-relative).
 """
 
 from __future__ import annotations
@@ -86,19 +73,18 @@ EXCLUSION_RADIUS = 1e-4
 class SdpiConfig:
     """Knobs for the contraction-constant search.
 
-    The grid runs on input alphabets up to grid_max_alphabet, at the fixed
-    pitch of _grid_search.  Setting multistart_count or grid_max_alphabet to
-    0 disables that search entirely (useful for isolating one method; the
-    reported value is then a weaker lower bound).
+    The grid runs on input alphabets up to grid_max_alphabet (0: never),
+    and the ascent starts at the corners plus multistart_count grid or tilt
+    points.  Setting multistart_count to 0 turns the ascent off (useful for
+    isolating one method; the reported value is then a weaker lower bound).
     """
 
     grid_max_alphabet: int = 4
-    multistart_count: int = 64
+    multistart_count: int = 8
     max_iterations: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("grid_max_alphabet", "multistart_count", "max_iterations", "seed"):
+        for name in ("grid_max_alphabet", "multistart_count", "max_iterations"):
             _require_integer(getattr(self, name), name)
         if self.grid_max_alphabet < 0:
             raise ValueError("grid_max_alphabet must be >= 0")
@@ -106,8 +92,6 @@ class SdpiConfig:
             raise ValueError("multistart_count must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +102,8 @@ class SdpiResult:
     the best search point, or the squared maximal correlation with argmax_q
     None when that SVD bound beat every search point, i.e. the witness is a
     local perturbation rather than a simplex point.  gap_note is non-empty
-    when the exhaustive grid did not run and the value rests on local
-    search alone.
+    when the simplex grid did not run, so no start came from a grid that
+    covers the simplex.
     """
 
     value: float
@@ -133,8 +117,8 @@ class SdpiResult:
         if self.method in ("grid", "combined"):
             return ""
         return (
-            "exhaustive grid skipped for this input alphabet; "
-            "the value rests on local search and is only a lower bound"
+            "simplex grid skipped for this input alphabet; "
+            "the value rests on local search from corner and SVD tilt starts"
         )
 
     def to_dict(self) -> dict:
@@ -190,13 +174,15 @@ def maximal_correlation(j: JointDistribution) -> float:
     deterministic function.  Its square lower bounds both contraction
     constants.
     """
+    return _correlation_svd(j)[1]
+
+
+def _correlation_svd(j: JointDistribution):
+    """(U, maximal correlation, Vt) from the reduced SVD of p(x,y)/sqrt(p(x)p(y))."""
     px = j.probs.sum(axis=1)
     py = j.probs.sum(axis=0)
-    m = j.probs / np.sqrt(np.outer(px, py))
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals.shape[0] < 2:
-        return 0.0
-    return float(np.clip(svals[1], 0.0, 1.0))
+    U, s, Vt = np.linalg.svd(j.probs / np.sqrt(np.outer(px, py)), full_matrices=False)
+    return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0), Vt
 
 
 def _evaluate(Q: np.ndarray, p_in, p_out, T):
@@ -207,12 +193,10 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     offset pushed through T, which keeps the digits that Q @ T - p_out
     would cancel near the marginal, clipped at 0 where rounding leaves it a
     hair below.  Both laws reach the kernel as marginal plus offset, the
-    form _kl_rows needs.  Every temporary keeps Q's layout, row-major or
-    symbol-major (see the module docstring).
+    form _kl_rows needs.
     """
     d = Q - p_in
-    # dy takes d's layout, so a symbol-major grid chunk stays symbol-major.
-    dy = np.matmul(d, T, out=np.empty_like(d, shape=(d.shape[0], T.shape[1])))
+    dy = d @ T
     Qy = np.maximum(dy + p_out, 0.0)
     num = _kl_rows(Qy, dy, p_out)
     den = _kl_rows(d + p_in, d, p_in)
@@ -225,10 +209,10 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
 def _composition_grid(k: int, n: int) -> np.ndarray:
     """Compositions of n into k parts, divided by n, in lexicographic order.
 
-    All pmfs on k symbols whose entries are multiples of 1/n, stored
-    symbol-major (Fortran order), read-only and shared: built on first use
-    and cached per (k, n).  Built one part at a time: each row's last part,
-    the mass still left, is split into every (head, rest) pair.
+    All pmfs on k symbols whose entries are multiples of 1/n, read-only and
+    shared: built on first use and cached per (k, n).  Built one part at a
+    time: each row's last part, the mass still left, is split into every
+    (head, rest) pair.
     """
     comp = np.full((1, 1), n, dtype=np.int64)
     for _ in range(k - 1):
@@ -236,10 +220,7 @@ def _composition_grid(k: int, n: int) -> np.ndarray:
         comp = np.repeat(comp, reps, axis=0)
         head = np.arange(comp.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
         comp = np.column_stack([comp[:, :-1], head, comp[:, -1] - head])
-    # Divided straight into the symbol-major buffer, with no float copy of
-    # comp in between.
-    grid = np.empty(comp.shape, order="F")
-    np.divide(comp, n, out=grid)
+    grid = comp / n
     grid.flags.writeable = False
     return grid
 
@@ -267,26 +248,50 @@ def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | 
     return float(values[pick]), rows[pick].copy()
 
 
-# Grid rows per kernel call.  The kernel holds about six row-sized
-# temporaries; in chunks they stay near 0.25 MB each on four symbols
-# instead of 5.7 MB for the whole 176,851-row grid.  A chunk of the
-# symbol-major grid is k strided columns, and its temporaries are
-# symbol-major too.  Timed on 4-symbol grids in alternating rounds, 8,192
-# rows beat 16,384 in 24 of 30 rounds, by about 2 % of the median; 4,096
-# and 32,768 were slower than both.
-_GRID_CHUNK = 1 << 13
+def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -> np.ndarray:
+    """Up to count rows of finite value, best first, each at total variation
+    >= spread from those taken before it; ties in lexicographic order, as in
+    _best_of.
+    """
+    live = np.flatnonzero(np.isfinite(values))
+    order = live[np.lexsort(np.vstack([rows[live][:, ::-1].T, -values[live]]))]
+    taken = []
+    while order.size and len(taken) < count:
+        taken.append(order[0])
+        tv = 0.5 * np.abs(rows[order[1:]] - rows[order[0]]).sum(axis=1)
+        # The slack absorbs rounding: grid distances are multiples of the pitch.
+        order = order[1:][tv > spread - 1e-9]
+    return rows[taken]
 
 
-def _grid_search(p_in, p_out, T):
-    """Best grid point at pitch 1/200 on binary inputs, 1/100 otherwise."""
-    k = p_in.shape[0]
-    grid = _composition_grid(k, 200 if k <= 2 else 100)
-    vals = np.concatenate([
-        _evaluate(grid[i:i + _GRID_CHUNK], p_in, p_out, T)[0]
-        for i in range(0, grid.shape[0], _GRID_CHUNK)
-    ])
-    best, q = _best_of(vals, grid)
-    return best, q, grid.shape[0]
+# The grid pitch is 1/_GRID_PITCH; ascent starts from it are _GRID_SPREAD apart.
+_GRID_PITCH, _GRID_SPREAD = 20, 0.1
+# Tilt strengths theta scanned along each SVD direction: 2,401 points on
+# [-60, 60], exactly symmetric, so a vector's sign does not matter.
+_TILTS = np.arange(-1200, 1201)[:, None] / 20.0
+
+
+def _tilt_starts(p_in, p_out, T, vectors, count):
+    """(list of start arrays, evaluations): local maxima along SVD tilts.
+
+    For each singular vector u, the laws q_theta ∝ p_in exp(theta u /
+    sqrt(p_in)) at every _TILTS point, whose ratio tends to u's squared
+    singular value as theta -> 0; the discrete counterpart of the Gaussian
+    extremals (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133; Makur &
+    Zheng, arXiv:1510.01844).  The first vector gets the larger half of
+    count.
+    """
+    starts, evals = [], 0
+    for u, n in zip(vectors, (count - count // 2, count // 2)):
+        z = _TILTS * (u / np.sqrt(p_in)) + np.log(p_in)
+        Q = np.exp(z - z.max(axis=1, keepdims=True))
+        Q /= Q.sum(axis=1, keepdims=True)
+        f = _evaluate(Q, p_in, p_out, T)[0]
+        evals += Q.shape[0]
+        edged = np.concatenate([[-np.inf], f, [-np.inf]])
+        peaks = np.where((f >= edged[:-2]) & (f >= edged[2:]), f, -np.inf)
+        starts.append(_top_rows(peaks, Q, n, 0.0))
+    return starts, evals
 
 
 def _project_rows(V: np.ndarray) -> np.ndarray:
@@ -369,29 +374,26 @@ _FIRST_TRIES = 2
 _STEP_TOLERANCE = 1e-10
 
 
-def _multistart_search(p_in, p_out, T, cfg: SdpiConfig):
-    """Projected ascent on the log ratio from random and corner starts.
+def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
+    """Projected ascent on the log ratio from each row of starts.
 
     Each start keeps its own step, round count and backtracking phase.  A
     round takes a direction from _directions (a Newton one from step 1.0)
     and tries the step and one halving; if both fail, the next sweep tries
     the other halvings.  A start accepts its first improving try, as
     halving one at a time would, and retires when a whole round fails or
-    after cfg.max_iterations rounds.  Every sweep scores all tries in one
+    after max_iterations rounds.  Every sweep scores all tries in one
     projection and one evaluation.  A step grows by half on success, with
     no cap: the direction's length cap counts the constant component that
     the projection removes, so useful steps on binary inputs reach 1e3.
     """
-    k = p_in.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    corners = 0.999 * np.eye(k) + 0.001 / k
-    Q = np.vstack([rng.dirichlet(np.ones(k), size=cfg.multistart_count), corners])
+    Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
     evals = Q.shape[0]
     G = np.empty_like(Q)
     # Rounds each start has left, 0 once retired; none comes near 2**63.
-    left = np.full(Q.shape[0], min(cfg.max_iterations, np.iinfo(np.int64).max))
+    left = np.full(Q.shape[0], min(max_iterations, np.iinfo(np.int64).max))
     deep = np.zeros(Q.shape[0], dtype=bool)
     # Try h >= 1 steps by exactly step * 2**-h, and runs if step >= floor[h - 1].
     floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
@@ -442,46 +444,47 @@ def sstar(
 ) -> SdpiResult:
     """Best available lower bound on the contraction constant of one direction.
 
-    Takes the max over the squared maximal correlation, the exhaustive grid
-    (input alphabets of 2 to cfg.grid_max_alphabet symbols), and multi-start
-    ascent (2 symbols or more; one input symbol leaves no law but the
-    marginal, and the value is rho_m^2 = 0).  Deterministic for a fixed
-    config, including its seed.
+    Takes the max over the squared maximal correlation, the vertices, the
+    simplex grid (input alphabets of 2 to cfg.grid_max_alphabet symbols),
+    and multi-start ascent (2 symbols or more; one input symbol leaves no
+    law but the marginal, and the value is rho_m^2 = 0).  A function of the
+    joint, the direction and the config alone.
     """
     if cfg is None:
         cfg = SdpiConfig()
     p_in, p_out, T = _oriented(j, direction)
     k = p_in.shape[0]
-    rho2 = maximal_correlation(j) ** 2
+    U, rho, Vt = _correlation_svd(j)
+    rho2 = rho ** 2
 
     corners = np.eye(k)
     cand_vals = [_evaluate(corners, p_in, p_out, T)[0]]
     cand_rows = [corners]
     evals = k
 
-    ran = []
+    ran, starts = [], []
     if 2 <= k <= cfg.grid_max_alphabet:
-        gv, gq, n = _grid_search(p_in, p_out, T)
-        evals += n
+        grid = _composition_grid(k, _GRID_PITCH)
+        vals = _evaluate(grid, p_in, p_out, T)[0]
+        evals += grid.shape[0]
         ran.append("grid")
-        if gq is not None:
-            cand_vals.append(np.array([gv]))
-            cand_rows.append(gq[None, :])
+        cand_vals.append(vals)
+        cand_rows.append(grid)
+        starts = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)]
     if k >= 2 and cfg.multistart_count > 0:
-        mv, mq, n = _multistart_search(p_in, p_out, T, cfg)
+        if not ran:
+            vectors = (U.T if direction == "x_to_y" else Vt)[1:3]
+            starts, n = _tilt_starts(p_in, p_out, T, vectors, cfg.multistart_count)
+            evals += n
+        starts.append(0.999 * np.eye(k) + 0.001 / k)
+        mv, mq, n = _multistart_search(p_in, p_out, T, np.vstack(starts), cfg.max_iterations)
         evals += n
         ran.append("multistart")
         if mq is not None:
             cand_vals.append(np.array([mv]))
             cand_rows.append(mq[None, :])
     _, best_q = _best_of(np.concatenate(cand_vals), np.vstack(cand_rows))
-
-    if len(ran) == 2:
-        method = "combined"
-    elif ran:
-        method = ran[0]
-    else:
-        method = "vertex"
+    method = "combined" if len(ran) == 2 else (ran[0] if ran else "vertex")
 
     value, argmax = rho2, None
     if best_q is not None:
@@ -491,13 +494,8 @@ def sstar(
         if at_q >= rho2:
             value, argmax = at_q, q
     value = float(np.clip(value, 0.0, 1.0))
-    return SdpiResult(
-        value=value,
-        argmax_q=argmax,
-        rho_m_squared=rho2,
-        method=method,
-        evaluations=evals,
-    )
+    return SdpiResult(value=value, argmax_q=argmax, rho_m_squared=rho2,
+                      method=method, evaluations=evals)
 
 
 def rho_star(j: JointDistribution, cfg: SdpiConfig | None = None) -> float:

@@ -36,7 +36,6 @@ from sdpibounds import (
 )
 
 QUATERNARY = JointDistribution(np.where(np.eye(4, dtype=bool), 0.1, 0.05))
-GRID_ONLY = SdpiConfig(multistart_count=0)
 MULTI_ONLY = SdpiConfig(grid_max_alphabet=0)
 
 
@@ -108,7 +107,7 @@ def test_criterion_5_inequality_fuzz(verdict):
         nx = int(rng.integers(2, 5))
         ny = int(rng.integers(2, 5))
         j = random_joint(rng, nx, ny)
-        s = sstar(j, "x_to_y", GRID_ONLY).value
+        s = sstar(j, "x_to_y").value
         for _ in range(4):
             nu = int(rng.integers(2, 5))
             u = Channel(rng.dirichlet(np.ones(nu), size=nx))
@@ -126,7 +125,7 @@ def test_criterion_6_tensorization(verdict):
     worst = 0.0
     for _ in range(20):
         j = random_joint(rng, 2, 2)
-        single = sstar(j, "x_to_y", GRID_ONLY).value
+        single = sstar(j, "x_to_y").value
         doubled = sstar(tensor_product(j, j), "x_to_y", MULTI_ONLY).value
         worst = max(worst, abs(single - doubled))
     ok = worst <= 0.02

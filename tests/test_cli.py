@@ -57,8 +57,9 @@ class TestSstar:
 
     def test_global_flags_both_positions(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", DSBS)
-        code_pre, out_pre, _ = run(capsys, "--seed", "7", "sstar", joint)
-        code_post, out_post, _ = run(capsys, "sstar", joint, "--seed", "7")
+        config = jfile(tmp_path, "cfg.json", LIGHT_CONFIG)
+        code_pre, out_pre, _ = run(capsys, "--config", config, "sstar", joint)
+        code_post, out_post, _ = run(capsys, "sstar", joint, "--config", config)
         assert code_pre == code_post == 0
         assert out_pre == out_post
 
@@ -76,6 +77,28 @@ class TestSstar:
         code, out, _ = run(capsys, "sstar", joint, "--config", config)
         assert code == 0
         assert json.loads(out)["rho_star"] == pytest.approx(0.64, abs=1e-9)
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_seed_flag_is_gone(self, tmp_path, capsys, position):
+        # The search has no random starts, so there is no seed to set.
+        joint = jfile(tmp_path, "j.json", DSBS)
+        argv = ["--seed", "7", "sstar", joint]
+        if position == "after":
+            argv = argv[2:] + argv[:2]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_seed_config_field_is_gone(self, tmp_path, capsys):
+        joint = jfile(tmp_path, "j.json", DSBS)
+        config = jfile(tmp_path, "cfg.json", {"seed": 0})
+        code, out, err = run(capsys, "sstar", joint, "--config", config)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_config_field(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", DSBS)
