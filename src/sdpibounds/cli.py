@@ -183,18 +183,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
+def _add_globals(target, default):
+    target.add_argument("--config", default=default,
+                        help="JSON file with solver config fields")
+    target.add_argument("--out", default=default,
+                        help="write output here instead of stdout")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sdpibounds",
         description="Contraction constants and outer bounds for distributed source coding.",
     )
-
-    def _add_globals(target, default):
-        target.add_argument("--config", default=default,
-                            help="JSON file with solver config fields")
-        target.add_argument("--out", default=default,
-                            help="write output here instead of stdout")
-
     _add_globals(parser, None)
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from stomping a value parsed at the top level.
@@ -246,9 +246,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    try:
+        return _build_parser().parse_args(argv)
+    except InputFormatError:
+        # argparse sets an unknown flag before the subcommand aside and reads
+        # its value as the subcommand; name the flag instead.
+        flags = _Parser(add_help=False)
+        _add_globals(flags, None)
+        rest = flags.parse_known_args(argv)[1]
+        if rest and rest[0].startswith("-"):
+            raise InputFormatError(f"unrecognized arguments: {rest[0]}") from None
+        raise
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         # --config is global: every subcommand rejects a bad file the same way.
         args.cfg = _config_from_args(args)
         args.func(args)

@@ -11,11 +11,16 @@ this module estimates it from below and takes the best of:
 
  - the squared maximal correlation (a certified lower bound via SVD);
  - the k vertices, and a simplex grid at pitch 1/20 on small alphabets;
- - vectorized multi-start projected ascent on the log ratio: gradient
-   steps, and Newton steps where the log ratio is locally concave on input
-   alphabets up to 4; _directions picks each start's direction.  It starts
-   at the corners and at the grid's best points or, without a grid, along
-   two SVD tilts (_tilt_starts).  No start is random.
+ - vectorized multi-start ascent on the log ratio, from the grid's best
+   points or, without a grid, along two SVD tilts (_tilt_starts).  No start
+   is random.  On input alphabets up to 4 the ascent also starts at the
+   corners and takes projected gradient steps, and Newton steps where the
+   log ratio is locally concave.  On larger ones it takes mirror steps,
+   q exp(t g)/Z, in the KL geometry, where projected gradient steps crawl
+   (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds), and
+   projected Newton steps then finish the best point.  There are no corner
+   starts there: under mirror steps they all crawl along one ridge near the
+   marginal.  _directions picks each direction.
 
 Nothing here certifies the supremum from above.  Results carry a note when
 the grid did not run.
@@ -74,9 +79,10 @@ class SdpiConfig:
     """Knobs for the contraction-constant search.
 
     The grid runs on input alphabets up to grid_max_alphabet (0: never),
-    and the ascent starts at the corners plus multistart_count grid or tilt
-    points.  Setting multistart_count to 0 turns the ascent off (useful for
-    isolating one method; the reported value is then a weaker lower bound).
+    and the ascent starts at multistart_count grid or tilt points, plus the
+    corners on input alphabets up to 4.  Setting multistart_count to 0
+    turns the ascent off (useful for isolating one method; the reported
+    value is then a weaker lower bound).
     """
 
     grid_max_alphabet: int = 4
@@ -103,7 +109,8 @@ class SdpiResult:
     None when that SVD bound beat every search point, i.e. the witness is a
     local perturbation rather than a simplex point.  gap_note is non-empty
     when the simplex grid did not run, so no start came from a grid that
-    covers the simplex.
+    covers the simplex: the ascent started at SVD tilt points, plus the
+    corners on input alphabets up to 4.
     """
 
     value: float
@@ -117,8 +124,8 @@ class SdpiResult:
         if self.method in ("grid", "combined"):
             return ""
         return (
-            "simplex grid skipped for this input alphabet; "
-            "the value rests on local search from corner and SVD tilt starts"
+            "simplex grid skipped for this input alphabet; the value rests on "
+            "local search from SVD tilt starts (and corners, on up to 4 symbols)"
         )
 
     def to_dict(self) -> dict:
@@ -307,7 +314,20 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return W / W.sum(axis=1, keepdims=True)
 
 
-# Input alphabets up to this size get Newton directions on concave rows.
+def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Mirror step Q * exp(V) / Z per row, in the KL geometry.
+
+    Formed in the log domain, log max(Q, _LOG_FLOOR) + V minus its row max,
+    so no row underflows to all zeros and an entry at 0 can come back.
+    """
+    Z = np.log(np.maximum(Q, _LOG_FLOOR)) + V
+    W = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+# Input alphabets up to this size take projected steps, with Newton
+# directions on concave rows, from every start; larger ones take mirror
+# steps from every start, and Newton finishes only the best point.
 # Measured with gradient steps alone on the 3-4 symbol benchmark inputs of
 # one seed: 403 of the 433 rows still live at round 2,000 sat where the log
 # ratio is locally concave, a basin Newton finishes in a few rounds.  On 12
@@ -317,14 +337,16 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
 _NEWTON_MAX_ALPHABET = 4
 
 
-def _directions(Q, Qy, num, den, p_in, p_out, T):
+def _directions(Q, Qy, num, den, p_in, p_out, T, newton=None):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
     Qy, num and den are the output laws and ratio parts of Q from _evaluate.
-    Every row gets the gradient, zeroed where num or den vanishes, with its
-    length capped.  On input alphabets up to _NEWTON_MAX_ALPHABET, a row
-    where the log ratio is locally concave gets the Newton direction
-    instead.  Newton works in the sum-zero tangent space with an orthonormal
+    Every row gets the gradient, zeroed where num or den vanishes.  With
+    newton (by default on input alphabets up to _NEWTON_MAX_ALPHABET), it
+    is the direction of a projected step: the gradient's length is capped,
+    and a row where the log ratio is locally concave gets the Newton
+    direction instead.  Without, it is the uncapped gradient of a mirror
+    step.  Newton works in the sum-zero tangent space with an orthonormal
     basis B (k x k-1); a row is concave when the reduced Hessian
         H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
     H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
@@ -339,12 +361,12 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
     vanishing = (num < _TINY) | (den < _TINY)
     G[vanishing] = 0.0
+    if not (k <= _NEWTON_MAX_ALPHABET if newton is None else newton):
+        return np.zeros(Q.shape[0], dtype=bool), G
     # Cap the row magnitude: near-flat ratios divided by the floors above
     # give astronomically long directions, and projecting those loses mass
     # to float cancellation.  Direction is what matters, not length.
     G /= np.maximum(np.abs(G).max(axis=1) / 100.0, 1.0)[:, None]
-    if k > _NEWTON_MAX_ALPHABET:
-        return np.zeros(Q.shape[0], dtype=bool), G
 
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
@@ -374,19 +396,28 @@ _FIRST_TRIES = 2
 _STEP_TOLERANCE = 1e-10
 
 
-def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
-    """Projected ascent on the log ratio from each row of starts.
+def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, newton=None):
+    """Ascent on the log ratio from each row of starts.
+
+    With newton (by default on input alphabets up to _NEWTON_MAX_ALPHABET),
+    a try is the Euclidean projection onto the simplex of a step along the
+    direction from _directions, Newton (from step 1.0) on locally concave
+    rows.  Without, it is a mirror step q exp(t g)/Z along the gradient g in
+    the KL geometry (Beck & Teboulle 2003), where the divergence's Hessian
+    diag(1/q) makes projected gradient steps crawl.
 
     Each start keeps its own step, round count and backtracking phase.  A
-    round takes a direction from _directions (a Newton one from step 1.0)
-    and tries the step and one halving; if both fail, the next sweep tries
-    the other halvings.  A start accepts its first improving try, as
-    halving one at a time would, and retires when a whole round fails or
-    after max_iterations rounds.  Every sweep scores all tries in one
-    projection and one evaluation.  A step grows by half on success, with
-    no cap: the direction's length cap counts the constant component that
-    the projection removes, so useful steps on binary inputs reach 1e3.
+    round takes a direction and tries the step and one halving; if both
+    fail, the next sweep tries the other halvings.  A start accepts its
+    first improving try, as halving one at a time would, and retires when a
+    whole round fails or after max_iterations rounds.  Every sweep scores
+    all tries in one projection or mirror step and one evaluation.  A step
+    grows by half on success, with no cap: the direction's length cap
+    counts the constant component that the projection removes, so useful
+    steps on binary inputs reach 1e3.
     """
+    if newton is None:
+        newton = starts.shape[1] <= _NEWTON_MAX_ALPHABET
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
@@ -401,7 +432,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     fresh = np.arange(Q.shape[0])
 
     while (rows := np.flatnonzero(left)).size:
-        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T)
+        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, newton)
         step[fresh[concave]] = 1.0
         late = deep[rows]
         # Row r tries halvings lo[r] to hi[r] - 1, in order.
@@ -412,7 +443,8 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
         halvings = np.arange(at.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
         idx = rows[at]
         tried_steps = np.ldexp(step[idx], -halvings)
-        trial = _project_rows(Q[idx] + tried_steps[:, None] * G[idx])
+        V = tried_steps[:, None] * G[idx]
+        trial = _project_rows(Q[idx] + V) if newton else _mirror_rows(Q[idx], V)
         ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
         evals += at.size
         pick = (ft > f[idx] + 1e-15).nonzero()[0]
@@ -447,8 +479,9 @@ def sstar(
     Takes the max over the squared maximal correlation, the vertices, the
     simplex grid (input alphabets of 2 to cfg.grid_max_alphabet symbols),
     and multi-start ascent (2 symbols or more; one input symbol leaves no
-    law but the marginal, and the value is rho_m^2 = 0).  A function of the
-    joint, the direction and the config alone.
+    law but the marginal, and the value is rho_m^2 = 0), whose best point
+    Newton finishes on more than _NEWTON_MAX_ALPHABET symbols.  A function
+    of the joint, the direction and the config alone.
     """
     if cfg is None:
         cfg = SdpiConfig()
@@ -476,9 +509,17 @@ def sstar(
             vectors = (U.T if direction == "x_to_y" else Vt)[1:3]
             starts, n = _tilt_starts(p_in, p_out, T, vectors, cfg.multistart_count)
             evals += n
-        starts.append(0.999 * np.eye(k) + 0.001 / k)
-        mv, mq, n = _multistart_search(p_in, p_out, T, np.vstack(starts), cfg.max_iterations)
+        if k <= _NEWTON_MAX_ALPHABET:
+            starts.append(0.999 * np.eye(k) + 0.001 / k)
+        starts = np.vstack(starts) if starts else np.empty((0, k))
+        mv, mq, n = _multistart_search(p_in, p_out, T, starts, cfg.max_iterations)
         evals += n
+        if mq is not None and k > _NEWTON_MAX_ALPHABET:
+            # Mirror steps stop short of the top of the best basin; Newton,
+            # too costly on every start there, finishes that one point.
+            mv, mq, n = _multistart_search(p_in, p_out, T, mq[None, :], cfg.max_iterations,
+                                           newton=True)
+            evals += n
         ran.append("multistart")
         if mq is not None:
             cand_vals.append(np.array([mv]))

@@ -91,6 +91,16 @@ class TestSstar:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--bogus", "-x"])
+    def test_unknown_flag_before_the_subcommand_is_named(self, tmp_path, capsys, flag):
+        # Not "invalid choice" for the flag's value, read as the subcommand.
+        joint = jfile(tmp_path, "j.json", DSBS)
+        code, out, err = run(capsys, "--out", str(tmp_path / "o.json"), flag, "3", "sstar", joint)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unrecognized arguments: {flag}\n"
+        assert not (tmp_path / "o.json").exists()
+
     def test_seed_config_field_is_gone(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", DSBS)
         config = jfile(tmp_path, "cfg.json", {"seed": 0})

@@ -30,6 +30,7 @@ from sdpibounds.sdpi import (
     _composition_grid,
     _directions,
     _evaluate,
+    _mirror_rows,
     _multistart_search,
     _oriented,
     _project_rows,
@@ -184,6 +185,14 @@ class TestSstar:
             assert res.value == 0.0 and res.rho_m_squared == 0.0
         assert rho_star(j) == 0.0
 
+    def test_one_output_symbol_on_many_inputs(self):
+        # Six inputs get neither tilt nor corner starts when the output has
+        # one symbol, so the ascent runs from no start at all.
+        j = JointDistribution(np.arange(1.0, 7.0)[:, None] / 21.0)
+        for direction in ("x_to_y", "y_to_x"):
+            res = sstar(j, direction)
+            assert 0.0 <= res.value <= 1e-12 and res.rho_m_squared == 0.0
+
     def test_binary_inputs_retire_early(self, dsbs):
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing.  Binary starts do because step growth
@@ -275,6 +284,52 @@ class TestSstar:
                     assert res.value == pytest.approx(want, rel=1e-11)
                     checked += 1
         assert checked >= 6
+
+    def test_nine_level_gaussian_reaches_the_newton_value(self):
+        # Projected gradient steps from the tilt starts stopped at 0.2140006;
+        # Newton from the best of them reaches 0.2140031.
+        assert sstar(quantized_gaussian_joint(0.5, 9)).value >= 0.2140031
+
+    @pytest.mark.parametrize("rho", [0.5, 0.79])
+    def test_first_order_gap_at_nine_level_witnesses(self, rho):
+        # At a local maximum on the simplex the gradient of log(num/den) is
+        # flat over the support and no higher off it.  Projected gradient
+        # steps left gaps of 4.7e-2 and 3.7e-2 here.
+        j = quantized_gaussian_joint(rho, 9)
+        res = sstar(j)
+        p_in, p_out, T = _oriented(j, "x_to_y")
+        q = res.argmax_q.probs
+        _, qy, num, den = _evaluate(q[None, :], p_in, p_out, T)
+        on = q > 0
+        g = (np.log(qy[0] / p_out) + 1.0) @ T.T / num[0]
+        g[on] -= (np.log(q[on] / p_in[on]) + 1.0) / den[0]
+        top = g[on].max()
+        gap = top - g[on].min() + max(0.0, g[~on].max(initial=-np.inf) - top)
+        assert gap <= 1e-7
+
+    def test_wide_joints_no_lower_than_projected_gradient(self):
+        # Both directions of six 5-9 symbol joints, against the values of
+        # projected gradient steps from corner and tilt starts, printed at
+        # commit 9bd1799 from the repository root by
+        #   PYTHONPATH=src:tests python -c "import numpy as np;
+        #   from conftest import random_joint; from sdpibounds import sstar;
+        #   rng = np.random.default_rng(20261019); [print([sstar(j, d).value
+        #   for d in ('x_to_y', 'y_to_x')]) for j in (random_joint(rng,
+        #   int(rng.integers(5, 10)), int(rng.integers(5, 10)))
+        #   for _ in range(6))]"
+        before = [
+            (0.18990282564994565, 0.14686989196025563),
+            (0.2502288603433869, 0.25570472300269315),
+            (0.2472977265575741, 0.25379599890832216),
+            (0.2410472725030757, 0.2350681118715693),
+            (0.25641538982119527, 0.25117521945239357),
+            (0.2863763231102547, 0.2996568765070651),
+        ]
+        rng = np.random.default_rng(20261019)
+        for want in before:
+            j = random_joint(rng, int(rng.integers(5, 10)), int(rng.integers(5, 10)))
+            for direction, floor in zip(("x_to_y", "y_to_x"), want):
+                assert sstar(j, direction).value >= floor * (1 - 1e-12)
 
     def test_value_bounds_fuzz(self):
         rng = np.random.default_rng(99)
@@ -443,6 +498,23 @@ class TestDirections:
             with pytest.raises(ValueError):
                 B[0, 0] = 0.5
 
+    def test_mirror_rows(self):
+        # Q exp(V) / Z, with no row lost to underflow at any step length.
+        rng = np.random.default_rng(13)
+        Q = rng.dirichlet(np.ones(9), size=20)
+        Q[:5, 0] = 0.0
+        V = rng.normal(size=Q.shape)
+        want = Q * np.exp(V)
+        np.testing.assert_allclose(_mirror_rows(Q, V), want / want.sum(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=1e-290)
+        for scale in (1e3, 1e8, 1e300):
+            W = _mirror_rows(Q, scale * V)
+            assert np.isfinite(W).all() and W.min() >= 0.0
+            np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=1e-15)
+        # An entry at zero sits at the log floor, from where a step can
+        # bring it back.
+        assert (_mirror_rows(Q[:5], np.where(np.arange(9) == 0, 800.0, 0.0)[None, :])[:, 0] > 0).all()
+
     def test_gradient_matches_central_differences(self):
         checked = 0
         for p_in, p_out, T, Q, B in self.interior_rows(11):
@@ -517,16 +589,17 @@ def _lex_sorted(rows):
 
 
 def _sstar_starts(j, count):
-    """The ascent starts of sstar(j, "x_to_y") under the default grid size."""
+    """The ascent starts of sstar(j, "x_to_y") under the default grid size:
+    grid points and corners on up to 4 symbols, tilt points alone above.
+    """
     p_in, p_out, T = _oriented(j, "x_to_y")
     k = p_in.shape[0]
     if k <= 4:
         grid = _composition_grid(k, 20)
-        starts = [_top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, count, 0.1)]
-    else:
-        U = sdpi._correlation_svd(j)[0]
-        starts = _tilt_starts(p_in, p_out, T, U.T[1:3], count)[0]
-    return np.vstack([*starts, 0.999 * np.eye(k) + 0.001 / k])
+        top = _top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, count, 0.1)
+        return np.vstack([top, 0.999 * np.eye(k) + 0.001 / k])
+    U = sdpi._correlation_svd(j)[0]
+    return np.vstack(_tilt_starts(p_in, p_out, T, U.T[1:3], count)[0])
 
 
 def _sequential_multistart(p_in, p_out, T, starts, cfg):
@@ -536,8 +609,10 @@ def _sequential_multistart(p_in, p_out, T, starts, cfg):
     points from the same starts; this loop tries each halving only after
     the previous one failed.  It takes the library's direction per row from
     _directions, and resets the step to 1.0 on the rows that get a Newton
-    direction.
+    direction.  Its tries are projected on up to 4 symbols and mirror steps
+    above, as in the library.
     """
+    mirror = starts.shape[1] > 4
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f = _evaluate(Q, p_in, p_out, T)[0]
@@ -554,7 +629,8 @@ def _sequential_multistart(p_in, p_out, T, starts, cfg):
             idx = np.flatnonzero(pending)
             if idx.size == 0:
                 break
-            trial = _project_rows(Q[idx] + step[idx, None] * G[idx])
+            V = step[idx, None] * G[idx]
+            trial = _mirror_rows(Q[idx], V) if mirror else _project_rows(Q[idx] + V)
             ft = _evaluate(trial, p_in, p_out, T)[0]
             evals += idx.size
             better = ft > f[idx] + 1e-15
