@@ -13,17 +13,17 @@ this module estimates it from below and takes the best of:
  - the k vertices, and a simplex grid at pitch 1/20 on small alphabets;
  - vectorized multi-start ascent on the log ratio, from the grid's best
    points or, without a grid, along two SVD tilts (_tilt_starts).  No start
-   is random.  On input alphabets up to 4 the ascent also starts at the
-   corners and takes projected gradient steps, and Newton steps where the
-   log ratio is locally concave.  On larger ones it takes mirror steps,
-   q exp(t g)/Z, in the KL geometry, where projected gradient steps crawl
-   (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds), and
-   projected Newton steps then finish the best point.  There are no corner
-   starts there: under mirror steps they all crawl along one ridge near the
-   marginal.  _directions picks each direction.
+   is random.  Every start takes Newton steps where the log ratio is
+   locally concave and gradient steps elsewhere; _directions picks each
+   direction.  On input alphabets up to 4 the ascent also starts at the
+   corners, and its steps are projected.  On larger ones they are mirror
+   steps, q exp(t v)/Z, in the KL geometry, where projected gradient steps
+   crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds).
+   There are no corner starts there: under mirror steps they all crawl
+   along one ridge near the marginal.
 
 Nothing here certifies the supremum from above.  Results carry a note when
-the grid did not run.
+the grid did not run, and the first-order gap at the best search point.
 
 Both divergences are sums of a non-negative term per symbol (see
 probability._kl_rows), so a ratio near the input marginal, where the
@@ -107,7 +107,14 @@ class SdpiResult:
     value is the best lower bound found: the divergence ratio at argmax_q,
     the best search point, or the squared maximal correlation with argmax_q
     None when that SVD bound beat every search point, i.e. the witness is a
-    local perturbation rather than a simplex point.  gap_note is non-empty
+    local perturbation rather than a simplex point.  first_order_gap is the
+    first-order (KKT) gap of the log ratio (_first_order_gap) at the best
+    search point, argmax_q or not; None when there is none, on one input
+    symbol.  It is 0 at a local maximum, so it shows how far the search
+    was from converging there, not how far value is from the supremum.
+    Where rho_m^2 wins, the best point often rests on the exclusion ball
+    around the marginal and its gap stays large (0.056 on the 33-level
+    Gaussian at rho = 0.5).  gap_note is non-empty
     when the simplex grid did not run, so no start came from a grid that
     covers the simplex: the ascent started at SVD tilt points, plus the
     corners on input alphabets up to 4.
@@ -118,6 +125,7 @@ class SdpiResult:
     rho_m_squared: float
     method: str
     evaluations: int
+    first_order_gap: float | None
 
     @property
     def gap_note(self) -> str:
@@ -135,6 +143,7 @@ class SdpiResult:
             "rho_m_squared": self.rho_m_squared,
             "method": self.method,
             "evaluations": self.evaluations,
+            "first_order_gap": self.first_order_gap,
             "gap_note": self.gap_note,
         }
 
@@ -325,35 +334,37 @@ def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     return W / W.sum(axis=1, keepdims=True)
 
 
-# Input alphabets up to this size take projected steps, with Newton
-# directions on concave rows, from every start; larger ones take mirror
-# steps from every start, and Newton finishes only the best point.
-# Measured with gradient steps alone on the 3-4 symbol benchmark inputs of
-# one seed: 403 of the 433 rows still live at round 2,000 sat where the log
-# ratio is locally concave, a basin Newton finishes in a few rounds.  On 12
-# quantized Gaussians (k >= 9) any row was concave in only 3 to 253 of the
-# 2,000 rounds, so rows crawl all the same, and testing every row in every
-# round made their multistart 11 times slower (8.8 s to 94 s, 2-core Xeon).
-_NEWTON_MAX_ALPHABET = 4
+# Input alphabets up to this size take projected steps and start at the
+# corners too; larger ones take mirror steps in the KL geometry.  Every
+# start tests every round for local concavity and takes Newton where it
+# holds.  Gradient steps alone left 403 of the 433 rows still live at round
+# 2,000 on the 3-4 symbol benchmark inputs of one seed in a concave basin
+# that Newton finishes in a few rounds.  On the 48 benchmark Gaussians of
+# two seeds (9-33 levels) Newton on every start, not only on the best
+# point after mirror gradient steps, cut their s* CPU time from
+# 10.7-13.4 s to 1.5-1.6 s (2-core Xeon, BLAS threads 1).
+_PROJECTED_MAX_ALPHABET = 4
 
 
-def _directions(Q, Qy, num, den, p_in, p_out, T, newton=None):
+def _directions(Q, Qy, num, den, p_in, p_out, T):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
     Qy, num and den are the output laws and ratio parts of Q from _evaluate.
-    Every row gets the gradient, zeroed where num or den vanishes.  With
-    newton (by default on input alphabets up to _NEWTON_MAX_ALPHABET), it
-    is the direction of a projected step: the gradient's length is capped,
-    and a row where the log ratio is locally concave gets the Newton
-    direction instead.  Without, it is the uncapped gradient of a mirror
-    step.  Newton works in the sum-zero tangent space with an orthonormal
-    basis B (k x k-1); a row is concave when the reduced Hessian
+    Every row gets the gradient, zeroed where num or den vanishes, and a row
+    where the log ratio is locally concave gets the Newton direction d
+    instead.  On input alphabets up to _PROJECTED_MAX_ALPHABET these are the
+    directions of a projected step, with the gradient's length capped.
+    Above, they are the exponents of a mirror step q exp(t v)/Z: the
+    uncapped gradient, or d/q, whose mirror step is q + t d to first order.
+    Newton works in the sum-zero tangent space with an orthonormal basis B
+    (k x k-1); a row is concave when the reduced Hessian
         H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
     H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
     g_D = log(q/p_in), is negative definite; one batched eigh decides that
     and solves for the direction.
     """
     k = Q.shape[1]
+    mirror = k > _PROJECTED_MAX_ALPHABET
     N = np.maximum(num, _TINY)[:, None]
     D = np.maximum(den, _TINY)[:, None]
     log_out = np.log(np.maximum(Qy, _LOG_FLOOR) / p_out)
@@ -361,22 +372,33 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, newton=None):
     G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
     vanishing = (num < _TINY) | (den < _TINY)
     G[vanishing] = 0.0
-    if not (k <= _NEWTON_MAX_ALPHABET if newton is None else newton):
-        return np.zeros(Q.shape[0], dtype=bool), G
-    # Cap the row magnitude: near-flat ratios divided by the floors above
-    # give astronomically long directions, and projecting those loses mass
-    # to float cancellation.  Direction is what matters, not length.
-    G /= np.maximum(np.abs(G).max(axis=1) / 100.0, 1.0)[:, None]
+    if not mirror:
+        # Cap the row magnitude: near-flat ratios divided by the floors
+        # above give astronomically long directions, and projecting those
+        # loses mass to float cancellation.  Direction is what matters, not
+        # length.
+        G /= np.maximum(np.abs(G).max(axis=1) / 100.0, 1.0)[:, None]
 
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
     bD = log_in @ B
     TB = T.T @ B
+    inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = (np.einsum("yi,ry,yj->rij", TB, 1.0 / np.maximum(Qy, _LOG_FLOOR), TB)
-             - np.einsum("ri,rj->rij", bN, bN / N)) / N[:, :, None]
-        H -= (np.einsum("xi,rx,xj->rij", B, 1.0 / np.maximum(Q, _LOG_FLOOR), B)
-              - np.einsum("ri,rj->rij", bD, bD / D)) / D[:, :, None]
+        if mirror:
+            # Batched products: a call on 8 rows of 33 symbols took
+            # 1.2-1.9 ms this way, 2.3 ms in the einsum form below.
+            # Small alphabets keep that form, as a switch would move
+            # their results in the last bits.
+            H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
+                 - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
+            H -= ((B.T * inv_q[:, None, :]) @ B
+                  - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
+        else:
+            H = (np.einsum("yi,ry,yj->rij", TB, 1.0 / np.maximum(Qy, _LOG_FLOOR), TB)
+                 - np.einsum("ri,rj->rij", bN, bN / N)) / N[:, :, None]
+            H -= (np.einsum("xi,rx,xj->rij", B, inv_q, B)
+                  - np.einsum("ri,rj->rij", bD, bD / D)) / D[:, :, None]
     usable = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
     H[~usable] = 0.0
     w, V = np.linalg.eigh(H)
@@ -384,8 +406,28 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, newton=None):
     # -inf eigenvalues keep the other rows' Newton terms finite (zero).
     w[~concave] = -np.inf
     b = np.einsum("rji,rj->ri", V, bN / N - bD / D)
-    G[concave] = (-np.einsum("rij,rj->ri", V, b / w) @ B.T)[concave]
+    d = -np.einsum("rij,rj->ri", V, b / w) @ B.T
+    G[concave] = (d * inv_q if mirror else d)[concave]
     return concave, G
+
+
+def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
+    """First-order (KKT) gap of log(num/den) at the simplex point q.
+
+    qy, num and den are q's output law and ratio parts, a row of _evaluate.
+    The gap is the spread of the gradient over q's support, plus how far
+    any symbol off the support rises above its top; 0 at a local maximum,
+    and where num or den vanishes, as _directions has it.  Off the support
+    the input term's slope is +inf at every law, so such a symbol is scored
+    by its output term alone.
+    """
+    if num < _TINY or den < _TINY:
+        return 0.0
+    on = q > 0
+    g = (np.log(np.maximum(qy, _LOG_FLOOR) / p_out) + 1.0) @ T.T / num
+    g[on] -= (np.log(q[on] / p_in[on]) + 1.0) / den
+    top = g[on].max()
+    return float(top - g[on].min() + max(0.0, g[~on].max(initial=-np.inf) - top))
 
 
 # A round tries a start's step, then each halving of it, 40 tries at most;
@@ -396,14 +438,14 @@ _FIRST_TRIES = 2
 _STEP_TOLERANCE = 1e-10
 
 
-def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, newton=None):
+def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     """Ascent on the log ratio from each row of starts.
 
-    With newton (by default on input alphabets up to _NEWTON_MAX_ALPHABET),
-    a try is the Euclidean projection onto the simplex of a step along the
-    direction from _directions, Newton (from step 1.0) on locally concave
-    rows.  Without, it is a mirror step q exp(t g)/Z along the gradient g in
-    the KL geometry (Beck & Teboulle 2003), where the divergence's Hessian
+    A try is a step along the direction v from _directions, tried from
+    step 1.0 on locally concave (Newton) rows.  On input alphabets up to
+    _PROJECTED_MAX_ALPHABET it is the Euclidean projection onto the simplex
+    of q + t v.  Above, it is the mirror step q exp(t v)/Z in the KL
+    geometry (Beck & Teboulle 2003), where the divergence's Hessian
     diag(1/q) makes projected gradient steps crawl.
 
     Each start keeps its own step, round count and backtracking phase.  A
@@ -416,8 +458,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     counts the constant component that the projection removes, so useful
     steps on binary inputs reach 1e3.
     """
-    if newton is None:
-        newton = starts.shape[1] <= _NEWTON_MAX_ALPHABET
+    mirror = starts.shape[1] > _PROJECTED_MAX_ALPHABET
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
@@ -432,7 +473,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     fresh = np.arange(Q.shape[0])
 
     while (rows := np.flatnonzero(left)).size:
-        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, newton)
+        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T)
         step[fresh[concave]] = 1.0
         late = deep[rows]
         # Row r tries halvings lo[r] to hi[r] - 1, in order.
@@ -444,7 +485,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
         idx = rows[at]
         tried_steps = np.ldexp(step[idx], -halvings)
         V = tried_steps[:, None] * G[idx]
-        trial = _project_rows(Q[idx] + V) if newton else _mirror_rows(Q[idx], V)
+        trial = _mirror_rows(Q[idx], V) if mirror else _project_rows(Q[idx] + V)
         ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
         evals += at.size
         pick = (ft > f[idx] + 1e-15).nonzero()[0]
@@ -479,9 +520,9 @@ def sstar(
     Takes the max over the squared maximal correlation, the vertices, the
     simplex grid (input alphabets of 2 to cfg.grid_max_alphabet symbols),
     and multi-start ascent (2 symbols or more; one input symbol leaves no
-    law but the marginal, and the value is rho_m^2 = 0), whose best point
-    Newton finishes on more than _NEWTON_MAX_ALPHABET symbols.  A function
-    of the joint, the direction and the config alone.
+    law but the marginal, and the value is rho_m^2 = 0), and the
+    first-order gap at the best of those points.  A function of the joint,
+    the direction and the config alone.
     """
     if cfg is None:
         cfg = SdpiConfig()
@@ -509,17 +550,11 @@ def sstar(
             vectors = (U.T if direction == "x_to_y" else Vt)[1:3]
             starts, n = _tilt_starts(p_in, p_out, T, vectors, cfg.multistart_count)
             evals += n
-        if k <= _NEWTON_MAX_ALPHABET:
+        if k <= _PROJECTED_MAX_ALPHABET:
             starts.append(0.999 * np.eye(k) + 0.001 / k)
         starts = np.vstack(starts) if starts else np.empty((0, k))
         mv, mq, n = _multistart_search(p_in, p_out, T, starts, cfg.max_iterations)
         evals += n
-        if mq is not None and k > _NEWTON_MAX_ALPHABET:
-            # Mirror steps stop short of the top of the best basin; Newton,
-            # too costly on every start there, finishes that one point.
-            mv, mq, n = _multistart_search(p_in, p_out, T, mq[None, :], cfg.max_iterations,
-                                           newton=True)
-            evals += n
         ran.append("multistart")
         if mq is not None:
             cand_vals.append(np.array([mv]))
@@ -527,16 +562,17 @@ def sstar(
     _, best_q = _best_of(np.concatenate(cand_vals), np.vstack(cand_rows))
     method = "combined" if len(ran) == 2 else (ran[0] if ran else "vertex")
 
-    value, argmax = rho2, None
+    value, argmax, gap = rho2, None, None
     if best_q is not None:
         # Report the ratio at the pmf handed back, not at the unnormalized search row.
         q = Distribution(best_q)
-        at_q = float(_evaluate(q.probs[None, :], p_in, p_out, T)[0][0])
+        at_q, qy, num, den = (a[0] for a in _evaluate(q.probs[None, :], p_in, p_out, T))
+        gap = _first_order_gap(q.probs, qy, num, den, p_in, p_out, T)
         if at_q >= rho2:
-            value, argmax = at_q, q
+            value, argmax = float(at_q), q
     value = float(np.clip(value, 0.0, 1.0))
     return SdpiResult(value=value, argmax_q=argmax, rho_m_squared=rho2,
-                      method=method, evaluations=evals)
+                      method=method, evaluations=evals, first_order_gap=gap)
 
 
 def rho_star(j: JointDistribution, cfg: SdpiConfig | None = None) -> float:

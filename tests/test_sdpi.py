@@ -30,6 +30,7 @@ from sdpibounds.sdpi import (
     _composition_grid,
     _directions,
     _evaluate,
+    _first_order_gap,
     _mirror_rows,
     _multistart_search,
     _oriented,
@@ -298,14 +299,44 @@ class TestSstar:
         j = quantized_gaussian_joint(rho, 9)
         res = sstar(j)
         p_in, p_out, T = _oriented(j, "x_to_y")
-        q = res.argmax_q.probs
-        _, qy, num, den = _evaluate(q[None, :], p_in, p_out, T)
-        on = q > 0
-        g = (np.log(qy[0] / p_out) + 1.0) @ T.T / num[0]
-        g[on] -= (np.log(q[on] / p_in[on]) + 1.0) / den[0]
-        top = g[on].max()
-        gap = top - g[on].min() + max(0.0, g[~on].max(initial=-np.inf) - top)
-        assert gap <= 1e-7
+        assert res.first_order_gap == _gap_at(res.argmax_q.probs, p_in, p_out, T)
+        assert res.first_order_gap <= 1e-7
+
+    @pytest.mark.parametrize("levels", [9, 17])
+    def test_first_order_gap_across_rho(self, levels):
+        # Mirror gradient steps with a Newton finish of the best point alone
+        # left up to 1.4e-6 on 17 levels; Newton on every concave start
+        # leaves at most 2.6e-7 (9 levels, rho = 0.3).
+        for rho in np.linspace(0.2, 0.9, 8):
+            res = sstar(quantized_gaussian_joint(rho, levels))
+            assert res.argmax_q is not None
+            assert res.first_order_gap <= 1e-6
+
+    def test_seventeen_level_gaussian_value(self):
+        # The value of mirror steps with a Newton finish of the best point.
+        res = sstar(quantized_gaussian_joint(0.5, 17))
+        assert res.value >= 0.2399015067914831 * (1 - 1e-12)
+
+    def test_first_order_gap_matches_differences(self):
+        # On interior points the gap is the largest derivative along
+        # e_i - e_j, and it is 0 where the ratio is flat.
+        rng = np.random.default_rng(21)
+        h = 1e-6
+        for k, ny in ((3, 4), (6, 5)):
+            j = random_joint(rng, k, ny)
+            p_in, p_out, T = _oriented(j, "x_to_y")
+            for q in rng.dirichlet(np.full(k, 3.0), size=5):
+                E = np.eye(k)
+                steps = np.array([E[a] - E[b] for a in range(k) for b in range(k) if a != b])
+                _, _, num, den = _evaluate(np.vstack([q + h * steps, q - h * steps]),
+                                           p_in, p_out, T)
+                slopes = np.log(num / den)
+                want = ((slopes[:len(steps)] - slopes[len(steps):]) / (2 * h)).max()
+                assert _gap_at(q, p_in, p_out, T) == pytest.approx(want, rel=1e-5)
+        diagonal = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
+        assert sstar(diagonal).first_order_gap == 0.0
+        # One input symbol leaves no search point.
+        assert sstar(JointDistribution([[0.5, 0.5]])).first_order_gap is None
 
     def test_wide_joints_no_lower_than_projected_gradient(self):
         # Both directions of six 5-9 symbol joints, against the values of
@@ -436,6 +467,11 @@ class TestBatchedLineSearch:
             want, want_q, want_evals = _sequential_multistart(p_in, p_out, T, starts, cfg)
             assert got == pytest.approx(want, rel=1e-12)
             assert (got_q is None) == (want_q is None)
+            if got_q is not None:
+                # Values near a maximum, where Newton takes the search, are
+                # flat to second order, so the points are compared too:
+                # both searches agreed to 3e-9 relative on these cases.
+                np.testing.assert_allclose(got_q, want_q, rtol=1e-6, atol=1e-15)
             assert got_evals >= want_evals
 
     def test_matches_one_halving_at_a_time(self):
@@ -528,25 +564,52 @@ class TestDirections:
                 checked += 1
         assert checked >= 50
 
-    def test_newton_solves_the_reduced_system(self, monkeypatch):
-        cases = list(self.interior_rows(12))
-        newton = [self.directions(Q, p_in, p_out, T) for p_in, p_out, T, Q, _ in cases]
-        # With Newton switched off every row's direction is the gradient.
-        monkeypatch.setattr(sdpi, "_NEWTON_MAX_ALPHABET", 0)
+    @staticmethod
+    def gradients(Q, p_in, p_out, T):
+        """The gradient of log(num/den) per row, written out."""
+        _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
+        return ((np.log(Qy / p_out) + 1.0) @ T.T) / num[:, None] \
+            - (np.log(Q / p_in) + 1.0) / den[:, None]
+
+    def check_newton(self, cases, newton_direction):
+        """Count the concave rows whose newton_direction(q, G row) solves
+        the reduced system built from central differences of the gradient."""
         checked = 0
-        for (p_in, p_out, T, Q, B), (concave, G) in zip(cases, newton):
-            assert not self.directions(Q, p_in, p_out, T)[0].any()
-            for q, d in zip(Q[concave], G[concave]):
+        for p_in, p_out, T, Q, B in cases:
+            concave, G = self.directions(Q, p_in, p_out, T)
+            for q, v in zip(Q[concave], G[concave]):
+                d = newton_direction(q, v)
                 assert d.sum() == pytest.approx(0.0, abs=1e-12)
                 pts = np.vstack([q, q + self.H * B.T, q - self.H * B.T])
-                grads = self.directions(pts, p_in, p_out, T)[1]
+                grads = self.gradients(pts, p_in, p_out, T)
+                # Skip gradients long enough for a projected step's length
+                # cap to bind.
                 if np.abs(grads).max() >= 99.0:
                     continue
                 red = grads @ B
                 hess = self.central_differences(red[1:], B.shape[1])
                 np.testing.assert_allclose(hess @ (B.T @ d), -red[0], rtol=1e-5, atol=1e-6)
                 checked += 1
-        assert checked >= 15
+        return checked
+
+    def test_newton_solves_the_reduced_system(self):
+        assert self.check_newton(self.interior_rows(12), lambda q, d: d) >= 15
+
+    def test_mirror_newton_direction_is_newton_over_q(self):
+        # On 5+ symbols a concave row's direction is d/q, whose mirror step
+        # q exp(t d/q)/Z is q + t d to first order.
+        rng = np.random.default_rng(14)
+        cases = []
+        for k in (5, 7):
+            for ny in (2, 4):
+                j = random_joint(rng, k, ny)
+                p_in, p_out, T = _oriented(j, "x_to_y")
+                # Flatter draws than interior_rows': fewer are concave here.
+                # Entries below 0.02 would spoil the differences.
+                Q = rng.dirichlet(np.ones(k), size=400)
+                Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
+                cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
+        assert self.check_newton(cases, lambda q, v: v * q) >= 15
 
 
 def _decimal_ratio(q, j, direction):
@@ -573,6 +636,12 @@ def _decimal_ratio(q, j, direction):
             return sum(ai * (ai / pi).ln() for ai, pi in zip(a, p) if ai)
 
         return float(kl(q_out, p_out) / kl(qd, p_in))
+
+
+def _gap_at(q, p_in, p_out, T):
+    """_first_order_gap at one simplex point."""
+    return _first_order_gap(q, *(a[0] for a in _evaluate(q[None, :], p_in, p_out, T)[1:]),
+                            p_in, p_out, T)
 
 
 def _stars_and_bars(k, n):
@@ -609,8 +678,9 @@ def _sequential_multistart(p_in, p_out, T, starts, cfg):
     points from the same starts; this loop tries each halving only after
     the previous one failed.  It takes the library's direction per row from
     _directions, and resets the step to 1.0 on the rows that get a Newton
-    direction.  Its tries are projected on up to 4 symbols and mirror steps
-    above, as in the library.
+    direction.  Its tries are projected on up to 4 symbols.  Above they are
+    mirror steps q exp(t v)/Z, with v the gradient or, on Newton rows, the
+    Newton direction d over q, so that the step is q + t d to first order.
     """
     mirror = starts.shape[1] > 4
     Q = starts.copy()
