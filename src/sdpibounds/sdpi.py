@@ -110,8 +110,11 @@ class SdpiResult:
     local perturbation rather than a simplex point.  first_order_gap is the
     first-order (KKT) gap of the log ratio (_first_order_gap) at the best
     search point, argmax_q or not; None when there is none, on one input
-    symbol.  It is 0 at a local maximum, so it shows how far the search
-    was from converging there, not how far value is from the supremum.
+    symbol.  It is 0 at a local maximum, and inf at a point that leaves a
+    symbol unused when the ratio rises into that symbol with infinite
+    slope, as at every vertex of a channel with rows of full support.  So
+    it shows how far the search was from converging there, not how far
+    value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
     around the marginal and its gap stays large (0.056 on the 33-level
     Gaussian at rho = 0.5).  gap_note is non-empty
@@ -386,10 +389,11 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
         if mirror:
-            # Batched products: a call on 8 rows of 33 symbols took
-            # 1.2-1.9 ms this way, 2.3 ms in the einsum form below.
-            # Small alphabets keep that form, as a switch would move
-            # their results in the last bits.
+            # Batched products: the sstar-gauss benchmark ran 12-19% more
+            # ops per second this way than with the einsum form below (10
+            # alternating runs per seed, BENCH_18.json).  Small alphabets
+            # keep that form, as this one changes 81 of their 96 benchmark
+            # s* results (value, witness or evaluation count).
             H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
                  - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
             H -= ((B.T * inv_q[:, None, :]) @ B
@@ -415,19 +419,24 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
     """First-order (KKT) gap of log(num/den) at the simplex point q.
 
     qy, num and den are q's output law and ratio parts, a row of _evaluate.
-    The gap is the spread of the gradient over q's support, plus how far
-    any symbol off the support rises above its top; 0 at a local maximum,
-    and where num or den vanishes, as _directions has it.  Off the support
-    the input term's slope is +inf at every law, so such a symbol is scored
-    by its output term alone.
+    The gap is the spread of the gradient over q's support; 0 at a local
+    maximum, and where num or den vanishes, as _directions has it.  Mass
+    eps moved onto a symbol x off the support changes log(num/den) by
+    eps log(eps) (c/num - 1/den) plus O(eps), where c is the mass of x's
+    row of T on outputs that qy leaves at 0.  So the gap is inf when
+    c den < num for some such x: the ratio rises there with infinite
+    slope, as at every vertex of a channel with rows of full support.  Any
+    other x lowers the ratio with infinite slope, or where c den = num with
+    a finite one that the gap leaves out.
     """
     if num < _TINY or den < _TINY:
         return 0.0
     on = q > 0
-    g = (np.log(np.maximum(qy, _LOG_FLOOR) / p_out) + 1.0) @ T.T / num
-    g[on] -= (np.log(q[on] / p_in[on]) + 1.0) / den
-    top = g[on].max()
-    return float(top - g[on].min() + max(0.0, g[~on].max(initial=-np.inf) - top))
+    if (T[~on][:, qy <= 0].sum(axis=1) * den < num).any():
+        return np.inf
+    g = ((np.log(np.maximum(qy, _LOG_FLOOR) / p_out) + 1.0) @ T.T / num)[on]
+    g -= (np.log(q[on] / p_in[on]) + 1.0) / den
+    return float(g.max() - g.min())
 
 
 # A round tries a start's step, then each halving of it, 40 tries at most;

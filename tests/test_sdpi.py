@@ -338,6 +338,29 @@ class TestSstar:
         # One input symbol leaves no search point.
         assert sstar(JointDistribution([[0.5, 0.5]])).first_order_gap is None
 
+    def test_first_order_gap_off_the_support(self):
+        # At a vertex of a full-support channel the denominator's slope into
+        # any other symbol is -inf: the ratio rises with infinite slope.
+        j = random_joint(np.random.default_rng(5), 4, 3)
+        p_in, p_out, T = _oriented(j, "x_to_y")
+        E = np.eye(4)
+        assert _gap_at(E[1], p_in, p_out, T) == np.inf
+        for h in (1e-3, 1e-6, 1e-9):
+            assert (divergence_ratio(Distribution(E[1] + h * (E[2] - E[1])), j)
+                    > divergence_ratio(Distribution(E[1]), j))
+        # A symbol whose row lies on outputs that q leaves at 0 lowers the
+        # ratio with infinite slope, so the gap is the spread on the support.
+        block = JointDistribution([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
+        p_in, p_out, T = _oriented(block, "x_to_y")
+        E, h = np.eye(3), 1e-6
+        q = np.array([0.9, 0.1, 0.0])
+        _, _, num, den = _evaluate(np.array([q + h * (E[0] - E[1]), q - h * (E[0] - E[1])]),
+                                   p_in, p_out, T)
+        slope = (np.log(num[0] / den[0]) - np.log(num[1] / den[1])) / (2 * h)
+        assert _gap_at(q, p_in, p_out, T) == pytest.approx(abs(slope), rel=1e-5)
+        assert (divergence_ratio(Distribution(q + h * (E[2] - E[0])), block)
+                < divergence_ratio(Distribution(q), block))
+
     def test_wide_joints_no_lower_than_projected_gradient(self):
         # Both directions of six 5-9 symbol joints, against the values of
         # projected gradient steps from corner and tilt starts, printed at
