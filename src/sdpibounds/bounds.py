@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .probability import JointDistribution, marginals
 from .rate_distortion import DistortionMatrix, rd_at_distortion
-from .sdpi import SdpiConfig, sstar
+from .sdpi import sstar
 
 SLACK_TOLERANCE = 1e-9
 
@@ -213,7 +213,6 @@ def full_report(
     dx_matrix: DistortionMatrix,
     dy_matrix: DistortionMatrix,
     t: RateDistortionTuple,
-    cfg: SdpiConfig | None = None,
 ) -> list[BoundReport]:
     """Estimate both contraction constants, evaluate the rate functions at
     the tuple's distortions, and run every applicable check."""
@@ -226,8 +225,8 @@ def full_report(
             f"y distortion matrix has {dy_matrix.x_size} rows, joint has y alphabet {j.y_size}"
         )
     px, py = marginals(j)
-    res_xy = sstar(j, "x_to_y", cfg)
-    res_yx = sstar(j, "y_to_x", cfg)
+    res_xy = sstar(j, "x_to_y")
+    res_yx = sstar(j, "y_to_x")
     rho = max(res_xy.value, res_yx.value)
     rx_req = rd_at_distortion(px, dx_matrix, t.dx).rate
     ry_req = rd_at_distortion(py, dy_matrix, t.dy).rate

@@ -29,7 +29,7 @@ from .errors import ConvergenceError
 from .gaussian import figure_data, rows_to_csv
 from .probability import Distribution, JointDistribution, _is_real
 from .rate_distortion import DistortionMatrix, rd_at_distortion, rd_curve
-from .sdpi import SdpiConfig, sstar
+from .sdpi import sstar
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,23 +87,10 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise InputFormatError(f"{flag}: expected comma-separated numbers, got {text!r}") from e
 
 
-def _config_from_args(args) -> SdpiConfig:
-    cfg = SdpiConfig()
-    if args.config:
-        payload = _load_json(args.config)
-        if not isinstance(payload, dict):
-            raise InputFormatError(f"{args.config}: config must be a JSON object")
-        try:
-            cfg = SdpiConfig(**payload)
-        except TypeError as e:
-            raise InputFormatError(f"{args.config}: unknown or mistyped config field ({e})") from e
-    return cfg
-
-
 def _cmd_sstar(args) -> None:
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
-    res_xy = sstar(j, "x_to_y", args.cfg)
-    res_yx = sstar(j, "y_to_x", args.cfg)
+    res_xy = sstar(j, "x_to_y")
+    res_yx = sstar(j, "y_to_x")
     for label, res in (("x_to_y", res_xy), ("y_to_x", res_yx)):
         if res.gap_note:
             print(f"caveat [{label}]: {res.gap_note}", file=sys.stderr)
@@ -132,7 +119,7 @@ def _cmd_bounds(args) -> None:
     dxm = _from_dict(DistortionMatrix, _load_json(args.dx_costs), args.dx_costs)
     dym = _from_dict(DistortionMatrix, _load_json(args.dy_costs), args.dy_costs)
     t = RateDistortionTuple(rx=args.rx, ry=args.ry, dx=args.dx, dy=args.dy)
-    reports = full_report(j, dxm, dym, t, args.cfg)
+    reports = full_report(j, dxm, dym, t)
     for key in ("sstar_note_xy", "sstar_note_yx"):
         note = reports[0].inputs.get(key, "")
         if note:
@@ -184,8 +171,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_globals(target, default):
-    target.add_argument("--config", default=default,
-                        help="JSON file with solver config fields")
     target.add_argument("--out", default=default,
                         help="write output here instead of stdout")
 
@@ -196,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Contraction constants and outer bounds for distributed source coding.",
     )
     _add_globals(parser, None)
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
+    # The same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from stomping a value parsed at the top level.
     shared = _Parser(add_help=False)
     _add_globals(shared, argparse.SUPPRESS)
@@ -248,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv):
     try:
-        return _build_parser().parse_args(argv)
+        args, extras = _build_parser().parse_known_args(argv)
     except InputFormatError:
         # argparse sets an unknown flag before the subcommand aside and reads
         # its value as the subcommand; name the flag instead.
@@ -258,13 +243,15 @@ def _parse_args(argv):
         if rest and rest[0].startswith("-"):
             raise InputFormatError(f"unrecognized arguments: {rest[0]}") from None
         raise
+    if extras:
+        # Name the first one alone, as above, not the value after it too.
+        raise InputFormatError(f"unrecognized arguments: {extras[0]}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        # --config is global: every subcommand rejects a bad file the same way.
-        args.cfg = _config_from_args(args)
         args.func(args)
     except InputFormatError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -186,13 +186,12 @@ def test_criterion_8_counterexample_tightness(verdict):
 
 def test_criterion_9_range_invariant(verdict):
     rng = np.random.default_rng(20260816)
-    light = SdpiConfig(grid_max_alphabet=0, multistart_count=4, max_iterations=120)
     bad = 0
     margin = np.inf
     for _ in range(500):
         nx = int(rng.integers(2, 6))
         ny = int(rng.integers(2, 6))
-        res = sstar(random_joint(rng, nx, ny), "x_to_y", light)
+        res = sstar(random_joint(rng, nx, ny), "x_to_y")
         margin = min(margin, res.value - res.rho_m_squared)
         if not (0.0 <= res.value <= 1.0 and res.value >= res.rho_m_squared - 1e-9):
             bad += 1

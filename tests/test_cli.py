@@ -23,7 +23,6 @@ QUATERNARY = {
     "y_size": 4,
     "probs": [0.1 if i == k else 0.05 for i in range(4) for k in range(4)],
 }
-LIGHT_CONFIG = {"multistart_count": 8, "max_iterations": 200}
 
 
 def jfile(tmp_path, name, payload):
@@ -57,39 +56,29 @@ class TestSstar:
 
     def test_global_flags_both_positions(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", DSBS)
-        config = jfile(tmp_path, "cfg.json", LIGHT_CONFIG)
-        code_pre, out_pre, _ = run(capsys, "--config", config, "sstar", joint)
-        code_post, out_post, _ = run(capsys, "sstar", joint, "--config", config)
-        assert code_pre == code_post == 0
-        assert out_pre == out_post
+        pre, post = tmp_path / "pre.json", tmp_path / "post.json"
+        assert run(capsys, "--out", str(pre), "sstar", joint) == (0, "", "")
+        assert run(capsys, "sstar", joint, "--out", str(post)) == (0, "", "")
+        assert pre.read_bytes() == post.read_bytes()
 
     def test_large_alphabet_caveat(self, tmp_path, capsys):
         joint = jfile(tmp_path, "q5.json", quantized_gaussian_joint(0.5, 5).to_dict())
-        config = jfile(tmp_path, "cfg.json", LIGHT_CONFIG)
-        code, out, err = run(capsys, "sstar", joint, "--config", config)
+        code, out, err = run(capsys, "sstar", joint)
         assert code == 0
         assert "caveat" in err
         assert json.loads(out)["x_to_y"]["gap_note"] != ""
 
-    def test_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, position", [
+        ("--seed", "before"), ("--seed", "after"), ("--config", "before"), ("--config", "after"),
+    ], ids=["before", "after", "config-before", "config-after"])
+    def test_seed_flag_is_gone(self, tmp_path, capsys, flag, position):
+        # The search has no random starts, so there is no seed to set, and
+        # no solver setting to read from a file.
         joint = jfile(tmp_path, "j.json", DSBS)
-        config = jfile(tmp_path, "cfg.json", {"multistart_count": 0})
-        code, out, _ = run(capsys, "sstar", joint, "--config", config)
-        assert code == 0
-        assert json.loads(out)["rho_star"] == pytest.approx(0.64, abs=1e-9)
-
-    @pytest.mark.parametrize("position", ["before", "after"])
-    def test_seed_flag_is_gone(self, tmp_path, capsys, position):
-        # The search has no random starts, so there is no seed to set.
-        joint = jfile(tmp_path, "j.json", DSBS)
-        argv = ["--seed", "7", "sstar", joint]
+        argv = [flag, jfile(tmp_path, "f.json", {"seed": 7}), "sstar", joint]
         if position == "after":
             argv = argv[2:] + argv[:2]
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert run(capsys, *argv) == (2, "", f"error: unrecognized arguments: {flag}\n")
 
     @pytest.mark.parametrize("flag", ["--seed", "--bogus", "-x"])
     def test_unknown_flag_before_the_subcommand_is_named(self, tmp_path, capsys, flag):
@@ -100,31 +89,6 @@ class TestSstar:
         assert out == ""
         assert err == f"error: unrecognized arguments: {flag}\n"
         assert not (tmp_path / "o.json").exists()
-
-    def test_seed_config_field_is_gone(self, tmp_path, capsys):
-        joint = jfile(tmp_path, "j.json", DSBS)
-        config = jfile(tmp_path, "cfg.json", {"seed": 0})
-        code, out, err = run(capsys, "sstar", joint, "--config", config)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-
-    def test_unknown_config_field(self, tmp_path, capsys):
-        joint = jfile(tmp_path, "j.json", DSBS)
-        config = jfile(tmp_path, "cfg.json", {"no_such_knob": 1})
-        code, _, err = run(capsys, "sstar", joint, "--config", config)
-        assert code == 2
-        assert "error" in err
-
-    @pytest.mark.parametrize("text", ['{"max_iterations": 0}'])
-    def test_out_of_range_config_field(self, tmp_path, capsys, text):
-        joint = jfile(tmp_path, "j.json", DSBS)
-        config = tmp_path / "cfg.json"
-        config.write_text(text)
-        code, _, err = run(capsys, "sstar", joint, "--config", str(config))
-        assert code == 3
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -347,21 +311,10 @@ class TestParsing:
         ("source", '{"probs": ["a", 1]}'),
         ("source", '{"probs": 5}'),
         ("distortion", '{"x_size": 2, "xhat_size": "b", "costs": [0.0, 1.0, 1.0, 0.0]}'),
-        ("config", '{"max_iterations": 2.5}'),
-        ("config", '{"seed": 1.5}'),
-        ("config", '{"grid_max_alphabet": true}'),
-        ("config", '{"exclusion_radius": true}'),
-        ("config", '{"step_tolerance": true}'),
-        ("config", '{"grid_resolution": true}'),
-        ("config", '{"grid_resolution": 0.01}'),
-        ("config", '{"grid_resolution": 0.3}'),
         ("grid", '[[true, 0.5]]'),
         ("grid", '[["0.1", "0.2"]]'),
     ], ids=["size-str", "size-float", "size-overflow", "probs-nested", "probs-str",
-            "source-str", "source-scalar", "costs-size-str", "config-iterations-float",
-            "config-seed-float", "config-grid-bool", "config-radius-bool",
-            "config-tolerance-bool", "config-resolution-bool", "config-resolution-0.01",
-            "config-resolution-0.3", "grid-bool", "grid-str"])
+            "source-str", "source-scalar", "costs-size-str", "grid-bool", "grid-str"])
     def test_wrongly_typed_field(self, tmp_path, capsys, kind, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -369,7 +322,6 @@ class TestParsing:
         source = jfile(tmp_path, "src.json", UNIFORM_BINARY)
         argv = {
             "joint": ["sstar", str(path)],
-            "config": ["sstar", joint, "--config", str(path)],
             "source": ["rd", str(path), "--target", "0.1"],
             "distortion": ["rd", source, str(path), "--target", "0.1"],
             "grid": ["gauss-figures", "--rho", "0.8", "--grid", str(path)],
@@ -389,26 +341,6 @@ class TestParsing:
         path.write_bytes(data)
         code, out, err = run(capsys, "sstar", str(path))
         assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv", [
-        ["rd", "SOURCE", "--target", "0.1"],
-        ["cr", "--rate", "1", "--randomness", "1", "--sstar", "0.5"],
-        ["ceo", "--rates", "1.0,2.0", "--sstars", "0.5,0.25", "--target-rate", "0.9"],
-        ["gauss-figures", "--rho", "0.8"],
-    ], ids=["rd", "cr", "ceo", "gauss-figures"])
-    @pytest.mark.parametrize("text, code", [
-        (None, 4), ("{not json", 2), ('{"no_such_knob": 1}', 2),
-    ], ids=["missing", "not-json", "unknown-field"])
-    def test_every_command_checks_config(self, tmp_path, capsys, argv, text, code):
-        config = tmp_path / "cfg.json"
-        if text is not None:
-            config.write_text(text)
-        source = jfile(tmp_path, "src.json", UNIFORM_BINARY)
-        argv = [source if a == "SOURCE" else a for a in argv]
-        got, out, err = run(capsys, *argv, "--config", str(config))
-        assert got == code
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -56,7 +56,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"grid_max_alphabet": -1},
         {"multistart_count": -1},
-        {"max_iterations": 0},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -64,10 +63,8 @@ class TestConfig:
 
     def test_accepts_numpy_reals(self, dsbs):
         # Integer fields take numpy integer scalars as well as int.
-        cfg = SdpiConfig(grid_max_alphabet=np.int64(2), multistart_count=np.uint8(8),
-                         max_iterations=np.int64(50))
-        want = sstar(dsbs, "x_to_y", SdpiConfig(grid_max_alphabet=2, multistart_count=8,
-                                                max_iterations=50))
+        cfg = SdpiConfig(grid_max_alphabet=np.int64(2), multistart_count=np.uint8(8))
+        want = sstar(dsbs, "x_to_y", SdpiConfig(grid_max_alphabet=2, multistart_count=8))
         got = sstar(dsbs, "x_to_y", cfg)
         assert (got.value, got.evaluations) == (want.value, want.evaluations)
 
@@ -194,7 +191,7 @@ class TestSstar:
             res = sstar(j, direction)
             assert 0.0 <= res.value <= 1e-12 and res.rho_m_squared == 0.0
 
-    def test_binary_inputs_retire_early(self, dsbs):
+    def test_binary_inputs_retire_early(self, dsbs, monkeypatch):
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing.  Binary starts do because step growth
         # is uncapped (a cap of 1.0 kept dsbs crawling for all 2,000 rounds,
@@ -209,23 +206,15 @@ class TestSstar:
             [0.0880164388358699, 0.08455099983468538, 0.1605952965453869],
             [0.04345279792817732, 0.05201448466777489, 0.030872460343245728],
         ]))
-        for j in binary + larger:
-            for direction in ("x_to_y", "y_to_x"):
-                res = sstar(j, direction)
-                short = sstar(j, direction, SdpiConfig(max_iterations=200))
-                assert res.evaluations == short.evaluations
-                assert res.value == short.value
-                if _oriented(j, direction)[0].size == 2:
-                    assert res.evaluations < 30_000
-
-    def test_round_cap_past_int64(self, dsbs):
-        # Every start here retires long before 2,000 rounds, so a cap past
-        # the int64 range must change nothing: round counts neither overflow
-        # nor wrap.
-        for j in (dsbs, random_joint(np.random.default_rng(5), 3, 3)):
-            want = sstar(j, "x_to_y")
-            got = sstar(j, "x_to_y", SdpiConfig(max_iterations=10**30))
-            assert got.to_dict() == want.to_dict()
+        calls = [(j, direction) for j in binary + larger for direction in ("x_to_y", "y_to_x")]
+        full = [sstar(j, direction) for j, direction in calls]
+        monkeypatch.setattr(sdpi, "_MAX_ROUNDS", 200)
+        for (j, direction), res in zip(calls, full):
+            short = sstar(j, direction)
+            assert res.evaluations == short.evaluations
+            assert res.value == short.value
+            if _oriented(j, direction)[0].size == 2:
+                assert res.evaluations < 30_000
 
     def test_quaternary(self, quaternary):
         res = sstar(quaternary)
@@ -387,10 +376,9 @@ class TestSstar:
 
     def test_value_bounds_fuzz(self):
         rng = np.random.default_rng(99)
-        light = SdpiConfig(multistart_count=8, max_iterations=300)
         for _ in range(30):
             j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            res = sstar(j, "x_to_y", light)
+            res = sstar(j, "x_to_y")
             assert 0.0 <= res.value <= 1.0
             assert res.value >= res.rho_m_squared - 1e-9
 
@@ -473,7 +461,8 @@ class TestGridAndMultistartAgree:
 
 
 class TestBatchedLineSearch:
-    LIGHT = SdpiConfig(multistart_count=8, max_iterations=200)
+    # Eight grid or tilt starts, as sstar takes, and a short round budget.
+    STARTS, ROUNDS = 8, 200
 
     @staticmethod
     def cases():
@@ -481,13 +470,13 @@ class TestBatchedLineSearch:
         joints = [random_joint(rng, k, int(rng.integers(2, 5))) for k in (2, 3, 4) for _ in range(7)]
         return joints + [quantized_gaussian_joint(0.6, 9)]
 
-    @staticmethod
-    def check(joints, cfg):
+    @classmethod
+    def check(cls, joints, rounds):
         for j in joints:
             p_in, p_out, T = _oriented(j, "x_to_y")
-            starts = _sstar_starts(j, cfg.multistart_count)
-            got, got_q, got_evals = _multistart_search(p_in, p_out, T, starts, cfg.max_iterations)
-            want, want_q, want_evals = _sequential_multistart(p_in, p_out, T, starts, cfg)
+            starts = _sstar_starts(j, cls.STARTS)
+            got, got_q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds)
+            want, want_q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds)
             assert got == pytest.approx(want, rel=1e-12)
             assert (got_q is None) == (want_q is None)
             if got_q is not None:
@@ -498,22 +487,21 @@ class TestBatchedLineSearch:
             assert got_evals >= want_evals
 
     def test_matches_one_halving_at_a_time(self):
-        self.check(self.cases(), self.LIGHT)
+        self.check(self.cases(), self.ROUNDS)
 
     # Each start stops after max_iterations rounds of its own; a sweep spent
     # on the later halvings of a round does not count as another round.
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 7])
     @pytest.mark.parametrize("case", range(22))
     def test_matches_under_round_caps(self, case, max_iterations):
-        cfg = SdpiConfig(multistart_count=8, max_iterations=max_iterations)
-        self.check([self.cases()[case]], cfg)
+        self.check([self.cases()[case]], max_iterations)
 
     # Tolerances that end a round's halvings early, only after all 40 tries,
     # and before its second try.
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-15, 0.3])
     def test_matches_at_other_step_tolerances(self, tolerance, monkeypatch):
         monkeypatch.setattr(sdpi, "_STEP_TOLERANCE", tolerance)
-        self.check(self.cases()[::3], self.LIGHT)
+        self.check(self.cases()[::3], self.ROUNDS)
 
 
 class TestDirections:
@@ -694,7 +682,7 @@ def _sstar_starts(j, count):
     return np.vstack(_tilt_starts(p_in, p_out, T, U.T[1:3], count)[0])
 
 
-def _sequential_multistart(p_in, p_out, T, starts, cfg):
+def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
     """Multistart ascent that backtracks one halving at a time.
 
     The batched line search of _multistart_search must accept the same
@@ -711,7 +699,7 @@ def _sequential_multistart(p_in, p_out, T, starts, cfg):
     f = _evaluate(Q, p_in, p_out, T)[0]
     evals = Q.shape[0]
     alive = np.ones(Q.shape[0], dtype=bool)
-    for _ in range(cfg.max_iterations):
+    for _ in range(max_iterations):
         if not alive.any():
             break
         _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
