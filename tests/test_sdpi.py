@@ -582,29 +582,44 @@ class TestDirections:
         return ((np.log(Qy / p_out) + 1.0) @ T.T) / num[:, None] \
             - (np.log(Q / p_in) + 1.0) / den[:, None]
 
+    @staticmethod
+    def reduced_hessian(q, p_in, p_out, T, B):
+        """B'[T diag(1/q_out) T'/N - g_N g_N'/N^2 - diag(1/q)/D + g_D g_D'/D^2]B
+        at one row, term by term: the Hessian of log(num/den) on the simplex."""
+        q_out = q @ T
+        g_num = T @ np.log(q_out / p_out)
+        g_den = np.log(q / p_in)
+        num, den = q_out @ np.log(q_out / p_out), q @ g_den
+        full = (T @ np.diag(1.0 / q_out) @ T.T / num - np.outer(g_num, g_num) / num ** 2
+                - np.diag(1.0 / q) / den + np.outer(g_den, g_den) / den ** 2)
+        return B.T @ full @ B
+
     def check_newton(self, cases, newton_direction):
-        """Count the concave rows whose newton_direction(q, G row) solves
-        the reduced system built from central differences of the gradient."""
-        checked = 0
+        """(rows, rows with clean differences) over the concave rows, where
+        newton_direction(q, G row) must solve H (B'd) = -B'g with H from
+        reduced_hessian, and H must match central differences of g."""
+        solved = differenced = 0
         for p_in, p_out, T, Q, B in cases:
             concave, G = self.directions(Q, p_in, p_out, T)
             for q, v in zip(Q[concave], G[concave]):
                 d = newton_direction(q, v)
                 assert d.sum() == pytest.approx(0.0, abs=1e-12)
-                pts = np.vstack([q, q + self.H * B.T, q - self.H * B.T])
-                grads = self.gradients(pts, p_in, p_out, T)
-                # Skip gradients long enough for a projected step's length
-                # cap to bind.
-                if np.abs(grads).max() >= 99.0:
-                    continue
-                red = grads @ B
-                hess = self.central_differences(red[1:], B.shape[1])
-                np.testing.assert_allclose(hess @ (B.T @ d), -red[0], rtol=1e-5, atol=1e-6)
-                checked += 1
-        return checked
+                hess = self.reduced_hessian(q, p_in, p_out, T, B)
+                red = self.gradients(q[None, :], p_in, p_out, T)[0] @ B
+                np.testing.assert_allclose(hess @ (B.T @ d), -red, rtol=1e-10, atol=0.0)
+                solved += 1
+                grads = self.gradients(np.vstack([q + self.H * B.T, q - self.H * B.T]),
+                                       p_in, p_out, T)
+                # Long gradients spoil the differences.
+                if np.abs(grads).max() < 99.0:
+                    diffs = self.central_differences(grads @ B, B.shape[1])
+                    np.testing.assert_allclose(diffs, hess, rtol=1e-5, atol=1e-6)
+                    differenced += 1
+        return solved, differenced
 
     def test_newton_solves_the_reduced_system(self):
-        assert self.check_newton(self.interior_rows(12), lambda q, d: d) >= 15
+        solved, differenced = self.check_newton(self.interior_rows(12), lambda q, d: d)
+        assert solved >= differenced >= 15
 
     def test_mirror_newton_direction_is_newton_over_q(self):
         # On 5+ symbols a concave row's direction is d/q, whose mirror step
@@ -620,7 +635,8 @@ class TestDirections:
                 Q = rng.dirichlet(np.ones(k), size=400)
                 Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
                 cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
-        assert self.check_newton(cases, lambda q, v: v * q) >= 15
+        solved, differenced = self.check_newton(cases, lambda q, v: v * q)
+        assert solved >= differenced >= 15
 
 
 def _decimal_ratio(q, j, direction):
