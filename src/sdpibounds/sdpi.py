@@ -384,21 +384,10 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     TB = T.T @ B
     inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
-        if mirror:
-            # Batched products: the sstar-gauss benchmark ran 12-19% more
-            # ops per second this way than with the einsum form below (10
-            # alternating runs per seed, BENCH_18.json).  Small alphabets
-            # keep that form, as this one changes 81 of their 96 benchmark
-            # s* results (value, witness or evaluation count).
-            H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
-                 - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
-            H -= ((B.T * inv_q[:, None, :]) @ B
-                  - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
-        else:
-            H = (np.einsum("yi,ry,yj->rij", TB, 1.0 / np.maximum(Qy, _LOG_FLOOR), TB)
-                 - np.einsum("ri,rj->rij", bN, bN / N)) / N[:, :, None]
-            H -= (np.einsum("xi,rx,xj->rij", B, inv_q, B)
-                  - np.einsum("ri,rj->rij", bD, bD / D)) / D[:, :, None]
+        H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
+             - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
+        H -= ((B.T * inv_q[:, None, :]) @ B
+              - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
     usable = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
     H[~usable] = 0.0
     w, V = np.linalg.eigh(H)
