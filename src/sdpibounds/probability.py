@@ -46,10 +46,12 @@ def _clean_pmf(values, ndim: int, what: str, axis: int | None = None) -> np.ndar
     if low < -NEGATIVE_TOLERANCE:
         raise ProbabilityError(f"{what}: negative mass {low:.3e}")
     np.clip(arr, 0.0, None, out=arr)
-    total = arr.sum(axis=axis, keepdims=True)
+    # Finite entries near the float maximum sum to inf: a bad total, not a warning.
+    with np.errstate(over="ignore"):
+        total = arr.sum(axis=axis, keepdims=True)
     off = np.abs(total - 1.0)
     if np.any(off > SUM_TOLERANCE):
-        raise ProbabilityError(f"{what}: total mass {total.flat[np.argmax(off)]!r} is not 1")
+        raise ProbabilityError(f"{what}: total mass {float(total.flat[np.argmax(off)])!r} is not 1")
     arr /= total
     arr.setflags(write=False)
     return arr

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 import sdpibounds
 from sdpibounds import quantized_gaussian_joint
-from sdpibounds.cli import main
+from sdpibounds.cli import _build_parser, main
 
 DSBS = {"x_size": 2, "y_size": 2, "probs": [0.45, 0.05, 0.05, 0.45]}
 UNIFORM_BINARY = {"probs": [0.5, 0.5]}
@@ -108,6 +110,11 @@ class TestSstar:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(capsys, "sstar", str(tmp_path / "absent.json"))[0] == 4
+
+    def test_mass_past_the_float_range(self, tmp_path, capsys):
+        joint = jfile(tmp_path, "j.json", {"x_size": 1, "y_size": 3, "probs": [1e308] * 3})
+        assert run(capsys, "sstar", joint) == (
+            3, "", "error: JointDistribution: total mass inf is not 1\n")
 
 
 class TestRd:
@@ -368,3 +375,91 @@ def test_output_does_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+# Input files for the fuzz below, by the positional or flag that reads
+# them: a valid file and a huge-valued one for each.  Every input also draws
+# from the whole pool, with malformed files, a directory and a missing path.
+FUZZ_FILES = {
+    "joint": (DSBS, {"x_size": 1, "y_size": 3, "probs": [1e308] * 3}),
+    "source": ({"probs": [0.7, 0.3]}, {"probs": [1e308, 1e308]}),
+    "costs": (HAMMING_2, {"x_size": 2, "xhat_size": 2, "costs": [0.0, 1e308, 1e308, 0.0]}),
+    "grid": ([[0.1, 0.1], [0.5, 0.25]], [[1e308, 1e308]]),
+}
+FUZZ_READERS = {"joint": "joint", "source": "source", "distortion": "costs",
+                "dx_costs": "costs", "dy_costs": "costs", "grid": "grid"}
+FUZZ_NUMBERS = (["0", "0.1", "0.5", "1", "2"], ["-1", "nan", "inf", "-inf", "1e308", "x"])
+FUZZ_COUNTS = (["1", "2", "3"], ["-1", "0", "1e308", "x"])
+
+
+def _fuzz_files(root):
+    """({name: path} of the fuzz inputs, --out paths) under root."""
+    files = {}
+    for kind, payloads in FUZZ_FILES.items():
+        for tag, payload in zip(("", "huge-"), payloads):
+            files[tag + kind] = root / f"{tag}{kind}.json"
+            files[tag + kind].write_text(json.dumps(payload))
+    for name, text in (("broken", "{not json"), ("object", "{}"), ("scalar", "3"),
+                       ("joint1", '{"x_size": 1, "y_size": 2, "probs": [0.5, 0.5]}')):
+        files[name] = root / f"{name}.json"
+        files[name].write_text(text)
+    files["dir"] = root / "dir"
+    files["dir"].mkdir()
+    files["missing"] = root / "missing.json"
+    outputs = [root / "dir", root / "out.json", root / "no" / "such" / "out.json"]
+    return {name: str(path) for name, path in files.items()}, [str(path) for path in outputs]
+
+
+def _fuzz_argv(rng, files, outputs):
+    """A subcommand with its positionals and flags, each drawn from the
+    parser itself, plus --out and the removed --seed and --config, in
+    either position."""
+
+    def number(pair):
+        return rng.choice(pair[0] if rng.random() < 0.75 else pair[1])
+
+    def path(reader):
+        kind = FUZZ_READERS[reader]
+        return rng.choice([files[kind], files[kind], files["huge-" + kind], rng.choice(list(files.values()))])
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    command = rng.choice(sorted(sub.choices))
+    argv = [command]
+    for action in sub.choices[command]._actions:
+        if not action.option_strings:
+            if rng.random() < 0.9:
+                argv.append(path(action.dest))
+        elif action.dest not in ("help", "out") and rng.random() < (0.9 if action.required else 0.5):
+            if action.type is float:
+                value = number(FUZZ_NUMBERS)
+            elif action.type is int:
+                value = number(FUZZ_COUNTS)
+            elif action.dest in FUZZ_READERS:
+                value = path(action.dest)
+            else:
+                value = ",".join(number(FUZZ_NUMBERS) for _ in range(rng.randrange(4)))
+            argv += [action.option_strings[0], value]
+    for flag, values, odds in (("--out", outputs, 0.25), ("--seed", ["7"], 0.05),
+                               ("--config", list(files.values()), 0.05)):
+        if rng.random() < odds:
+            pair = [flag, rng.choice(values)]
+            argv = pair + argv if rng.random() < 0.5 else argv + pair
+    if rng.random() < 0.03:
+        argv.append("-h")
+    return argv
+
+
+def test_input_contract_fuzz(tmp_path, capsys):
+    # Whatever the flags and files, main exits 0, 2, 3 or 4, never with a
+    # traceback or a warning, and a failure prints exactly one error line.
+    files, outputs = _fuzz_files(tmp_path)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, files, outputs)
+        code, out, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in out + err
+        assert len([line for line in lines if line.startswith("error: ")]) == (code != 0), (argv, lines)
+        assert all(line.startswith(("error: ", "caveat [")) or " rows at rho=" in line
+                   for line in lines), (argv, lines)

@@ -31,6 +31,18 @@ class TestDistribution:
         with pytest.raises(ProbabilityError):
             Distribution([0.5, 0.6])
 
+    @pytest.mark.parametrize("build, values, mass", [
+        (Distribution, [0.5, 0.6], "1.1"),
+        (Distribution, [1e308, 1e308], "inf"),
+        (JointDistribution, [[1e308, 1e308], [1e308, 1e308]], "inf"),
+        (Channel, [[1e308, 1e308], [0.5, 0.5]], "inf"),
+    ], ids=["sum", "overflow", "joint-overflow", "channel-overflow"])
+    def test_total_mass_message(self, build, values, mass):
+        # Entries near the float maximum overflow the sum: the error names
+        # an infinite mass, with no overflow warning on the way.
+        with pytest.raises(ProbabilityError, match=f": total mass {mass} is not 1$"):
+            build(values)
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ProbabilityError):
             Distribution([1.1, -0.1])
