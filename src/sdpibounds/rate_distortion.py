@@ -42,7 +42,7 @@ class DistortionMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("DistortionMatrix: non-finite costs")
         if float(arr.min()) < 0.0:
-            raise ValueError(f"DistortionMatrix: negative cost {arr.min()!r}")
+            raise ValueError(f"DistortionMatrix: negative cost {float(arr.min())!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "costs", arr)
 
@@ -253,7 +253,10 @@ def blahut_arimoto(
     p = source.probs
     # Costs above each row's minimum: scaling a row of A leaves the test
     # channel, c and the gap unchanged, and keeps A's largest entry at 1.
-    A = np.exp2(slope * (d.costs - d.costs.min(axis=1, keepdims=True)))
+    # An exponent past the float range is -inf, and its entry 0, as it
+    # should be.
+    with np.errstate(over="ignore"):
+        A = np.exp2(slope * (d.costs - d.costs.min(axis=1, keepdims=True)))
     n = d.xhat_size
     if start is None:
         q = np.full(n, 1.0 / n)

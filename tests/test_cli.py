@@ -420,7 +420,10 @@ def _fuzz_argv(rng, files, outputs):
 
     def path(reader):
         kind = FUZZ_READERS[reader]
-        return rng.choice([files[kind], files[kind], files["huge-" + kind], rng.choice(list(files.values()))])
+        draw = rng.random()
+        if draw < 0.5:
+            return files[kind]
+        return files["huge-" + kind] if draw < 0.75 else rng.choice(list(files.values()))
 
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     command = rng.choice(sorted(sub.choices))
@@ -454,7 +457,7 @@ def test_input_contract_fuzz(tmp_path, capsys):
     # traceback or a warning, and a failure prints exactly one error line.
     files, outputs = _fuzz_files(tmp_path)
     rng = random.Random(20261019)
-    for _ in range(300):
+    for _ in range(250):
         argv = _fuzz_argv(rng, files, outputs)
         code, out, err = run(capsys, *argv)
         lines = err.splitlines()

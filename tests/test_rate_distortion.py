@@ -63,7 +63,7 @@ class TestDistortionMatrix:
         assert DistortionMatrix(np.zeros((2, 3))).zero_cost_coverage
 
     def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative cost -1.0$"):
             DistortionMatrix([[0.0, -1.0]])
         with pytest.raises(ValueError):
             DistortionMatrix([[0.0, np.inf]])
@@ -113,6 +113,13 @@ class TestBlahutArimoto:
         src = Distribution([0.2, 0.8])
         pt = blahut_arimoto(src, slope=-64.0)
         assert pt.distortion == pytest.approx(0.0, abs=1e-12)
+        assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
+
+    def test_costs_past_the_float_range(self):
+        # slope * cost overflows to -inf: the entry of A is 0, with no warning.
+        src = Distribution([0.2, 0.8])
+        pt = blahut_arimoto(src, DistortionMatrix([[0.0, 1e308], [1e308, 0.0]]), slope=-64.0)
+        assert pt.distortion == 0.0
         assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
 
     def test_binary_uniform_known_slope(self):
