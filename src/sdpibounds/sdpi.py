@@ -33,7 +33,7 @@ within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 
 Each ascent start keeps its own rounds and backtracking; _multistart_search
 has the schedule.  The evaluation count includes the tries that halving one
-try at a time would skip (2,299 on the bundled quaternary joint, 3,251
+try at a time would skip (2,299 on the bundled quaternary joint, 3,931
 on dsbs_p10).
 
 A row's ratio, output law and direction can move in the last bits with the
