@@ -82,9 +82,9 @@ class SdpiConfig:
     and the ascent starts at multistart_count grid or tilt points, plus the
     corners on input alphabets up to 4.  Setting multistart_count to 0
     turns the ascent off (useful for isolating one method; the reported
-    value is then a weaker lower bound).  The benchmark's stage-isolating
-    re-runs are the only callers that set either field; both go once the
-    benchmark times the stages itself.
+    value is then a weaker lower bound).  Outside the tests, the benchmark's
+    stage-isolating re-runs are the only callers that set either field;
+    both go once the benchmark times the stages itself.
     """
 
     grid_max_alphabet: int = 4

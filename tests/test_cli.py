@@ -432,7 +432,9 @@ def _fuzz_argv(rng, files, outputs):
         if not action.option_strings:
             if rng.random() < 0.9:
                 argv.append(path(action.dest))
-        elif action.dest not in ("help", "out") and rng.random() < (0.9 if action.required else 0.5):
+        elif action.dest in ("help", "out"):
+            continue
+        elif rng.random() < (0.9 if action.required else 0.5):
             if action.type is float:
                 value = number(FUZZ_NUMBERS)
             elif action.type is int:
@@ -463,6 +465,7 @@ def test_input_contract_fuzz(tmp_path, capsys):
         lines = err.splitlines()
         assert code in (0, 2, 3, 4), (argv, code)
         assert "Traceback" not in out + err
-        assert len([line for line in lines if line.startswith("error: ")]) == (code != 0), (argv, lines)
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert len(errors) == (code != 0), (argv, lines)
         assert all(line.startswith(("error: ", "caveat [")) or " rows at rho=" in line
                    for line in lines), (argv, lines)
