@@ -595,10 +595,10 @@ class TestDirections:
         return B.T @ full @ B
 
     def check_newton(self, cases, newton_direction):
-        """(rows, rows with clean differences) over the concave rows, where
-        newton_direction(q, G row) must solve H (B'd) = -B'g with H from
-        reduced_hessian, and H must match central differences of g."""
-        solved = differenced = 0
+        """Count the concave rows, where newton_direction(q, G row) must
+        solve H (B'd) = -B'g with H from reduced_hessian, and H must match
+        central differences of the gradient."""
+        checked = 0
         for p_in, p_out, T, Q, B in cases:
             concave, G = self.directions(Q, p_in, p_out, T)
             for q, v in zip(Q[concave], G[concave]):
@@ -607,19 +607,15 @@ class TestDirections:
                 hess = self.reduced_hessian(q, p_in, p_out, T, B)
                 red = self.gradients(q[None, :], p_in, p_out, T)[0] @ B
                 np.testing.assert_allclose(hess @ (B.T @ d), -red, rtol=1e-10, atol=0.0)
-                solved += 1
                 grads = self.gradients(np.vstack([q + self.H * B.T, q - self.H * B.T]),
                                        p_in, p_out, T)
-                # Long gradients spoil the differences.
-                if np.abs(grads).max() < 99.0:
-                    diffs = self.central_differences(grads @ B, B.shape[1])
-                    np.testing.assert_allclose(diffs, hess, rtol=1e-5, atol=1e-6)
-                    differenced += 1
-        return solved, differenced
+                diffs = self.central_differences(grads @ B, B.shape[1])
+                np.testing.assert_allclose(diffs, hess, rtol=1e-5, atol=1e-6)
+                checked += 1
+        return checked
 
     def test_newton_solves_the_reduced_system(self):
-        solved, differenced = self.check_newton(self.interior_rows(12), lambda q, d: d)
-        assert solved >= differenced >= 15
+        assert self.check_newton(self.interior_rows(12), lambda q, d: d) >= 15
 
     def test_mirror_newton_direction_is_newton_over_q(self):
         # On 5+ symbols a concave row's direction is d/q, whose mirror step
@@ -635,8 +631,7 @@ class TestDirections:
                 Q = rng.dirichlet(np.ones(k), size=400)
                 Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
                 cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
-        solved, differenced = self.check_newton(cases, lambda q, v: v * q)
-        assert solved >= differenced >= 15
+        assert self.check_newton(cases, lambda q, v: v * q) >= 15
 
 
 def _decimal_ratio(q, j, direction):
