@@ -15,12 +15,9 @@ this module estimates it from below and takes the best of:
    points or, without a grid, along two SVD tilts (_tilt_starts).  No start
    is random.  Every start takes Newton steps where the log ratio is
    locally concave and gradient steps elsewhere; _directions picks each
-   direction.  On input alphabets up to 4 the ascent also starts at the
-   corners, and its steps are projected.  On larger ones they are mirror
-   steps, q exp(t v)/Z, in the KL geometry, where projected gradient steps
-   crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds).
-   There are no corner starts there: under mirror steps they all crawl
-   along one ridge near the marginal.
+   direction.  Every step is a mirror step, q exp(t v)/Z, in the KL
+   geometry, where projected gradient steps crawl (a 9-level Gaussian
+   stopped 1.2e-5 short after 2,000 rounds) or park on a simplex face.
 
 Nothing here certifies the supremum from above.  Results carry a note when
 the grid did not run, and the first-order gap at the best search point.
@@ -33,7 +30,7 @@ within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 
 Each ascent start keeps its own rounds and backtracking; _multistart_search
 has the schedule.  The evaluation count includes the tries that halving one
-try at a time would skip (2,299 on the bundled quaternary joint, 3,931
+try at a time would skip (2,095 on the bundled quaternary joint, 2,661
 on dsbs_p10).
 
 A row's ratio, output law and direction can move in the last bits with the
@@ -79,12 +76,11 @@ class SdpiConfig:
     """Which stages of the contraction-constant search run.
 
     The grid runs on input alphabets up to grid_max_alphabet (0: never),
-    and the ascent starts at multistart_count grid or tilt points, plus the
-    corners on input alphabets up to 4.  Setting multistart_count to 0
-    turns the ascent off (useful for isolating one method; the reported
-    value is then a weaker lower bound).  Outside the tests, the benchmark's
-    stage-isolating re-runs are the only callers that set either field;
-    both go once the benchmark times the stages itself.
+    and the ascent starts at multistart_count grid or tilt points.  Setting
+    multistart_count to 0 turns the ascent off (useful for isolating one
+    method; the reported value is then a weaker lower bound).  Outside the
+    tests, the benchmark's stage-isolating re-runs are the only callers that
+    set either field; both go once the benchmark times the stages itself.
     """
 
     grid_max_alphabet: int = 4
@@ -115,8 +111,7 @@ class SdpiResult:
     around the marginal and its gap stays large (0.056 on the 33-level
     Gaussian at rho = 0.5).  gap_note is non-empty
     when the simplex grid did not run, so no start came from a grid that
-    covers the simplex: the ascent started at SVD tilt points, plus the
-    corners on input alphabets up to 4.
+    covers the simplex: the ascent started at SVD tilt points alone.
     """
 
     value: float
@@ -132,7 +127,7 @@ class SdpiResult:
             return ""
         return (
             "simplex grid skipped for this input alphabet; the value rests on "
-            "local search from SVD tilt starts (and corners, on up to 4 symbols)"
+            "local search from SVD tilt starts"
         )
 
     def to_dict(self) -> dict:
@@ -252,21 +247,9 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return basis
 
 
-def _best_of(values: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Best (value, row) with deterministic lexicographic tie-breaking."""
-    finite = np.isfinite(values)
-    if not finite.any():
-        return -np.inf, None
-    top = values[finite].max()
-    tied = np.flatnonzero(finite & (values == top))
-    pick = tied[np.lexsort(rows[tied][:, ::-1].T)[0]]
-    return float(values[pick]), rows[pick].copy()
-
-
 def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -> np.ndarray:
     """Up to count rows of finite value, best first, each at total variation
-    >= spread from those taken before it; ties in lexicographic order, as in
-    _best_of.
+    >= spread from those taken before it; ties in lexicographic order.
     """
     live = np.flatnonzero(np.isfinite(values))
     order = live[np.lexsort(np.vstack([rows[live][:, ::-1].T, -values[live]]))]
@@ -309,19 +292,6 @@ def _tilt_starts(p_in, p_out, T, vectors, count):
     return starts, evals
 
 
-def _project_rows(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    k = V.shape[1]
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    ind = np.arange(1, k + 1)
-    rho = (U - css / ind > 0.0).sum(axis=1)
-    theta = css[np.arange(V.shape[0]), rho - 1] / rho
-    W = np.maximum(V - theta[:, None], 0.0)
-    # Rescale away the float residue so every row is an exact pmf.
-    return W / W.sum(axis=1, keepdims=True)
-
-
 def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Mirror step Q * exp(V) / Z per row, in the KL geometry.
 
@@ -333,28 +303,14 @@ def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     return W / W.sum(axis=1, keepdims=True)
 
 
-# Input alphabets up to this size take projected steps and start at the
-# corners too; larger ones take mirror steps in the KL geometry.  Every
-# start tests every round for local concavity and takes Newton where it
-# holds.  Gradient steps alone left 403 of the 433 rows still live at round
-# 2,000 on the 3-4 symbol benchmark inputs of one seed in a concave basin
-# that Newton finishes in a few rounds.  On the 48 benchmark Gaussians of
-# two seeds (9-33 levels) Newton on every start, not only on the best
-# point after mirror gradient steps, cut their s* CPU time from
-# 10.7-13.4 s to 1.5-1.6 s (2-core Xeon, BLAS threads 1).
-_PROJECTED_MAX_ALPHABET = 4
-
-
 def _directions(Q, Qy, num, den, p_in, p_out, T):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
     Qy, num and den are the output laws and ratio parts of Q from _evaluate.
-    Every row gets the gradient, zeroed where num or den vanishes, and a row
-    where the log ratio is locally concave gets the Newton direction d
-    instead.  On input alphabets up to _PROJECTED_MAX_ALPHABET these are the
-    directions of a projected step, with the gradient's length capped.
-    Above, they are the exponents of a mirror step q exp(t v)/Z: the
-    uncapped gradient, or d/q, whose mirror step is q + t d to first order.
+    Each direction is the exponent v of a mirror step q exp(t v)/Z: the
+    gradient, zeroed where num or den vanishes, or, on a row where the log
+    ratio is locally concave, d/q for the Newton direction d, whose mirror
+    step is q + t d to first order.
     Newton works in the sum-zero tangent space with an orthonormal basis B
     (k x k-1); a row is concave when the reduced Hessian
         H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
@@ -363,7 +319,6 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     and solves for the direction.
     """
     k = Q.shape[1]
-    mirror = k > _PROJECTED_MAX_ALPHABET
     N = np.maximum(num, _TINY)[:, None]
     D = np.maximum(den, _TINY)[:, None]
     log_out = np.log(np.maximum(Qy, _LOG_FLOOR) / p_out)
@@ -371,12 +326,6 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
     vanishing = (num < _TINY) | (den < _TINY)
     G[vanishing] = 0.0
-    if not mirror:
-        # Cap the row magnitude: near-flat ratios divided by the floors
-        # above give astronomically long directions, and projecting those
-        # loses mass to float cancellation.  Direction is what matters, not
-        # length.
-        G /= np.maximum(np.abs(G).max(axis=1) / 100.0, 1.0)[:, None]
 
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
@@ -396,7 +345,7 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     w[~concave] = -np.inf
     b = np.einsum("rji,rj->ri", V, bN / N - bD / D)
     d = -np.einsum("rij,rj->ri", V, b / w) @ B.T
-    G[concave] = (d * inv_q if mirror else d)[concave]
+    G[concave] = (d * inv_q)[concave]
     return concave, G
 
 
@@ -438,23 +387,19 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     """Ascent on the log ratio from each row of starts.
 
     A try is a step along the direction v from _directions, tried from
-    step 1.0 on locally concave (Newton) rows.  On input alphabets up to
-    _PROJECTED_MAX_ALPHABET it is the Euclidean projection onto the simplex
-    of q + t v.  Above, it is the mirror step q exp(t v)/Z in the KL
-    geometry (Beck & Teboulle 2003), where the divergence's Hessian
-    diag(1/q) makes projected gradient steps crawl.
+    step 1.0 on locally concave (Newton) rows: the mirror step
+    q exp(t v)/Z in the KL geometry (Beck & Teboulle 2003), where the
+    divergence's Hessian diag(1/q) would make Euclidean steps crawl.
 
     Each start keeps its own step, round count and backtracking phase.  A
     round takes a direction and tries the step and one halving; if both
     fail, the next sweep tries the other halvings.  A start accepts its
     first improving try, as halving one at a time would, and retires when a
     whole round fails or after max_iterations rounds.  Every sweep scores
-    all tries in one projection or mirror step and one evaluation.  A step
-    grows by half on success, with no cap: the direction's length cap
-    counts the constant component that the projection removes, so useful
-    steps on binary inputs reach 1e3.
+    all tries in one mirror step and one evaluation.  A step grows by half
+    on success, with no cap.  Returns the final value and point of every
+    start, and the evaluation count.
     """
-    mirror = starts.shape[1] > _PROJECTED_MAX_ALPHABET
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
@@ -481,7 +426,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
         idx = rows[at]
         tried_steps = np.ldexp(step[idx], -halvings)
         V = tried_steps[:, None] * G[idx]
-        trial = _mirror_rows(Q[idx], V) if mirror else _project_rows(Q[idx] + V)
+        trial = _mirror_rows(Q[idx], V)
         ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
         evals += at.size
         pick = (ft > f[idx] + 1e-15).nonzero()[0]
@@ -502,8 +447,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
         pick = pick[left[acc] > 0]
         fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
 
-    best, q = _best_of(f, Q)
-    return best, q, evals
+    return f, Q, evals
 
 
 def sstar(
@@ -546,22 +490,19 @@ def sstar(
             vectors = (U.T if direction == "x_to_y" else Vt)[1:3]
             starts, n = _tilt_starts(p_in, p_out, T, vectors, cfg.multistart_count)
             evals += n
-        if k <= _PROJECTED_MAX_ALPHABET:
-            starts.append(0.999 * np.eye(k) + 0.001 / k)
         starts = np.vstack(starts) if starts else np.empty((0, k))
-        mv, mq, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS)
+        f, Q, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS)
         evals += n
         ran.append("multistart")
-        if mq is not None:
-            cand_vals.append(np.array([mv]))
-            cand_rows.append(mq[None, :])
-    _, best_q = _best_of(np.concatenate(cand_vals), np.vstack(cand_rows))
+        cand_vals.append(f)
+        cand_rows.append(Q)
+    best = _top_rows(np.concatenate(cand_vals), np.vstack(cand_rows), 1, 0.0)
     method = "combined" if len(ran) == 2 else (ran[0] if ran else "vertex")
 
     value, argmax, gap = rho2, None, None
-    if best_q is not None:
+    if best.size:
         # Report the ratio at the pmf handed back, not at the unnormalized search row.
-        q = Distribution(best_q)
+        q = Distribution(best[0])
         at_q, qy, num, den = (a[0] for a in _evaluate(q.probs[None, :], p_in, p_out, T))
         gap = _first_order_gap(q.probs, qy, num, den, p_in, p_out, T)
         if at_q >= rho2:

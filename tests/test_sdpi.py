@@ -26,7 +26,6 @@ from sdpibounds import (
     verify_sdpi_inequality,
 )
 from sdpibounds.sdpi import (
-    _best_of,
     _composition_grid,
     _directions,
     _evaluate,
@@ -34,7 +33,6 @@ from sdpibounds.sdpi import (
     _mirror_rows,
     _multistart_search,
     _oriented,
-    _project_rows,
     _sum_zero_basis,
     _tilt_starts,
     _top_rows,
@@ -184,8 +182,8 @@ class TestSstar:
         assert rho_star(j) == 0.0
 
     def test_one_output_symbol_on_many_inputs(self):
-        # Six inputs get neither tilt nor corner starts when the output has
-        # one symbol, so the ascent runs from no start at all.
+        # Six inputs get no tilt starts when the output has one symbol, so
+        # the ascent runs from no start at all.
         j = JointDistribution(np.arange(1.0, 7.0)[:, None] / 21.0)
         for direction in ("x_to_y", "y_to_x"):
             res = sstar(j, direction)
@@ -193,11 +191,11 @@ class TestSstar:
 
     def test_binary_inputs_retire_early(self, dsbs, monkeypatch):
         # Every start retires within a short round budget, so the default
-        # 2,000 rounds change nothing.  Binary starts do because step growth
-        # is uncapped (a cap of 1.0 kept dsbs crawling for all 2,000 rounds,
-        # 132,269 evaluations); 3 and 4 symbol starts because locally
-        # concave rows take Newton steps.  The 3x3 joint, from the benchmark
-        # inputs, was still rising at round 2,000 under gradient steps alone.
+        # 2,000 rounds change nothing, because locally concave rows take
+        # Newton steps.  Under mirror steps no binary step here grows past
+        # 1.5, and capping step growth at 1.0 leaves dsbs at 2,661
+        # evaluations.  The 3x3 joint, from the benchmark inputs, was still
+        # rising at round 2,000 under gradient steps alone.
         rng = np.random.default_rng(2)
         binary = [dsbs, *(random_joint(rng, 2, n) for n in (2, 3, 4))]
         larger = [random_joint(rng, k, n) for n in (2, 3, 4) for k in (3, 4)]
@@ -374,6 +372,21 @@ class TestSstar:
             for direction, floor in zip(("x_to_y", "y_to_x"), want):
                 assert sstar(j, direction).value >= floor * (1 - 1e-12)
 
+    @pytest.mark.parametrize("weights, direction, floor", [
+        ([[3, 1, 5], [3, 0, 1], [4, 4, 3]], "y_to_x", 0.20482859760093952),
+        ([[1, 2, 5, 4], [5, 1, 2, 4], [1, 4, 0, 0], [5, 1, 1, 1]], "x_to_y", 0.4765148736242415),
+    ], ids=["3x3", "4x4"])
+    def test_witness_leaves_the_simplex_face(self, weights, direction, floor):
+        # Euclidean-projected steps parked these witnesses on a simplex face,
+        # where the ratio still rose with infinite slope (gap inf), at
+        # 0.20394303087297413 and 0.47578241523075676.  Mirror steps keep
+        # every entry positive and reach the interior maximum.
+        j = JointDistribution(np.array(weights) / np.sum(weights))
+        res = sstar(j, direction)
+        assert res.value >= floor * (1 - 1e-12)
+        assert np.isfinite(res.first_order_gap) and res.first_order_gap <= 1e-6
+        assert divergence_ratio(res.argmax_q, j, direction) == res.value
+
     def test_value_bounds_fuzz(self):
         rng = np.random.default_rng(99)
         for _ in range(30):
@@ -441,7 +454,8 @@ class TestGridAndMultistartAgree:
             p_in, p_out, T = _oriented(j, "x_to_y")
             k = p_in.shape[0]
             grid = _composition_grid(k, 200 if k == 2 else 100)
-            best, _ = _best_of(_evaluate(grid, p_in, p_out, T)[0], grid)
+            vals = _evaluate(grid, p_in, p_out, T)[0]
+            best = vals[np.isfinite(vals)].max()
             assert sstar(j, "x_to_y").value >= best * (1 - 1e-12)
 
     def test_simplex_grid_shape(self):
@@ -475,15 +489,13 @@ class TestBatchedLineSearch:
         for j in joints:
             p_in, p_out, T = _oriented(j, "x_to_y")
             starts = _sstar_starts(j, cls.STARTS)
-            got, got_q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds)
-            want, want_q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds)
-            assert got == pytest.approx(want, rel=1e-12)
-            assert (got_q is None) == (want_q is None)
-            if got_q is not None:
-                # Values near a maximum, where Newton takes the search, are
-                # flat to second order, so the points are compared too:
-                # both searches agreed to 3e-9 relative on these cases.
-                np.testing.assert_allclose(got_q, want_q, rtol=1e-6, atol=1e-15)
+            got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds)
+            want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds)
+            # Every start, not only the best, ends at the same value.
+            np.testing.assert_allclose(got_f, want_f, rtol=1e-12, atol=0.0)
+            # Values near a maximum, where Newton takes the search, are flat
+            # to second order, so the points are compared too.
+            np.testing.assert_allclose(got_Q, want_Q, rtol=1e-6, atol=1e-15)
             assert got_evals >= want_evals
 
     def test_matches_one_halving_at_a_time(self):
@@ -566,9 +578,7 @@ class TestDirections:
         checked = 0
         for p_in, p_out, T, Q, B in self.interior_rows(11):
             concave, G = self.directions(Q, p_in, p_out, T)
-            # Rows where the length cap binds have a rescaled gradient.
-            keep = ~concave & (np.abs(G).max(axis=1) < 99.0)
-            for q, g in zip(Q[keep], G[keep]):
+            for q, g in zip(Q[~concave], G[~concave]):
                 pts = np.vstack([q + self.H * B.T, q - self.H * B.T])
                 diffs = self.central_differences(self.log_ratio(pts, p_in, p_out, T), B.shape[1])
                 np.testing.assert_allclose(B.T @ g, diffs, rtol=1e-6, atol=1e-7)
@@ -594,15 +604,16 @@ class TestDirections:
                 - np.diag(1.0 / q) / den + np.outer(g_den, g_den) / den ** 2)
         return B.T @ full @ B
 
-    def check_newton(self, cases, newton_direction):
-        """Count the concave rows, where newton_direction(q, G row) must
+    def check_newton(self, cases):
+        """Count the concave rows.  On each, the direction v is d/q, whose
+        mirror step q exp(t v)/Z is q + t d to first order: d = v q must
         solve H (B'd) = -B'g with H from reduced_hessian, and H must match
         central differences of the gradient."""
         checked = 0
         for p_in, p_out, T, Q, B in cases:
             concave, G = self.directions(Q, p_in, p_out, T)
             for q, v in zip(Q[concave], G[concave]):
-                d = newton_direction(q, v)
+                d = v * q
                 assert d.sum() == pytest.approx(0.0, abs=1e-12)
                 hess = self.reduced_hessian(q, p_in, p_out, T, B)
                 red = self.gradients(q[None, :], p_in, p_out, T)[0] @ B
@@ -615,11 +626,10 @@ class TestDirections:
         return checked
 
     def test_newton_solves_the_reduced_system(self):
-        assert self.check_newton(self.interior_rows(12), lambda q, d: d) >= 15
+        assert self.check_newton(self.interior_rows(12)) >= 15
 
     def test_mirror_newton_direction_is_newton_over_q(self):
-        # On 5+ symbols a concave row's direction is d/q, whose mirror step
-        # q exp(t d/q)/Z is q + t d to first order.
+        # The same check on 5 and 7 symbols.
         rng = np.random.default_rng(14)
         cases = []
         for k in (5, 7):
@@ -631,7 +641,7 @@ class TestDirections:
                 Q = rng.dirichlet(np.ones(k), size=400)
                 Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
                 cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
-        assert self.check_newton(cases, lambda q, v: v * q) >= 15
+        assert self.check_newton(cases) >= 15
 
 
 def _decimal_ratio(q, j, direction):
@@ -681,14 +691,13 @@ def _lex_sorted(rows):
 
 def _sstar_starts(j, count):
     """The ascent starts of sstar(j, "x_to_y") under the default grid size:
-    grid points and corners on up to 4 symbols, tilt points alone above.
+    grid points on up to 4 symbols, tilt points above.
     """
     p_in, p_out, T = _oriented(j, "x_to_y")
     k = p_in.shape[0]
     if k <= 4:
         grid = _composition_grid(k, 20)
-        top = _top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, count, 0.1)
-        return np.vstack([top, 0.999 * np.eye(k) + 0.001 / k])
+        return _top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, count, 0.1)
     U = sdpi._correlation_svd(j)[0]
     return np.vstack(_tilt_starts(p_in, p_out, T, U.T[1:3], count)[0])
 
@@ -700,11 +709,11 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
     points from the same starts; this loop tries each halving only after
     the previous one failed.  It takes the library's direction per row from
     _directions, and resets the step to 1.0 on the rows that get a Newton
-    direction.  Its tries are projected on up to 4 symbols.  Above they are
-    mirror steps q exp(t v)/Z, with v the gradient or, on Newton rows, the
-    Newton direction d over q, so that the step is q + t d to first order.
+    direction.  Its tries are mirror steps q exp(t v)/Z, with v the gradient
+    or, on Newton rows, the Newton direction d over q, so that the step is
+    q + t d to first order.  Returns the final value and point of every
+    start, and the evaluation count.
     """
-    mirror = starts.shape[1] > 4
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f = _evaluate(Q, p_in, p_out, T)[0]
@@ -722,7 +731,7 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
             if idx.size == 0:
                 break
             V = step[idx, None] * G[idx]
-            trial = _mirror_rows(Q[idx], V) if mirror else _project_rows(Q[idx] + V)
+            trial = _mirror_rows(Q[idx], V)
             ft = _evaluate(trial, p_in, p_out, T)[0]
             evals += idx.size
             better = ft > f[idx] + 1e-15
@@ -737,8 +746,7 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
             alive[stuck] = False
             pending[stuck] = False
         alive[pending] = False
-    best, q = _best_of(f, Q)
-    return best, q, evals
+    return f, Q, evals
 
 
 class TestRhoStar:
