@@ -476,7 +476,7 @@ def sstar(
     cand_rows = [corners]
     evals = k
 
-    ran, starts = [], []
+    ran = []
     if 2 <= k <= cfg.grid_max_alphabet:
         grid = _composition_grid(k, _GRID_PITCH)
         vals = _evaluate(grid, p_in, p_out, T)[0]
