@@ -29,30 +29,19 @@ from .errors import (
 )
 from .gaussian import (
     FigureRow,
-    GaussianParams,
-    beta,
-    contour_rx,
-    contour_ry,
-    cooperative_bound,
-    default_figure_grid,
-    exact_sum_rate,
     figure_data,
     gaussian_rho_star,
-    linearized_bounds,
     quantized_gaussian_joint,
     rows_to_csv,
-    simple_sum_bound,
 )
 from .probability import (
     Channel,
     Distribution,
     JointDistribution,
     conditional,
-    entropy,
     kl_divergence,
     marginals,
     mutual_information,
-    push_forward,
     tensor_product,
 )
 from .rate_distortion import (
@@ -71,7 +60,6 @@ from .sdpi import (
     maximal_correlation,
     rho_star,
     sstar,
-    tensorization_check,
     verify_sdpi_inequality,
 )
 
@@ -88,7 +76,6 @@ __all__ = [
     "Distribution",
     "DistortionMatrix",
     "FigureRow",
-    "GaussianParams",
     "InfeasibleDistortionError",
     "JointDistribution",
     "ProbabilityError",
@@ -97,39 +84,28 @@ __all__ = [
     "RdPoint",
     "SdpiConfig",
     "SdpiResult",
-    "beta",
     "binary_hamming_rd",
     "blahut_arimoto",
     "ceo_bound_check",
     "conditional",
-    "contour_rx",
-    "contour_ry",
-    "cooperative_bound",
     "coupled_rate_check",
     "cr_ratio_bound",
-    "default_figure_grid",
     "divergence_ratio",
-    "entropy",
-    "exact_sum_rate",
     "figure_data",
     "full_report",
     "gaussian_rho_star",
     "independent_coding_penalty",
     "kl_divergence",
-    "linearized_bounds",
     "marginals",
     "maximal_correlation",
     "mutual_information",
-    "push_forward",
     "quantized_gaussian_joint",
     "rd_at_distortion",
     "rd_curve",
     "rho_star",
     "rows_to_csv",
-    "simple_sum_bound",
     "sstar",
     "sum_rate_bound",
     "tensor_product",
-    "tensorization_check",
     "verify_sdpi_inequality",
 ]

@@ -232,11 +232,7 @@ def full_report(
     ry_req = rd_at_distortion(py, dy_matrix, t.dy).rate
 
     reports = coupled_rate_check(t, res_yx.value, res_xy.value, rx_req, ry_req)
-    extra = {
-        "rho_star": rho,
-        "sstar_note_xy": res_xy.gap_note,
-        "sstar_note_yx": res_yx.gap_note,
-    }
+    extra = {"rho_star": rho}
     reports = [
         BoundReport.build(r.name, r.lhs, r.rhs, {**r.inputs, **extra}, r.note)
         for r in reports

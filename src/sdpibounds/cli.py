@@ -91,9 +91,6 @@ def _cmd_sstar(args) -> None:
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
     res_xy = sstar(j, "x_to_y")
     res_yx = sstar(j, "y_to_x")
-    for label, res in (("x_to_y", res_xy), ("y_to_x", res_yx)):
-        if res.gap_note:
-            print(f"caveat [{label}]: {res.gap_note}", file=sys.stderr)
     payload = {
         "x_to_y": res_xy.to_dict(),
         "y_to_x": res_yx.to_dict(),
@@ -119,12 +116,7 @@ def _cmd_bounds(args) -> None:
     dxm = _from_dict(DistortionMatrix, _load_json(args.dx_costs), args.dx_costs)
     dym = _from_dict(DistortionMatrix, _load_json(args.dy_costs), args.dy_costs)
     t = RateDistortionTuple(rx=args.rx, ry=args.ry, dx=args.dx, dy=args.dy)
-    reports = full_report(j, dxm, dym, t)
-    for key in ("sstar_note_xy", "sstar_note_yx"):
-        note = reports[0].inputs.get(key, "")
-        if note:
-            print(f"caveat [{key.removeprefix('sstar_note_')}]: {note}", file=sys.stderr)
-    _emit_json([r.to_dict() for r in reports], args.out)
+    _emit_json([r.to_dict() for r in full_report(j, dxm, dym, t)], args.out)
 
 
 def _cmd_gauss_figures(args) -> None:

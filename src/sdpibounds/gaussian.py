@@ -106,11 +106,6 @@ def contour_rx(p: GaussianParams, ry: float) -> float:
     return max(0.0, 0.5 * float(np.log2((1.0 - r2 + r2 * 4.0 ** (-ry)) / p.dx)))
 
 
-def contour_ry(p: GaussianParams, rx: float) -> float:
-    """Mirror image of contour_rx for the other terminal."""
-    return contour_rx(GaussianParams(p.rho, p.dy, p.dx), rx)
-
-
 def linearized_bounds(p: GaussianParams) -> tuple[float, float]:
     """Right-hand sides of the two linear coupled-rate constraints.
 

@@ -105,10 +105,6 @@ class Distribution:
     def alphabet_size(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def full_support(self) -> bool:
-        return bool(np.all(self.probs > 0.0))
-
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
         return cls(np.full(n, 1.0 / n))
@@ -222,15 +218,6 @@ def conditional(j: JointDistribution, direction: str = "y_given_x") -> Channel:
     else:
         raise ProbabilityError(f"conditional: unknown direction {direction!r}")
     return Channel(rows)
-
-
-def push_forward(q: Distribution, ch: Channel) -> Distribution:
-    """Output law of the channel when the input law is q."""
-    if q.alphabet_size != ch.input_size:
-        raise DimensionMismatchError(
-            f"push_forward: input alphabet {q.alphabet_size} vs channel {ch.input_size}"
-        )
-    return Distribution(q.probs @ ch.rows)
 
 
 def mutual_information(j: JointDistribution) -> float:

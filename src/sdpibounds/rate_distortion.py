@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, InfeasibleDistortionError
-from .probability import LN2, Distribution, _entr, _mi_from_matrix, _sized_matrix
+from .probability import LN2, Distribution, _entr, _mi_from_matrix, _require_integer, _sized_matrix
 
 _LOG_FLOOR = 1e-300
 _CELL_FLOOR = 1e-150
@@ -53,16 +53,6 @@ class DistortionMatrix:
     @property
     def xhat_size(self) -> int:
         return self.costs.shape[1]
-
-    @property
-    def zero_cost_coverage(self) -> bool:
-        """True when every source symbol has some zero-cost reproduction.
-
-        Without it the curve never reaches distortion 0.  Matrices without
-        coverage are legal (the zero-rate end still exists); callers that
-        need R(D) down to D=0 should check this flag.
-        """
-        return bool(np.all(self.costs.min(axis=1) == 0.0))
 
     @classmethod
     def hamming(cls, n: int) -> "DistortionMatrix":
@@ -394,7 +384,7 @@ def rd_curve(
     exact zero-rate endpoint is always included.
     """
     d = _check_pair(source, d)
-    if n_points < 2:
+    if _require_integer(n_points, "n_points") < 2:
         raise ValueError("n_points must be >= 2")
     slopes = -np.exp2(np.linspace(6.0, -6.0, n_points - 1))
     pts = []

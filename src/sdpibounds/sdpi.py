@@ -19,8 +19,9 @@ this module estimates it from below and takes the best of:
    geometry, where projected gradient steps crawl (a 9-level Gaussian
    stopped 1.2e-5 short after 2,000 rounds) or park on a simplex face.
 
-Nothing here certifies the supremum from above.  Results carry a note when
-the grid did not run, and the first-order gap at the best search point.
+Nothing here certifies the supremum from above.  A result's method names
+the stages that ran (see SdpiResult), and every result carries the
+first-order gap at the best search point.
 
 Both divergences are sums of a non-negative term per symbol (see
 probability._kl_rows), so a ratio near the input marginal, where the
@@ -55,7 +56,6 @@ from .probability import (
     _mi_from_matrix,
     _require_integer,
     conditional,
-    tensor_product,
 )
 
 # Floor for log arguments inside the ascent; keeps gradients finite on the
@@ -109,9 +109,13 @@ class SdpiResult:
     value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
     around the marginal and its gap stays large (0.056 on the 33-level
-    Gaussian at rho = 0.5).  gap_note is non-empty
-    when the simplex grid did not run, so no start came from a grid that
-    covers the simplex: the ascent started at SVD tilt points alone.
+    Gaussian at rho = 0.5).
+    method names the stages that ran: "combined" is the pitch-1/20 grid
+    plus the ascent from its best points (2 to 4 input symbols),
+    "multistart" the ascent from SVD tilt starts alone (5 or more), and
+    "vertex" no search (one input symbol).  An SdpiConfig that switches
+    a stage off can give "multistart" or "vertex" at any size, and "grid"
+    when the ascent is off.
     """
 
     value: float
@@ -121,15 +125,6 @@ class SdpiResult:
     evaluations: int
     first_order_gap: float | None
 
-    @property
-    def gap_note(self) -> str:
-        if self.method in ("grid", "combined"):
-            return ""
-        return (
-            "simplex grid skipped for this input alphabet; the value rests on "
-            "local search from SVD tilt starts"
-        )
-
     def to_dict(self) -> dict:
         return {
             "value": self.value,
@@ -138,7 +133,6 @@ class SdpiResult:
             "method": self.method,
             "evaluations": self.evaluations,
             "first_order_gap": self.first_order_gap,
-            "gap_note": self.gap_note,
         }
 
 
@@ -527,8 +521,12 @@ def verify_sdpi_inequality(
     u_channel rows are P(U=.|X=x), making U -- X -- Y a chain.  Returns
     (lhs, rhs, holds) with holds allowing 1e-9 slack.  Only meaningful when
     sstar_value is (an upper estimate of) the X -> Y contraction constant;
-    with an underestimate a failed check is inconclusive.
+    with an underestimate a failed check is inconclusive.  A NaN, infinite
+    or negative sstar_value raises ValueError; values above 1 are vacuous
+    upper estimates and allowed.
     """
+    if not (np.isfinite(sstar_value) and sstar_value >= 0.0):
+        raise ValueError(f"sstar_value must be finite and >= 0, got {sstar_value!r}")
     if u_channel.input_size != j.x_size:
         raise DimensionMismatchError(
             f"u_channel input {u_channel.input_size} does not match x alphabet {j.x_size}"
@@ -540,18 +538,3 @@ def verify_sdpi_inequality(
     rhs = sstar_value * _mi_from_matrix(pxu)
     return lhs, rhs, lhs <= rhs + 1e-9
 
-
-def tensorization_check(j: JointDistribution) -> tuple[float, float, float]:
-    """Compare the constant of j with that of the two-letter product j (x) j.
-
-    The constant is invariant under taking i.i.d. copies, so the gap should
-    vanish up to solver tolerance.  Returns (single, product, product - single).
-    """
-    if j.x_size ** 2 > 16 or j.y_size ** 2 > 16:
-        raise ProbabilityError(
-            f"tensorization_check: product alphabet {j.x_size ** 2}x{j.y_size ** 2} "
-            "exceeds the 16-state limit"
-        )
-    single = sstar(j, "x_to_y").value
-    product = sstar(tensor_product(j, j), "x_to_y").value
-    return single, product, product - single

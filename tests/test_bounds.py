@@ -205,7 +205,6 @@ class TestFullReport:
         t = RateDistortionTuple(1.0, 1.0, 0.1, 0.1)
         reports = full_report(dsbs, ham, ham, t)
         assert reports[0].inputs["rho_star"] == pytest.approx(0.64, abs=1e-6)
-        assert "sstar_note_xy" in reports[0].inputs
 
     def test_dimension_mismatch(self, dsbs):
         with pytest.raises(DimensionMismatchError):

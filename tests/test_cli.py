@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sdpibounds
-from sdpibounds import quantized_gaussian_joint
+from sdpibounds import DistortionMatrix, quantized_gaussian_joint
 from sdpibounds.cli import _build_parser, main
 
 DSBS = {"x_size": 2, "y_size": 2, "probs": [0.45, 0.05, 0.05, 0.45]}
@@ -63,12 +63,11 @@ class TestSstar:
         assert run(capsys, "sstar", joint, "--out", str(post)) == (0, "", "")
         assert pre.read_bytes() == post.read_bytes()
 
-    def test_large_alphabet_caveat(self, tmp_path, capsys):
+    def test_large_alphabet_method(self, tmp_path, capsys):
         joint = jfile(tmp_path, "q5.json", quantized_gaussian_joint(0.5, 5).to_dict())
         code, out, err = run(capsys, "sstar", joint)
-        assert code == 0
-        assert "caveat" in err
-        assert json.loads(out)["x_to_y"]["gap_note"] != ""
+        assert (code, err) == (0, "")
+        assert json.loads(out)["x_to_y"]["method"] == "multistart"
 
     @pytest.mark.parametrize("flag, position", [
         ("--seed", "before"), ("--seed", "after"), ("--config", "before"), ("--config", "after"),
@@ -215,6 +214,22 @@ class TestBounds:
             "--rx", "1", "--ry", "1", "--dx", "0", "--dy", "0",
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("name", ["quaternary", "dsbs_p10", "independent_binary", "gauss5"])
+def test_sstar_and_bounds_leave_stderr_empty(tmp_path, capsys, name):
+    if name == "gauss5":
+        joint = jfile(tmp_path, "j.json", quantized_gaussian_joint(0.5, 5).to_dict())
+    else:
+        joint = str(Path(sdpibounds.__file__).parent / "data" / f"{name}.json")
+    payload = json.loads(Path(joint).read_text())
+    costs = [jfile(tmp_path, f"{axis}.json", DistortionMatrix.hamming(payload[size]).to_dict())
+             for axis, size in (("dx", "x_size"), ("dy", "y_size"))]
+    code, _, err = run(capsys, "sstar", joint)
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "bounds", joint, *costs,
+                       "--rx", "1", "--ry", "1", "--dx", "0.1", "--dy", "0.1")
+    assert (code, err) == (0, "")
 
 
 class TestGaussFigures:
@@ -467,5 +482,5 @@ def test_input_contract_fuzz(tmp_path, capsys):
         assert "Traceback" not in out + err
         errors = [line for line in lines if line.startswith("error: ")]
         assert len(errors) == (code != 0), (argv, lines)
-        assert all(line.startswith(("error: ", "caveat [")) or " rows at rho=" in line
+        assert all(line.startswith("error: ") or " rows at rho=" in line
                    for line in lines), (argv, lines)

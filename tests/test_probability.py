@@ -12,13 +12,12 @@ from sdpibounds import (
     JointDistribution,
     ProbabilityError,
     conditional,
-    entropy,
     kl_divergence,
     marginals,
     mutual_information,
-    push_forward,
     tensor_product,
 )
+from sdpibounds.probability import entropy
 from conftest import random_joint
 
 
@@ -63,10 +62,6 @@ class TestDistribution:
         d = Distribution.uniform(3)
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
-
-    def test_full_support_flag(self):
-        assert Distribution([0.3, 0.7]).full_support
-        assert not Distribution([0.0, 1.0]).full_support
 
     def test_json_round_trip(self):
         d = Distribution([0.2, 0.3, 0.5])
@@ -190,17 +185,6 @@ class TestJointOps:
         np.testing.assert_allclose(back.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
         with pytest.raises(ProbabilityError):
             conditional(dsbs, "sideways")
-
-    def test_push_forward(self, dsbs):
-        ch = conditional(dsbs, "y_given_x")
-        out = push_forward(Distribution([0.5, 0.5]), ch)
-        assert out.probs == pytest.approx([0.5, 0.5], abs=1e-15)
-        out = push_forward(Distribution([1.0, 0.0]), ch)
-        assert out.probs == pytest.approx([0.9, 0.1], abs=1e-15)
-
-    def test_push_forward_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            push_forward(Distribution.uniform(3), Channel.identity(2))
 
     def test_mutual_information_independent(self, independent_binary):
         assert mutual_information(independent_binary) == pytest.approx(0.0, abs=1e-12)

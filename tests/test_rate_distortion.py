@@ -11,11 +11,11 @@ from sdpibounds import (
     RdPoint,
     binary_hamming_rd,
     blahut_arimoto,
-    entropy,
     rd_at_distortion,
     rd_curve,
 )
 from sdpibounds import rate_distortion
+from sdpibounds.probability import entropy
 
 
 def plain_blahut_arimoto(p, costs, slope):
@@ -56,11 +56,6 @@ class TestDistortionMatrix:
         d = DistortionMatrix.hamming(3)
         assert d.x_size == d.xhat_size == 3
         assert d.costs[0, 0] == 0.0 and d.costs[0, 1] == 1.0
-        assert d.zero_cost_coverage
-
-    def test_coverage_flag(self):
-        assert not DistortionMatrix([[0.5, 1.0], [0.0, 2.0]]).zero_cost_coverage
-        assert DistortionMatrix(np.zeros((2, 3))).zero_cost_coverage
 
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(ValueError, match="negative cost -1.0$"):
@@ -362,6 +357,15 @@ class TestRdCurve:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             rd_curve(Distribution.uniform(2), n_points=1)
+
+    @pytest.mark.parametrize("n_points", [True, 3.0], ids=["bool", "float"])
+    def test_rejects_non_integer_point_count(self, n_points):
+        with pytest.raises(TypeError, match="n_points must be an integer"):
+            rd_curve(Distribution.uniform(2), None, n_points)
+
+    def test_accepts_numpy_integer_point_count(self):
+        c = rd_curve(Distribution.uniform(2), None, np.int64(3))
+        assert c.points == rd_curve(Distribution.uniform(2), None, 3).points
 
     def test_curve_validation(self):
         up = (RdPoint(0.1, 0.5, -1.0, 1), RdPoint(0.2, 0.6, -1.0, 1))

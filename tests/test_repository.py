@@ -1,10 +1,13 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import sdpibounds
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +36,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_root_exports_the_readme_api():
+    # The README's API list is the package root's __all__, name for name,
+    # and a star import finds every name.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## API\n")[1]
+    section = section.split("\n## ")[0]
+    bullets = section[section.index("\n- "):]
+    documented = re.findall(r"`(\w+)`", bullets)
+    assert sorted(documented) == sorted(sdpibounds.__all__)
+    namespace = {}
+    exec("from sdpibounds import *", namespace)
+    assert set(sdpibounds.__all__) <= namespace.keys()

@@ -22,7 +22,6 @@ from sdpibounds import (
     rho_star,
     sstar,
     tensor_product,
-    tensorization_check,
     verify_sdpi_inequality,
 )
 from sdpibounds.sdpi import (
@@ -169,7 +168,6 @@ class TestSstar:
         assert res.value == res.rho_m_squared
         assert res.argmax_q is None
         assert res.method == "combined"
-        assert res.gap_note == ""
 
     @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [[0.3], [0.7]]], ids=["1x2", "2x1"])
     def test_one_symbol_alphabet(self, probs):
@@ -250,12 +248,9 @@ class TestSstar:
             if a.argmax_q is not None:
                 assert np.array_equal(a.argmax_q.probs, b.argmax_q.probs)
 
-    def test_gap_note_only_for_large_alphabets(self, quaternary):
-        assert sstar(quaternary).gap_note == ""
-        big = quantized_gaussian_joint(0.3, 5)
-        res = sstar(big)
-        assert res.gap_note != ""
-        assert res.method == "multistart"
+    def test_method_names_the_start_rule(self, quaternary):
+        assert sstar(quaternary).method == "combined"
+        assert sstar(quantized_gaussian_joint(0.3, 5)).method == "multistart"
 
     def test_witnesses_match_decimal_reference(self):
         # Every witness of the bundled joints and of criterion 4's
@@ -782,6 +777,16 @@ class TestVerifySdpiInequality:
         with pytest.raises(DimensionMismatchError):
             verify_sdpi_inequality(dsbs, Channel.identity(3), 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1], ids=["nan", "inf", "negative"])
+    def test_rejects_invalid_constant(self, dsbs, value):
+        with pytest.raises(ValueError, match="sstar_value must be finite and >= 0"):
+            verify_sdpi_inequality(dsbs, Channel.identity(2), value)
+
+    def test_constant_above_one_is_vacuous(self, dsbs):
+        lhs, rhs, holds = verify_sdpi_inequality(dsbs, Channel.identity(2), 1.5)
+        assert rhs == pytest.approx(1.5, rel=1e-12)
+        assert holds
+
     def test_random_chains_hold(self):
         rng = np.random.default_rng(424242)
         for _ in range(25):
@@ -797,14 +802,10 @@ class TestVerifySdpiInequality:
 
 class TestTensorization:
     def test_dsbs_gap_small(self, dsbs):
-        s1, s2, gap = tensorization_check(dsbs)
+        s1 = sstar(dsbs).value
+        s2 = sstar(tensor_product(dsbs, dsbs)).value
         assert s1 == pytest.approx(0.64, abs=1e-6)
-        assert abs(gap) <= 0.02
-
-    def test_rejects_large_product(self):
-        big = quantized_gaussian_joint(0.3, 5)
-        with pytest.raises(ProbabilityError):
-            tensorization_check(big)
+        assert abs(s2 - s1) <= 0.02
 
     def test_maximal_correlation_tensorizes(self, dsbs):
         t = tensor_product(dsbs, dsbs)
