@@ -31,8 +31,6 @@ _SPAN = 4.0
 _TAIL = 12.0
 _QUAD_NODES = 40
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
 
 def _check_rho(rho: float) -> None:
     if not (np.isfinite(rho) and abs(rho) < 1.0):
@@ -41,7 +39,9 @@ def _check_rho(rho: float) -> None:
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal cdf, 1/2 erfc(-x / sqrt 2), one math.erfc call per entry."""
-    return 0.5 * _ERFC(-x / math.sqrt(2.0)).astype(np.float64)
+    z = -x / math.sqrt(2.0)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 @dataclass(frozen=True)

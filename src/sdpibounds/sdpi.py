@@ -15,9 +15,11 @@ this module estimates it from below and takes the best of:
    points or, without a grid, along two SVD tilts (_tilt_starts).  No start
    is random.  Every start takes Newton steps where the log ratio is
    locally concave and gradient steps elsewhere; _directions picks each
-   direction.  Every step is a mirror step, q exp(t v)/Z, in the KL
-   geometry, where projected gradient steps crawl (a 9-level Gaussian
-   stopped 1.2e-5 short after 2,000 rounds) or park on a simplex face.
+   direction, with one batched Cholesky factorization as the concavity
+   test and one batched linear solve for the Newton steps.  Every step is
+   a mirror step, q exp(t v)/Z, in the KL geometry, where projected
+   gradient steps crawl (a 9-level Gaussian stopped 1.2e-5 short after
+   2,000 rounds) or park on a simplex face.
 
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
@@ -246,13 +248,14 @@ def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -
     >= spread from those taken before it; ties in lexicographic order.
     """
     live = np.flatnonzero(np.isfinite(values))
-    order = live[np.lexsort(np.vstack([rows[live][:, ::-1].T, -values[live]]))]
     taken = []
-    while order.size and len(taken) < count:
-        taken.append(order[0])
-        tv = 0.5 * np.abs(rows[order[1:]] - rows[order[0]]).sum(axis=1)
+    while live.size and len(taken) < count:
+        tied = live[values[live] == values[live].max()]
+        best = tied[np.lexsort(rows[tied][:, ::-1].T)[0]]
+        taken.append(best)
+        tv = 0.5 * np.abs(rows[live] - rows[best]).sum(axis=1)
         # The slack absorbs rounding: grid distances are multiples of the pitch.
-        order = order[1:][tv > spread - 1e-9]
+        live = live[(tv > spread - 1e-9) & (live != best)]
     return rows[taken]
 
 
@@ -297,6 +300,30 @@ def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     return W / W.sum(axis=1, keepdims=True)
 
 
+def _negative_definite(H):
+    """Per matrix of the stack H: does a Cholesky factorization of -H succeed?
+
+    One batched call, then one call per matrix when numpy rejects the stack.
+    """
+    try:
+        np.linalg.cholesky(-H)
+        return np.ones(H.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        if H.shape[0] == 1:
+            return np.zeros(1, dtype=bool)
+        return np.array([_negative_definite(h[None])[0] for h in H])
+
+
+def _solved(H, b):
+    """x with H x = b per matrix of the stack; NaN where numpy finds H singular."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if H.shape[0] == 1:
+            return np.full_like(b, np.nan)
+        return np.vstack([_solved(h[None], x[None]) for h, x in zip(H, b)])
+
+
 def _directions(Q, Qy, num, den, p_in, p_out, T):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
@@ -309,8 +336,11 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     (k x k-1); a row is concave when the reduced Hessian
         H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
     H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
-    g_D = log(q/p_in), is negative definite; one batched eigh decides that
-    and solves for the direction.
+    g_D = log(q/p_in), is negative definite: when a Cholesky factorization
+    of its negation succeeds.  One batched solve gives the Newton steps of
+    all concave rows.  A row with an entry near 0, where 1/q puts entries
+    up to 1e300 into H, can pass the factorization and still be singular
+    to solve; it takes the gradient.
     """
     k = Q.shape[1]
     N = np.maximum(num, _TINY)[:, None]
@@ -331,15 +361,16 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
              - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
         H -= ((B.T * inv_q[:, None, :]) @ B
               - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
-    usable = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
-    H[~usable] = 0.0
-    w, V = np.linalg.eigh(H)
-    concave = usable & (w.max(axis=1) < 0.0)
-    # -inf eigenvalues keep the other rows' Newton terms finite (zero).
-    w[~concave] = -np.inf
-    b = np.einsum("rji,rj->ri", V, bN / N - bD / D)
-    d = -np.einsum("rij,rj->ri", V, b / w) @ B.T
-    G[concave] = (d * inv_q)[concave]
+    concave = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
+    concave[concave] = _negative_definite(H[concave])
+    rows = np.flatnonzero(concave)
+    d = _solved(H[rows], (bD / D - bN / N)[rows]) @ B.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = d * inv_q[rows]
+    # A row whose solve failed, or whose d/q overflows, takes the gradient.
+    ok = np.isfinite(v).all(axis=1)
+    concave[rows[~ok]] = False
+    G[rows[ok]] = v[ok]
     return concave, G
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sdpibounds import (
 )
 from sdpibounds.gaussian import (
     GaussianParams,
+    _normal_cdf,
     beta,
     contour_rx,
     cooperative_bound,
@@ -206,6 +208,16 @@ class TestQuantizedJoint:
     def test_accepts_numpy_integer_levels(self):
         j = quantized_gaussian_joint(0.5, np.int64(5))
         assert np.array_equal(j.probs, quantized_gaussian_joint(0.5, 5).probs)
+
+
+def test_normal_cdf_is_erfc_entry_by_entry():
+    # Bit for bit 1/2 erfc(-x / sqrt 2) per entry, shape kept, tails too.
+    x = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0, -0.0, 1e-300, -38.5]])
+    x = np.random.default_rng(4).permutation(x).reshape(5, 33)
+    want = np.array([[0.5 * math.erfc(-v / math.sqrt(2.0)) for v in row] for row in x.tolist()])
+    got = _normal_cdf(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan"), float("inf")])

@@ -31,7 +31,9 @@ from sdpibounds.sdpi import (
     _first_order_gap,
     _mirror_rows,
     _multistart_search,
+    _negative_definite,
     _oriented,
+    _solved,
     _sum_zero_basis,
     _tilt_starts,
     _top_rows,
@@ -469,6 +471,44 @@ class TestGridAndMultistartAgree:
             g[0, 0] = 0.5
 
 
+class TestTopRows:
+    @staticmethod
+    def by_lexsort(values, rows, count, spread):
+        """_top_rows by one full sort: value descending, then rows in
+        lexicographic order, then a greedy pass that drops the rows within
+        spread of each row taken."""
+        live = np.flatnonzero(np.isfinite(values))
+        order = live[np.lexsort(np.vstack([rows[live][:, ::-1].T, -values[live]]))]
+        taken = []
+        while order.size and len(taken) < count:
+            taken.append(order[0])
+            tv = 0.5 * np.abs(rows[order[1:]] - rows[order[0]]).sum(axis=1)
+            order = order[1:][tv > spread - 1e-9]
+        return rows[taken]
+
+    @pytest.mark.parametrize("spread", [0.0, 0.1])
+    def test_matches_a_full_sort(self, spread):
+        # Few distinct values, so ties are common; +-inf and NaN; rows
+        # repeated with the same and with other values.
+        rng = np.random.default_rng(31)
+        for k in (2, 3, 4):
+            grid = _composition_grid(k, 10)
+            for _ in range(40):
+                rows = grid[rng.integers(0, grid.shape[0], size=int(rng.integers(1, 60)))]
+                values = rng.choice([0.1, 0.2, 0.3, -0.0, 0.0, np.inf, -np.inf, np.nan],
+                                    size=rows.shape[0])
+                for count in (1, 3, 8, rows.shape[0]):
+                    want = self.by_lexsort(values, rows, count, spread)
+                    got = _top_rows(values, rows, count, spread)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+
+    def test_no_finite_value(self):
+        rows = np.eye(3)
+        got = _top_rows(np.array([np.nan, np.inf, -np.inf]), rows, 8, 0.0)
+        assert got.shape == (0, 3)
+
+
 class TestBatchedLineSearch:
     # Eight grid or tilt starts, as sstar takes, and a short round budget.
     STARTS, ROUNDS = 8, 200
@@ -599,11 +639,17 @@ class TestDirections:
                 - np.diag(1.0 / q) / den + np.outer(g_den, g_den) / den ** 2)
         return B.T @ full @ B
 
-    def check_newton(self, cases):
+    def check_newton(self, cases, conditioned=True):
         """Count the concave rows.  On each, the direction v is d/q, whose
         mirror step q exp(t v)/Z is q + t d to first order: d = v q must
         solve H (B'd) = -B'g with H from reduced_hessian, and H must match
-        central differences of the gradient."""
+        central differences of the gradient.
+
+        Rows with conditioned=False have entries too small for differences
+        at step H and an H too ill-conditioned for the residual entry by
+        entry, so there the residual is checked in norm instead, relative
+        to |H| |B'd| + |B'g|: the backward error of the solve.
+        """
         checked = 0
         for p_in, p_out, T, Q, B in cases:
             concave, G = self.directions(Q, p_in, p_out, T)
@@ -612,12 +658,16 @@ class TestDirections:
                 assert d.sum() == pytest.approx(0.0, abs=1e-12)
                 hess = self.reduced_hessian(q, p_in, p_out, T, B)
                 red = self.gradients(q[None, :], p_in, p_out, T)[0] @ B
+                checked += 1
+                if not conditioned:
+                    scale = np.linalg.norm(hess, 2) * np.linalg.norm(B.T @ d) + np.linalg.norm(red)
+                    assert np.linalg.norm(hess @ (B.T @ d) + red) <= 1e-10 * scale
+                    continue
                 np.testing.assert_allclose(hess @ (B.T @ d), -red, rtol=1e-10, atol=0.0)
                 grads = self.gradients(np.vstack([q + self.H * B.T, q - self.H * B.T]),
                                        p_in, p_out, T)
                 diffs = self.central_differences(grads @ B, B.shape[1])
                 np.testing.assert_allclose(diffs, hess, rtol=1e-5, atol=1e-6)
-                checked += 1
         return checked
 
     def test_newton_solves_the_reduced_system(self):
@@ -637,6 +687,65 @@ class TestDirections:
                 Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
                 cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
         assert self.check_newton(cases) >= 15
+
+    @pytest.mark.parametrize("levels, least", [(17, 10), (33, 6)])
+    def test_newton_on_gaussian_ascent_rows(self, levels, least):
+        # The tilt starts of the 17- and 33-level Gaussians and their points
+        # after one and two rounds, where most Newton directions of
+        # sstar-sized searches are solved.  Their reduced Hessians have
+        # condition numbers of 1e8 to 1e10, so the residual is checked in
+        # norm.  Later rounds are left out: near convergence the gradient
+        # falls to its rounding level (4e-12 at 17 levels, rho = 0.6, where
+        # it is 0.4 % off a 50-digit value), and so does any direction
+        # solved from it.
+        cases = []
+        for rho in (0.3, 0.6, 0.85):
+            j = quantized_gaussian_joint(rho, levels)
+            p_in, p_out, T = _oriented(j, "x_to_y")
+            starts = _sstar_starts(j, 8)
+            Q = np.vstack([starts] + [_multistart_search(p_in, p_out, T, starts, rounds)[1]
+                                      for rounds in (1, 2)])
+            cases.append((p_in, p_out, T, Q, _sum_zero_basis(levels)))
+        assert self.check_newton(cases, conditioned=False) >= least
+
+    @pytest.mark.parametrize("probs, direction, q", [
+        ([[0.11494768806776054, 0.028170251681758567],
+          [0.049716566881553265, 0.3768463007926013],
+          [0.32413713230969304, 0.10618206026663311]],
+         "x_to_y", [4.625445919708648e-255, 0.9484745794825644, 0.05152542051743558]),
+        ([[0.13195691812076105, 0.026431970129774243],
+          [0.28761049907248837, 0.12042156854154412],
+          [0.03398877129944181, 0.23451913469710084],
+          [0.13214146294116777, 0.03292967519772192]],
+         "x_to_y", [0.0, 0.2, 0.8, 0.0]),
+        ([[0.012382145197849432, 0.10734568883084035, 0.04649328750461464, 0.06713074552011448],
+          [0.1420651727722625, 0.0866700676281666, 0.052047012377145305, 0.19948770573426508],
+          [0.04326241068705156, 0.08381502992208785, 0.0666447388907022, 0.09265599493489998]],
+         "y_to_x", [0.7497367765136889, 6.168655109198179e-268, 6.289918393202385e-268,
+                    0.250263223486311]),
+    ])
+    def test_face_rows_take_finite_directions(self, probs, direction, q):
+        # Rows that the ascent reaches on 3- and 4-symbol joints of the
+        # benchmark, with entries at or near 0: 1/q puts entries up to 1e300
+        # into the reduced Hessian, whose Cholesky factorization can succeed
+        # while the solve finds it singular.  Such a row takes the gradient.
+        # Alone and among interior rows, no row raises and every direction
+        # is finite.
+        p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+        interior = np.random.default_rng(15).dirichlet(np.full(len(q), 3.0), size=5)
+        for Q in (np.array([q]), np.vstack([interior[:2], q, interior[2:]])):
+            assert np.isfinite(self.directions(Q, p_in, p_out, T)[1]).all()
+
+    def test_factorization_and_solve_fall_back_row_by_row(self):
+        # numpy rejects a whole stack for one failed matrix; each is then
+        # tried alone.
+        H = np.stack([-np.eye(2), np.eye(2), np.diag([-1.0, 0.0]), -2.0 * np.eye(2)])
+        assert _negative_definite(H).tolist() == [True, False, False, True]
+        assert _negative_definite(H[:0]).shape == (0,)
+        b = np.arange(8.0).reshape(4, 2)
+        x = _solved(H, b)
+        np.testing.assert_array_equal(x[[0, 1, 3]], [[-0.0, -1.0], [2.0, 3.0], [-3.0, -3.5]])
+        assert np.isnan(x[2]).all()
 
 
 def _decimal_ratio(q, j, direction):
