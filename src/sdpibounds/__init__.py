@@ -8,6 +8,8 @@ randomness generation.  A Gaussian module supplies the closed-form
 comparison curves.  All rates and entropies are in bits.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     CeoQuery,
@@ -65,47 +67,7 @@ from .sdpi import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CeoQuery",
-    "Channel",
-    "CommonRandomnessQuery",
-    "ConvergenceError",
-    "DegenerateRatioError",
-    "DimensionMismatchError",
-    "Distribution",
-    "DistortionMatrix",
-    "FigureRow",
-    "InfeasibleDistortionError",
-    "JointDistribution",
-    "ProbabilityError",
-    "RateDistortionTuple",
-    "RdCurve",
-    "RdPoint",
-    "SdpiConfig",
-    "SdpiResult",
-    "binary_hamming_rd",
-    "blahut_arimoto",
-    "ceo_bound_check",
-    "conditional",
-    "coupled_rate_check",
-    "cr_ratio_bound",
-    "divergence_ratio",
-    "figure_data",
-    "full_report",
-    "gaussian_rho_star",
-    "independent_coding_penalty",
-    "kl_divergence",
-    "marginals",
-    "maximal_correlation",
-    "mutual_information",
-    "quantized_gaussian_joint",
-    "rd_at_distortion",
-    "rd_curve",
-    "rho_star",
-    "rows_to_csv",
-    "sstar",
-    "sum_rate_bound",
-    "tensor_product",
-    "verify_sdpi_inequality",
-]
+# The public API is every name imported above: the submodules that the
+# imports bind on the package are not part of it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

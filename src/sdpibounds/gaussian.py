@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,15 @@ from .probability import JointDistribution, _require_integer
 _SPAN = 4.0
 _TAIL = 12.0
 _QUAD_NODES = 40
+
+
+@lru_cache(maxsize=1)
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: computed on
+    first use, not at import, and shared by every quantizer call."""
+    nodes, weights = leggauss(_QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _check_rho(rho: float) -> None:
@@ -203,7 +213,7 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     centers = np.linspace(-_SPAN, _SPAN, levels)
     mids = 0.5 * (centers[:-1] + centers[1:])
     edges = np.concatenate([[-_TAIL], mids, [_TAIL]])
-    nodes, weights = leggauss(_QUAD_NODES)
+    nodes, weights = _legendre()
     s = float(np.sqrt(1.0 - rho * rho))
     mass = np.empty((levels, levels))
     for i in range(levels):

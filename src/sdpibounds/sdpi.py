@@ -15,11 +15,11 @@ this module estimates it from below and takes the best of:
    points or, without a grid, along two SVD tilts (_tilt_starts).  No start
    is random.  Every start takes Newton steps where the log ratio is
    locally concave and gradient steps elsewhere; _directions picks each
-   direction, with one batched Cholesky factorization as the concavity
-   test and one batched linear solve for the Newton steps.  Every step is
-   a mirror step, q exp(t v)/Z, in the KL geometry, where projected
-   gradient steps crawl (a 9-level Gaussian stopped 1.2e-5 short after
-   2,000 rounds) or park on a simplex face.
+   direction.  Its concavity test is one Cholesky call for all rows, and
+   its Newton steps one solve; both work per matrix, so a failed matrix
+   fails alone.  Every step is a mirror step, q exp(t v)/Z, in the KL
+   geometry, where projected gradient steps crawl (a 9-level Gaussian
+   stopped 1.2e-5 short after 2,000 rounds) or park on a simplex face.
 
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateRatioError, DimensionMismatchError, ProbabilityError
 from .probability import (
@@ -303,44 +304,48 @@ def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _negative_definite(H):
     """Per matrix of the stack H: does a Cholesky factorization of -H succeed?
 
-    One batched call, then one call per matrix when numpy rejects the stack.
+    One call for the whole stack.  np.linalg.cholesky raises for a stack
+    when one matrix fails, so this calls the per-matrix gufunc behind it,
+    cholesky_lo of numpy's private numpy.linalg._umath_linalg (the same
+    LAPACK routine), which fills a failed matrix with NaN instead.  A factor
+    that succeeds starts with sqrt(-H[0, 0]) > 0, never NaN.
     """
-    try:
-        np.linalg.cholesky(-H)
-        return np.ones(H.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        if H.shape[0] == 1:
-            return np.zeros(1, dtype=bool)
-        return np.array([_negative_definite(h[None])[0] for h in H])
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(-H, signature="d->d")
+    return ~np.isnan(L[:, 0, 0])
 
 
 def _solved(H, b):
-    """x with H x = b per matrix of the stack; NaN where numpy finds H singular."""
-    try:
-        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if H.shape[0] == 1:
-            return np.full_like(b, np.nan)
-        return np.vstack([_solved(h[None], x[None]) for h, x in zip(H, b)])
+    """x with H x = b per matrix of the stack, one call for the whole stack.
+
+    Bit for bit np.linalg.solve on each matrix alone where that returns; a
+    matrix it raises on, one that LAPACK finds singular, gets NaN here
+    instead of failing the stack.  The same private gufunc route as
+    _negative_definite.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
 
 
-def _directions(Q, Qy, num, den, p_in, p_out, T):
+def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
-    Qy, num and den are the output laws and ratio parts of Q from _evaluate.
-    Each direction is the exponent v of a mirror step q exp(t v)/Z: the
-    gradient, zeroed where num or den vanishes, or, on a row where the log
-    ratio is locally concave, d/q for the Newton direction d, whose mirror
-    step is q + t d to first order.
+    Qy, num and den are the output laws and ratio parts of Q from _evaluate,
+    and TB is T' B, which stays fixed over a search.  Each direction is the
+    exponent v of a mirror step q exp(t v)/Z: the gradient, zeroed where
+    num or den vanishes, or, on a row where the log ratio is locally
+    concave, d/q for the Newton direction d, whose mirror step is q + t d
+    to first order.
     Newton works in the sum-zero tangent space with an orthonormal basis B
     (k x k-1); a row is concave when the reduced Hessian
         H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
     H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
     g_D = log(q/p_in), is negative definite: when a Cholesky factorization
-    of its negation succeeds.  One batched solve gives the Newton steps of
-    all concave rows.  A row with an entry near 0, where 1/q puts entries
-    up to 1e300 into H, can pass the factorization and still be singular
-    to solve; it takes the gradient.
+    of its negation succeeds (_negative_definite, one call for all rows).
+    One call to _solved gives the Newton steps of all concave rows.  A row
+    with an entry near 0, where 1/q puts entries up to 1e300 into H, can
+    pass the factorization and still be singular to solve; it takes the
+    gradient.
     """
     k = Q.shape[1]
     N = np.maximum(num, _TINY)[:, None]
@@ -354,7 +359,6 @@ def _directions(Q, Qy, num, den, p_in, p_out, T):
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
     bD = log_in @ B
-    TB = T.T @ B
     inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
         H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
@@ -437,10 +441,13 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
     # Starts that begin a round, with Qy, num and den of their points.
     fresh = np.arange(Q.shape[0])
+    TB = T.T @ _sum_zero_basis(Q.shape[1])
 
     while (rows := np.flatnonzero(left)).size:
-        concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T)
-        step[fresh[concave]] = 1.0
+        # A sweep that only goes on with halvings needs no new direction.
+        if fresh.size:
+            concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
+            step[fresh[concave]] = 1.0
         late = deep[rows]
         # Row r tries halvings lo[r] to hi[r] - 1, in order.
         usable = 1 + np.searchsorted(floor, step[rows], side="right")

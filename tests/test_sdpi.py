@@ -551,6 +551,26 @@ class TestBatchedLineSearch:
         self.check(self.cases()[::3], self.ROUNDS)
 
 
+    def test_no_direction_call_without_a_start(self, monkeypatch):
+        # A sweep that only goes on with the halvings of earlier rounds
+        # begins no round, so it takes no direction.
+        rows = []
+        directions = sdpi._directions
+
+        def counted(Q, *args):
+            rows.append(Q.shape[0])
+            return directions(Q, *args)
+
+        monkeypatch.setattr(sdpi, "_directions", counted)
+        quaternary = JointDistribution.from_dict(json.loads((DATA / "quaternary.json").read_text()))
+        for j, direction in [(quantized_gaussian_joint(0.5, 33), "x_to_y"),
+                             (quaternary, "x_to_y"), (quaternary, "y_to_x")]:
+            before = len(rows)
+            sstar(j, direction)
+            assert len(rows) > before
+        assert min(rows) > 0
+
+
 class TestDirections:
     """_directions against finite differences of log(num/den) on the simplex."""
 
@@ -571,7 +591,8 @@ class TestDirections:
 
     @staticmethod
     def directions(Q, p_in, p_out, T):
-        return _directions(Q, *_evaluate(Q, p_in, p_out, T)[1:], p_in, p_out, T)
+        return _directions(Q, *_evaluate(Q, p_in, p_out, T)[1:], p_in, p_out, T,
+                           T.T @ _sum_zero_basis(T.shape[0]))
 
     @staticmethod
     def log_ratio(Q, p_in, p_out, T):
@@ -708,7 +729,7 @@ class TestDirections:
             cases.append((p_in, p_out, T, Q, _sum_zero_basis(levels)))
         assert self.check_newton(cases, conditioned=False) >= least
 
-    @pytest.mark.parametrize("probs, direction, q", [
+    FACE_ROWS = [
         ([[0.11494768806776054, 0.028170251681758567],
           [0.049716566881553265, 0.3768463007926013],
           [0.32413713230969304, 0.10618206026663311]],
@@ -723,7 +744,9 @@ class TestDirections:
           [0.04326241068705156, 0.08381502992208785, 0.0666447388907022, 0.09265599493489998]],
          "y_to_x", [0.7497367765136889, 6.168655109198179e-268, 6.289918393202385e-268,
                     0.250263223486311]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("probs, direction, q", FACE_ROWS)
     def test_face_rows_take_finite_directions(self, probs, direction, q):
         # Rows that the ascent reaches on 3- and 4-symbol joints of the
         # benchmark, with entries at or near 0: 1/q puts entries up to 1e300
@@ -736,17 +759,103 @@ class TestDirections:
         for Q in (np.array([q]), np.vstack([interior[:2], q, interior[2:]])):
             assert np.isfinite(self.directions(Q, p_in, p_out, T)[1]).all()
 
-    def test_factorization_and_solve_fall_back_row_by_row(self):
-        # numpy rejects a whole stack for one failed matrix; each is then
-        # tried alone.
+    def face_hessians(self, monkeypatch):
+        """(H, b) stacks that _directions hands to _solved on the face rows
+        above, alone, with each row's (concave, direction)."""
+        stacks, outcomes = [], []
+        solved = sdpi._solved
+        monkeypatch.setattr(sdpi, "_solved", lambda H, b: stacks.append((H, b)) or solved(H, b))
+        for probs, direction, q in self.FACE_ROWS:
+            p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+            outcomes.append(self.directions(np.array([q]), p_in, p_out, T))
+        monkeypatch.undo()
+        return stacks, outcomes
+
+    @staticmethod
+    def public_outcomes(H, b):
+        """Per matrix, alone, through the public calls: does the Cholesky
+        factorization of -H succeed, and x with H x = b, None where
+        np.linalg.solve raises."""
+        definite, x = [], []
+        for h, r in zip(H, b):
+            try:
+                np.linalg.cholesky(-h)
+                definite.append(True)
+            except np.linalg.LinAlgError:
+                definite.append(False)
+            try:
+                x.append(np.linalg.solve(h, r[:, None])[:, 0])
+            except np.linalg.LinAlgError:
+                x.append(None)
+        return definite, x
+
+    def test_one_call_per_stack_matches_public_calls_per_matrix(self, monkeypatch):
+        # numpy's public calls raise for a whole stack on one failed matrix;
+        # the helpers report each matrix as those calls do on it alone, and
+        # the solve is the same bit for bit.  The stacks mix
+        # negative-definite, indefinite and singular matrices, the face rows'
+        # Hessians (entries up to 1e300) and a matrix whose LU overflows to
+        # inf - inf.
         H = np.stack([-np.eye(2), np.eye(2), np.diag([-1.0, 0.0]), -2.0 * np.eye(2)])
         assert _negative_definite(H).tolist() == [True, False, False, True]
         assert _negative_definite(H[:0]).shape == (0,)
-        b = np.arange(8.0).reshape(4, 2)
-        x = _solved(H, b)
+        x = _solved(H, np.arange(8.0).reshape(4, 2))
         np.testing.assert_array_equal(x[[0, 1, 3]], [[-0.0, -1.0], [2.0, 3.0], [-3.0, -3.5]])
         assert np.isnan(x[2]).all()
 
+        rng = np.random.default_rng(16)
+        pools = {}
+        for m in (1, 3, 32):
+            A = rng.normal(size=(m, m))
+            negative = -(A @ A.T) - np.eye(m)
+            zeroed = negative.copy()
+            zeroed[-1], zeroed[:, -1] = 0.0, 0.0
+            V = rng.normal(size=(m, max(1, m // 4)))
+            pools[m] = [negative, A + A.T, zeroed, -(V @ V.T), np.zeros((m, m))]
+        face, _ = self.face_hessians(monkeypatch)
+        for F, _ in face:
+            pools.setdefault(F.shape[1], []).extend(F)
+        pools[3].append(np.array([[1.0, 1e308, -1e308], [1.0, -1e308, 1e308], [0.0, 1.0, 1.0]]))
+        assert np.isnan(np.linalg.solve(pools[3][-1], np.ones((3, 1)))).all()
+
+        seen = {"definite": 0, "not definite": 0, "solve raises": 0, "solve NaN": 0}
+        for m, pool in pools.items():
+            for size in range(1, 9):
+                for _ in range(6):
+                    H = np.stack([pool[i] for i in rng.integers(len(pool), size=size)])
+                    b = rng.normal(size=(size, m))
+                    definite, want = self.public_outcomes(H, b)
+                    assert _negative_definite(H).tolist() == definite
+                    got = _solved(H, b)
+                    for row, x in zip(got, want):
+                        if x is None:
+                            assert np.isnan(row).all()
+                        else:
+                            assert row.tobytes() == x.tobytes()
+                    seen["definite"] += sum(definite)
+                    seen["not definite"] += size - sum(definite)
+                    seen["solve raises"] += sum(x is None for x in want)
+                    seen["solve NaN"] += sum(x is not None and np.isnan(x).any() for x in want)
+        assert min(seen.values()) > 0, seen
+
+    def test_row_whose_solve_raises_takes_the_gradient(self, monkeypatch):
+        # Two face rows pass the factorization, and np.linalg.solve raises
+        # on their Hessians: they take the same gradient as a row that
+        # fails the factorization.
+        stacks, outcomes = self.face_hessians(monkeypatch)
+        monkeypatch.setattr(sdpi, "_negative_definite", lambda H: np.zeros(H.shape[0], dtype=bool))
+        raised = 0
+        for (H, b), (concave, G), (probs, direction, q) in zip(stacks, outcomes, self.FACE_ROWS):
+            _, x = self.public_outcomes(H, b)
+            p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+            gradient = self.directions(np.array([q]), p_in, p_out, T)[1]
+            if x[0] is None:
+                raised += 1
+                assert not concave[0]
+                assert G.tobytes() == gradient.tobytes()
+            else:
+                assert concave[0]
+        assert raised == 2
 
 def _decimal_ratio(q, j, direction):
     """divergence_ratio in 50-digit decimal arithmetic.
@@ -827,7 +936,8 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
         if not alive.any():
             break
         _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-        concave, G = _directions(Q, Qy, num, den, p_in, p_out, T)
+        concave, G = _directions(Q, Qy, num, den, p_in, p_out, T,
+                                 T.T @ _sum_zero_basis(T.shape[0]))
         step[concave] = 1.0
         pending = alive.copy()
         for _ in range(40):
