@@ -12,14 +12,17 @@ this module estimates it from below and takes the best of:
  - the squared maximal correlation (a certified lower bound via SVD);
  - the k vertices, and a simplex grid at pitch 1/20 on small alphabets;
  - vectorized multi-start ascent on the log ratio, from the grid's best
-   points or, without a grid, along two SVD tilts (_tilt_starts).  No start
-   is random.  Every start takes Newton steps where the log ratio is
-   locally concave and gradient steps elsewhere; _directions picks each
-   direction.  Its concavity test is one Cholesky call for all rows, and
-   its Newton steps one solve; both work per matrix, so a failed matrix
-   fails alone.  Every step is a mirror step, q exp(t v)/Z, in the KL
-   geometry, where projected gradient steps crawl (a 9-level Gaussian
-   stopped 1.2e-5 short after 2,000 rounds) or park on a simplex face.
+   points or, without a grid, the best local maxima along two SVD tilts
+   (_tilt_starts): a coarse scan of each, refined ten times finer near its
+   best peaks only, 575 to 650 evaluations where one fine scan took 4,802
+   on the benchmark Gaussians.  No start is random.  Every start takes
+   Newton steps where the log ratio is locally concave and gradient steps
+   elsewhere; _directions picks each direction.  Its concavity test is one
+   Cholesky call for all rows, and its Newton steps one solve; both work
+   per matrix, so a failed matrix fails alone.  Every step is a mirror
+   step, q exp(t v)/Z, in the KL geometry, where projected gradient steps
+   crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds) or
+   park on a simplex face.
 
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
@@ -262,31 +265,54 @@ def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -
 
 # The grid pitch is 1/_GRID_PITCH; ascent starts from it are _GRID_SPREAD apart.
 _GRID_PITCH, _GRID_SPREAD = 20, 0.1
-# Tilt strengths theta scanned along each SVD direction: 2,401 points on
-# [-60, 60], exactly symmetric, so a vector's sign does not matter.
+# Tilt strengths theta along each SVD direction: a fine grid of 2,401 points
+# on [-60, 60] at step 0.05, exactly symmetric, so a vector's sign does not
+# matter.  A scan evaluates every _COARSE-th of them (241 points, step 0.5,
+# also symmetric), then only the fine points near its best peaks.
 _TILTS = np.arange(-1200, 1201)[:, None] / 20.0
+_COARSE = 10
+
+
+def _peaks(f):
+    """f where it is >= both neighbours, -inf elsewhere; the ends see -inf."""
+    edged = np.concatenate([[-np.inf], f, [-np.inf]])
+    return np.where((f >= edged[:-2]) & (f >= edged[2:]), f, -np.inf)
+
+
+def _tilted(theta, u, p_in):
+    """The laws p_in exp(theta u / sqrt(p_in)) / Z, one row per theta."""
+    z = theta * (u / np.sqrt(p_in)) + np.log(p_in)
+    Q = np.exp(z - z.max(axis=1, keepdims=True))
+    return Q / Q.sum(axis=1, keepdims=True)
 
 
 def _tilt_starts(p_in, p_out, T, vectors, count):
     """(list of start arrays, evaluations): local maxima along SVD tilts.
 
     For each singular vector u, the laws q_theta ∝ p_in exp(theta u /
-    sqrt(p_in)) at every _TILTS point, whose ratio tends to u's squared
-    singular value as theta -> 0; the discrete counterpart of the Gaussian
-    extremals (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133; Makur &
-    Zheng, arXiv:1510.01844).  The first vector gets the larger half of
-    count.
+    sqrt(p_in)) at _TILTS points, whose ratio tends to u's squared singular
+    value as theta -> 0; the discrete counterpart of the Gaussian extremals
+    (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133; Makur & Zheng,
+    arXiv:1510.01844).  The first vector gets the larger half of count, n.
+    Two passes per vector: the coarse points, of which the n best local
+    maxima are kept, then every fine point within one coarse step of a
+    kept one, clipped to [-60, 60] and each evaluated once where windows
+    overlap.  The starts are the n best fine local maxima, a window's
+    unscanned neighbours counting as -inf.  That is 241 + at most 21 n
+    evaluations per vector where the full fine grid took 2,401.
     """
     starts, evals = [], 0
+    coarse = np.arange(0, _TILTS.shape[0], _COARSE)
     for u, n in zip(vectors, (count - count // 2, count // 2)):
-        z = _TILTS * (u / np.sqrt(p_in)) + np.log(p_in)
-        Q = np.exp(z - z.max(axis=1, keepdims=True))
-        Q /= Q.sum(axis=1, keepdims=True)
-        f = _evaluate(Q, p_in, p_out, T)[0]
-        evals += Q.shape[0]
-        edged = np.concatenate([[-np.inf], f, [-np.inf]])
-        peaks = np.where((f >= edged[:-2]) & (f >= edged[2:]), f, -np.inf)
-        starts.append(_top_rows(peaks, Q, n, 0.0))
+        f = _evaluate(_tilted(_TILTS[coarse], u, p_in), p_in, p_out, T)[0]
+        kept = _top_rows(_peaks(f), coarse[:, None], n, 0.0)
+        window = kept + np.arange(-_COARSE, _COARSE + 1)
+        fine = np.unique(np.clip(window, 0, _TILTS.shape[0] - 1))
+        Q = _tilted(_TILTS[fine], u, p_in)
+        full = np.full(_TILTS.shape[0], -np.inf)
+        full[fine] = _evaluate(Q, p_in, p_out, T)[0]
+        evals += coarse.size + fine.size
+        starts.append(_top_rows(_peaks(full)[fine], Q, n, 0.0))
     return starts, evals
 
 

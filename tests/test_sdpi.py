@@ -509,6 +509,123 @@ class TestTopRows:
         assert got.shape == (0, 3)
 
 
+class TestTiltStarts:
+    @staticmethod
+    def full_scan(p_in, p_out, T, vectors, count):
+        """_tilt_starts by one pass over all 2,401 fine tilts per vector."""
+        starts, evals = [], 0
+        for u, n in zip(vectors, (count - count // 2, count // 2)):
+            z = sdpi._TILTS * (u / np.sqrt(p_in)) + np.log(p_in)
+            Q = np.exp(z - z.max(axis=1, keepdims=True))
+            Q /= Q.sum(axis=1, keepdims=True)
+            f = _evaluate(Q, p_in, p_out, T)[0]
+            evals += Q.shape[0]
+            edged = np.concatenate([[-np.inf], f, [-np.inf]])
+            peaks = np.where((f >= edged[:-2]) & (f >= edged[2:]), f, -np.inf)
+            starts.append(_top_rows(peaks, Q, n, 0.0))
+        return starts, evals
+
+    @staticmethod
+    def corpus():
+        """(joint, direction) pairs with 5 or more input symbols: quantized
+        Gaussians, and random joints that are dense, have 30 % of their cells
+        zeroed, or are drawn from Dirichlet(0.05)."""
+        cases = [(quantized_gaussian_joint(rho, levels), "x_to_y")
+                 for levels in (5, 9, 17, 21) for rho in (-0.7, 0.3, 0.85)]
+        rng = np.random.default_rng(20261019)
+        for i in range(24):
+            k, ny = int(rng.integers(5, 10)), int(rng.integers(2, 10))
+            p = rng.dirichlet(np.full(k * ny, 0.05 if i % 3 == 2 else 1.0)).reshape(k, ny)
+            if i % 3 == 1:
+                p[rng.uniform(size=p.shape) < 0.3] = 0.0
+            p[:, p.sum(axis=0) == 0] = 1e-3
+            p[p.sum(axis=1) == 0] = 1e-3
+            j = JointDistribution(p / p.sum())
+            cases += [(j, d) for d in ("x_to_y", "y_to_x")[:1 + (ny >= 5)]]
+        return cases
+
+    @staticmethod
+    def vectors(j, direction):
+        U, _, Vt = sdpi._correlation_svd(j)
+        return (U.T if direction == "x_to_y" else Vt)[1:3]
+
+    @staticmethod
+    def scanned(monkeypatch):
+        """The tilts of every _tilted call, in call order: a vector's coarse
+        pass, then its fine pass."""
+        thetas, tilted = [], sdpi._tilted
+
+        def spy(theta, u, p_in):
+            thetas.append(theta[:, 0].copy())
+            return tilted(theta, u, p_in)
+
+        monkeypatch.setattr(sdpi, "_tilted", spy)
+        return thetas
+
+    def test_ascent_loses_nothing_against_the_full_scan(self, monkeypatch):
+        # sstar runs _multistart_search from the starts of each scan.  The
+        # starts themselves differ: on a flat ridge rounding noise makes
+        # adjacent local maxima, and the two scans keep different ones.
+        for j, direction in self.corpus():
+            got = sstar(j, direction)
+            with monkeypatch.context() as m:
+                m.setattr(sdpi, "_tilt_starts", self.full_scan)
+                want = sstar(j, direction)
+            assert got.value >= want.value * (1 - 1e-12)
+            assert (got.argmax_q is None) == (want.argmax_q is None)
+            assert got.method == want.method == "multistart"
+
+    def test_evaluations_are_pinned(self):
+        # 241 coarse tilts and at most 21 fine ones per start, per vector;
+        # the full scan took 2 x 2,401.
+        for j, direction in self.corpus():
+            p_in, p_out, T = _oriented(j, direction)
+            evals = _tilt_starts(p_in, p_out, T, self.vectors(j, direction), 8)[1]
+            assert evals <= 2 * (241 + 4 * 21)
+
+    def test_no_finite_coarse_value(self, monkeypatch):
+        # A zero vector leaves every tilt at the marginal of the six-input,
+        # one-output joint of test_one_output_symbol_on_many_inputs, inside
+        # the exclusion ball: no peak, no fine point, no start.
+        p_in = np.arange(1.0, 7.0) / 21.0
+        thetas = self.scanned(monkeypatch)
+        starts, evals = _tilt_starts(p_in, np.ones(1), np.ones((6, 1)), np.zeros((2, 6)), 8)
+        assert [s.shape for s in starts] == [(0, 6), (0, 6)]
+        assert [t.size for t in thetas] == [241, 0, 241, 0]
+        assert evals == 2 * 241
+
+    def test_window_of_an_end_peak_is_clipped(self, monkeypatch):
+        # The ratio along this joint's second vector is flat towards the
+        # vertex at theta = -60, a kept coarse peak and a start.  Its window
+        # keeps the fine points on its inner side and wraps to none at +60.
+        j = random_joint(np.random.default_rng(5), 5, 3)
+        p_in, p_out, T = _oriented(j, "x_to_y")
+        vectors = self.vectors(j, "x_to_y")
+        thetas = self.scanned(monkeypatch)
+        starts, evals = _tilt_starts(p_in, p_out, T, vectors, 8)
+        fine = thetas[3]
+        assert np.isin(sdpi._TILTS[:11, 0], fine).all()
+        assert not np.isin(sdpi._TILTS[-10:, 0], fine).any()
+        assert np.unique(fine).size == fine.size
+        assert evals == sum(t.size for t in thetas)
+        end = sdpi._tilted(sdpi._TILTS[:1], vectors[1], p_in)
+        assert (starts[1] == end).all(axis=1).any()
+
+    def test_adjacent_peaks_share_their_fine_points(self, monkeypatch):
+        # Y = X makes the ratio exactly 1 off the exclusion ball, so every
+        # coarse point there is a peak; the ties keep the four lowest, one
+        # coarse step apart, and their windows merge into the 41 fine points
+        # on [-60, -58], each evaluated once.
+        p_in = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+        thetas = self.scanned(monkeypatch)
+        starts, evals = _tilt_starts(p_in, p_in, np.eye(5), np.eye(5)[:2], 8)
+        assert [t.size for t in thetas] == [241, 41, 241, 41]
+        for fine in thetas[1::2]:
+            assert np.array_equal(fine, sdpi._TILTS[:41, 0])
+        assert evals == 2 * (241 + 41)
+        assert [s.shape for s in starts] == [(4, 5), (4, 5)]
+
+
 class TestBatchedLineSearch:
     # Eight grid or tilt starts, as sstar takes, and a short round budget.
     STARTS, ROUNDS = 8, 200
