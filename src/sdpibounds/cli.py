@@ -89,13 +89,9 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _cmd_sstar(args) -> None:
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
-    res_xy = sstar(j, "x_to_y")
-    res_yx = sstar(j, "y_to_x")
-    payload = {
-        "x_to_y": res_xy.to_dict(),
-        "y_to_x": res_yx.to_dict(),
-        "rho_star": max(res_xy.value, res_yx.value),
-    }
+    res = {d: sstar(j, d) for d in ("x_to_y", "y_to_x")}
+    payload = {d: r.to_dict() for d, r in res.items()}
+    payload["rho_star"] = max(r.value for r in res.values())
     _emit_json(payload, args.out)
 
 
@@ -130,11 +126,8 @@ def _cmd_gauss_figures(args) -> None:
             raise InputFormatError(f"{args.grid}: expected a JSON list of [dx, dy] number pairs")
         grid = [(float(dx), float(dy)) for dx, dy in payload]
     rows = figure_data(args.rho, grid)
-    if args.out:
-        rows_to_csv(rows, args.out)
-    else:
-        rows_to_csv(rows, sys.stdout)
-    print(f"{len(rows)} rows at rho={args.rho:g}", file=sys.stderr)
+    rows_to_csv(rows, args.out or sys.stdout)
+    print(f"{len(rows)} rows at rho={args.rho!r}", file=sys.stderr)
 
 
 def _cmd_ceo(args) -> None:

@@ -138,8 +138,12 @@ class JointDistribution:
         return self.probs.shape[1]
 
     def swapped(self) -> "JointDistribution":
-        """The same pair with the roles of X and Y exchanged."""
-        return JointDistribution(self.probs.T.copy())
+        """The same pair with the roles of X and Y exchanged: the transpose,
+        bit for bit, not validated and renormalized a second time."""
+        twin = object.__new__(JointDistribution)
+        object.__setattr__(twin, "probs", self.probs.T.copy())
+        twin.probs.setflags(write=False)
+        return twin
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JointDistribution":

@@ -108,8 +108,8 @@ class RdCurve:
 
     def __post_init__(self):
         pts = tuple(self.points)
-        if len(pts) < 2:
-            raise ValueError("RdCurve: need at least two points")
+        if not pts:
+            raise ValueError("RdCurve: no points")
         d = np.array([p.distortion for p in pts])
         r = np.array([p.rate for p in pts])
         if np.any(np.diff(d) <= 0.0):
@@ -118,12 +118,11 @@ class RdCurve:
             raise ValueError("RdCurve: rate increased along the curve")
         # Convexity: every interior point must sit on or below the chord of
         # its neighbours, with 1e-7 bits of slack for solver noise.
-        if len(pts) >= 3:
-            frac = (d[1:-1] - d[:-2]) / (d[2:] - d[:-2])
-            chord = r[:-2] + frac * (r[2:] - r[:-2])
-            if np.any(r[1:-1] > chord + 1e-7):
-                worst = float(np.max(r[1:-1] - chord))
-                raise ValueError(f"RdCurve: convexity violated by {worst:.3e} bits")
+        frac = (d[1:-1] - d[:-2]) / (d[2:] - d[:-2])
+        chord = r[:-2] + frac * (r[2:] - r[:-2])
+        if np.any(r[1:-1] > chord + 1e-7):
+            worst = float(np.max(r[1:-1] - chord))
+            raise ValueError(f"RdCurve: convexity violated by {worst:.3e} bits")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -381,7 +380,8 @@ def rd_curve(
 
     Slopes sweep a geometric range, so points cluster where the curve
     bends; each solve starts from the output law of the one before.  The
-    exact zero-rate endpoint is always included.
+    exact zero-rate endpoint is always included; where the least and the
+    zero-rate distortion coincide, it is the curve's one point.
     """
     d = _check_pair(source, d)
     if _require_integer(n_points, "n_points") < 2:

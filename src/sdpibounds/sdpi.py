@@ -24,6 +24,10 @@ this module estimates it from below and takes the best of:
    crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds) or
    park on a simplex face.
 
+y_to_x is x_to_y on the swapped joint (_posed): a joint equal to its
+transpose gets identical results both ways, and on other joints rho_m^2,
+taken from each direction's oriented joint, can differ at rounding level.
+
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
 first-order gap at the best search point.
@@ -115,7 +119,9 @@ class SdpiResult:
     value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
     around the marginal and its gap stays large (0.056 on the 33-level
-    Gaussian at rho = 0.5).
+    Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
+    pair, the swapped joint for y_to_x, so the two directions of one joint
+    can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
     plus the ascent from its best points (2 to 4 input symbols),
     "multistart" the ascent from SVD tilt starts alone (5 or more), and
@@ -142,15 +148,19 @@ class SdpiResult:
         }
 
 
+def _posed(j: JointDistribution, direction: str) -> JointDistribution:
+    """j posed as x_to_y: itself, or j.swapped() for y_to_x; the one direction check."""
+    if direction not in ("x_to_y", "y_to_x"):
+        raise ProbabilityError(f"unknown direction {direction!r}, expected 'x_to_y' or 'y_to_x'")
+    return j if direction == "x_to_y" else j.swapped()
+
+
 def _oriented(j: JointDistribution, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(input marginal, output marginal, conditional matrix) for a direction."""
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-    if direction == "x_to_y":
-        return px, py, conditional(j, "y_given_x").rows
-    if direction == "y_to_x":
-        return py, px, conditional(j, "x_given_y").rows
-    raise ProbabilityError(f"unknown direction {direction!r}, expected 'x_to_y' or 'y_to_x'")
+    """(input marginal, output marginal, conditional matrix) for a direction:
+    y_to_x is x_to_y on the swapped joint (_posed), so a joint equal to its
+    transpose gets identical results in both directions."""
+    j = _posed(j, direction)
+    return j.probs.sum(axis=1), j.probs.sum(axis=0), conditional(j).rows
 
 
 def divergence_ratio(
@@ -188,11 +198,11 @@ def maximal_correlation(j: JointDistribution) -> float:
 
 
 def _correlation_svd(j: JointDistribution):
-    """(U, maximal correlation, Vt) from the reduced SVD of p(x,y)/sqrt(p(x)p(y))."""
+    """(U, maximal correlation) from the reduced SVD of p(x,y)/sqrt(p(x)p(y))."""
     px = j.probs.sum(axis=1)
     py = j.probs.sum(axis=0)
-    U, s, Vt = np.linalg.svd(j.probs / np.sqrt(np.outer(px, py)), full_matrices=False)
-    return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0), Vt
+    U, s, _ = np.linalg.svd(j.probs / np.sqrt(np.outer(px, py)), full_matrices=False)
+    return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0)
 
 
 def _evaluate(Q: np.ndarray, p_in, p_out, T):
@@ -524,9 +534,10 @@ def sstar(
     """
     if cfg is None:
         cfg = SdpiConfig()
-    p_in, p_out, T = _oriented(j, direction)
+    j = _posed(j, direction)
+    p_in, p_out, T = _oriented(j, "x_to_y")
     k = p_in.shape[0]
-    U, rho, Vt = _correlation_svd(j)
+    U, rho = _correlation_svd(j)
     rho2 = rho ** 2
 
     corners = np.eye(k)
@@ -545,8 +556,7 @@ def sstar(
         starts = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)]
     if k >= 2 and cfg.multistart_count > 0:
         if not ran:
-            vectors = (U.T if direction == "x_to_y" else Vt)[1:3]
-            starts, n = _tilt_starts(p_in, p_out, T, vectors, cfg.multistart_count)
+            starts, n = _tilt_starts(p_in, p_out, T, U.T[1:3], cfg.multistart_count)
             evals += n
         starts = np.vstack(starts) if starts else np.empty((0, k))
         f, Q, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS)

@@ -115,6 +115,13 @@ class TestSstar:
         assert run(capsys, "sstar", joint) == (
             3, "", "error: JointDistribution: total mass inf is not 1\n")
 
+    def test_a_symmetric_joint_prints_identical_directions(self, capsys):
+        joint = Path(sdpibounds.__file__).parent / "data" / "quaternary.json"
+        code, out, _ = run(capsys, "sstar", str(joint))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["x_to_y"] == payload["y_to_x"]
+
 
 class TestRd:
     def test_target(self, tmp_path, capsys):
@@ -140,6 +147,18 @@ class TestRd:
         assert len(points) >= 2
         rates = [p["rate"] for p in points]
         assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("source, costs", [
+        ({"probs": [1.0]}, None),
+        ({"probs": [0.5, 0.5]}, {"x_size": 2, "xhat_size": 1, "costs": [0.2, 0.7]}),
+    ], ids=["one-source-symbol", "one-reproduction"])
+    def test_one_point_curve(self, tmp_path, capsys, source, costs):
+        argv = [jfile(tmp_path, "src.json", source)]
+        if costs is not None:
+            argv.append(jfile(tmp_path, "d.json", costs))
+        code, out, err = run(capsys, "rd", *argv, "--curve", "9")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["points"]) == 1
 
     def test_target_and_curve_conflict(self, tmp_path, capsys):
         source = jfile(tmp_path, "src.json", UNIFORM_BINARY)
@@ -258,6 +277,11 @@ class TestGaussFigures:
     def test_malformed_grid(self, tmp_path, capsys):
         grid = jfile(tmp_path, "grid.json", {"dx": 0.1})
         assert run(capsys, "gauss-figures", "--rho", "0.4", "--grid", grid)[0] == 2
+
+    def test_rho_is_printed_as_given(self, capsys):
+        code, _, err = run(capsys, "gauss-figures", "--rho", "0.999999999999")
+        assert code == 0
+        assert err == "80 rows at rho=0.999999999999\n"
 
     def test_bad_rho(self, capsys):
         assert run(capsys, "gauss-figures", "--rho", "1.5")[0] == 3

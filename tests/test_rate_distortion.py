@@ -378,8 +378,20 @@ class TestRdCurve:
         )
         with pytest.raises(ValueError):
             RdCurve(bent)
+        # One point is a curve (D_min = D_max); no point is not.
+        assert len(RdCurve((RdPoint(0.1, 0.5, -1.0, 1),)).points) == 1
         with pytest.raises(ValueError):
-            RdCurve((RdPoint(0.1, 0.5, -1.0, 1),))
+            RdCurve(())
+
+    @pytest.mark.parametrize("probs, costs, dist", [
+        ([1.0], None, 0.0),
+        ([0.5, 0.5], DistortionMatrix([[0.2], [0.7]]), 0.45),
+    ], ids=["one-source-symbol", "one-reproduction"])
+    def test_one_point_curve(self, probs, costs, dist):
+        # D_min = D_max: every slope gives the same point, so the curve is
+        # that point alone, at rate 0.
+        c = rd_curve(Distribution(probs), costs, 9)
+        assert [(p.distortion, p.rate) for p in c.points] == [(pytest.approx(dist), 0.0)]
 
     def test_to_dict(self):
         c = rd_curve(Distribution.uniform(2), n_points=4)

@@ -423,8 +423,7 @@ class TestInvariance:
 
     def test_swapping_the_pair(self):
         for j in self.joints(32, (2, 3, 4)):
-            want = sstar(j, "y_to_x").value
-            assert sstar(j.swapped(), "x_to_y").value == pytest.approx(want, rel=1e-12)
+            assert sstar(j.swapped(), "x_to_y").value == sstar(j, "y_to_x").value
 
     def test_splitting_an_output_column(self):
         # Y -> (Y, Z) with Z drawn from Y alone leaves every likelihood
@@ -437,6 +436,50 @@ class TestInvariance:
             split[:, c] *= u
             want = sstar(j, "x_to_y").value
             assert sstar(JointDistribution(split), "x_to_y").value == pytest.approx(want, rel=1e-12)
+
+
+class TestOneCodePath:
+    """y_to_x is x_to_y on the swapped joint, at every alphabet size."""
+
+    @staticmethod
+    def joints():
+        rng = np.random.default_rng(25)
+        small = [random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+                 for _ in range(16)]
+        return small + [random_joint(rng, int(rng.integers(5, 10)), int(rng.integers(5, 10)))
+                        for _ in range(4)]
+
+    def test_sstar_is_x_to_y_on_the_swapped_joint(self):
+        for j in self.joints():
+            assert sstar(j, "y_to_x").to_dict() == sstar(j.swapped(), "x_to_y").to_dict()
+
+    def test_divergence_ratio_is_x_to_y_on_the_swapped_joint(self):
+        rng = np.random.default_rng(26)
+        for j in self.joints():
+            for _ in range(5):
+                q = Distribution(rng.dirichlet(np.ones(j.y_size)))
+                want = divergence_ratio(q, j.swapped(), "x_to_y")
+                assert divergence_ratio(q, j, "y_to_x") == want
+
+    @staticmethod
+    def symmetric_joints():
+        """Random full-support joints of 5 to 8 symbols, each equal to its
+        transpose bit for bit."""
+        rng = np.random.default_rng(27)
+        joints = []
+        for k in (6, 5, 6, 7, 8, 6):
+            m = rng.dirichlet(np.ones(k * k)).reshape(k, k) + 1e-3
+            m = m + m.T
+            joints.append(JointDistribution(m / m.sum()))
+        return joints
+
+    def test_symmetric_joints_get_identical_directions(self):
+        bundled = [JointDistribution.from_dict(json.loads(path.read_text()))
+                   for path in sorted(DATA.glob("*.json"))]
+        assert len(bundled) == 3
+        for j in bundled + self.symmetric_joints():
+            assert (j.probs == j.probs.T).all()
+            assert sstar(j, "x_to_y").to_dict() == sstar(j, "y_to_x").to_dict()
 
 
 class TestGridAndMultistartAgree:
@@ -546,8 +589,7 @@ class TestTiltStarts:
 
     @staticmethod
     def vectors(j, direction):
-        U, _, Vt = sdpi._correlation_svd(j)
-        return (U.T if direction == "x_to_y" else Vt)[1:3]
+        return sdpi._correlation_svd(sdpi._posed(j, direction))[0].T[1:3]
 
     @staticmethod
     def scanned(monkeypatch):
