@@ -20,6 +20,7 @@ from .bounds import (
     cr_ratio_bound,
     full_report,
     independent_coding_penalty,
+    rho_star,
     sum_rate_bound,
 )
 from .errors import (
@@ -60,7 +61,6 @@ from .sdpi import (
     SdpiResult,
     divergence_ratio,
     maximal_correlation,
-    rho_star,
     sstar,
     verify_sdpi_inequality,
 )

@@ -11,14 +11,14 @@ could raise the lhs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .probability import JointDistribution, marginals
 from .rate_distortion import DistortionMatrix, rd_at_distortion
-from .sdpi import sstar
+from .sdpi import SdpiResult, sstar
 
 SLACK_TOLERANCE = 1e-9
 
@@ -208,6 +208,21 @@ def cr_ratio_bound(q: CommonRandomnessQuery) -> BoundReport:
     return BoundReport.build("cr-ratio", 1.0 / (1.0 - q.sstar), ratio, inputs)
 
 
+def _both_directions(j: JointDistribution) -> tuple[SdpiResult, SdpiResult, float]:
+    """(x_to_y result, y_to_x result, rho*) through this module's sstar.  A
+    joint equal to its transpose bit for bit poses y_to_x as the same x_to_y
+    problem (sdpi._posed), so it is solved once and reported both ways."""
+    xy = sstar(j, "x_to_y")
+    symmetric = j.x_size == j.y_size and j.probs.tobytes() == j.probs.T.tobytes()
+    yx = xy if symmetric else sstar(j, "y_to_x")
+    return xy, yx, max(xy.value, yx.value)
+
+
+def rho_star(j: JointDistribution) -> float:
+    """max of the two directional contraction constants."""
+    return _both_directions(j)[2]
+
+
 def full_report(
     j: JointDistribution,
     dx_matrix: DistortionMatrix,
@@ -225,17 +240,13 @@ def full_report(
             f"y distortion matrix has {dy_matrix.x_size} rows, joint has y alphabet {j.y_size}"
         )
     px, py = marginals(j)
-    res_xy = sstar(j, "x_to_y")
-    res_yx = sstar(j, "y_to_x")
-    rho = max(res_xy.value, res_yx.value)
+    res_xy, res_yx, rho = _both_directions(j)
     rx_req = rd_at_distortion(px, dx_matrix, t.dx).rate
     ry_req = rd_at_distortion(py, dy_matrix, t.dy).rate
 
-    reports = coupled_rate_check(t, res_yx.value, res_xy.value, rx_req, ry_req)
-    extra = {"rho_star": rho}
     reports = [
-        BoundReport.build(r.name, r.lhs, r.rhs, {**r.inputs, **extra}, r.note)
-        for r in reports
+        replace(r, inputs={**r.inputs, "rho_star": rho})
+        for r in coupled_rate_check(t, res_yx.value, res_xy.value, rx_req, ry_req)
     ]
     reports.append(
         BoundReport.build(
@@ -243,7 +254,7 @@ def full_report(
             t.rx + t.ry,
             sum_rate_bound(rho, rx_req, ry_req),
             {"rx": t.rx, "ry": t.ry, "dx": t.dx, "dy": t.dy,
-             "rate_function_x": rx_req, "rate_function_y": ry_req, **extra},
+             "rate_function_x": rx_req, "rate_function_y": ry_req, "rho_star": rho},
         )
     )
     return reports

@@ -21,6 +21,7 @@ from .bounds import (
     CeoQuery,
     CommonRandomnessQuery,
     RateDistortionTuple,
+    _both_directions,
     ceo_bound_check,
     cr_ratio_bound,
     full_report,
@@ -29,7 +30,6 @@ from .errors import ConvergenceError
 from .gaussian import figure_data, rows_to_csv
 from .probability import Distribution, JointDistribution, _is_real
 from .rate_distortion import DistortionMatrix, rd_at_distortion, rd_curve
-from .sdpi import sstar
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,10 +89,8 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _cmd_sstar(args) -> None:
     j = _from_dict(JointDistribution, _load_json(args.joint), args.joint)
-    res = {d: sstar(j, d) for d in ("x_to_y", "y_to_x")}
-    payload = {d: r.to_dict() for d, r in res.items()}
-    payload["rho_star"] = max(r.value for r in res.values())
-    _emit_json(payload, args.out)
+    xy, yx, rho = _both_directions(j)
+    _emit_json({"x_to_y": xy.to_dict(), "y_to_x": yx.to_dict(), "rho_star": rho}, args.out)
 
 
 def _cmd_rd(args) -> None:

@@ -107,6 +107,8 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        if _require_integer(n, "n") < 1:
+            raise ProbabilityError(f"Distribution.uniform: n must be positive, got {n}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
@@ -213,15 +215,9 @@ def marginals(j: JointDistribution) -> tuple[Distribution, Distribution]:
     return Distribution(j.probs.sum(axis=1)), Distribution(j.probs.sum(axis=0))
 
 
-def conditional(j: JointDistribution, direction: str = "y_given_x") -> Channel:
-    """The conditional pmf matrix of one coordinate given the other."""
-    if direction == "y_given_x":
-        rows = j.probs / j.probs.sum(axis=1, keepdims=True)
-    elif direction == "x_given_y":
-        rows = j.probs.T / j.probs.sum(axis=0)[:, None]
-    else:
-        raise ProbabilityError(f"conditional: unknown direction {direction!r}")
-    return Channel(rows)
+def conditional(j: JointDistribution) -> Channel:
+    """P(Y|X), one row per x; P(X|Y) is conditional(j.swapped())."""
+    return Channel(j.probs / j.probs.sum(axis=1, keepdims=True))
 
 
 def mutual_information(j: JointDistribution) -> float:

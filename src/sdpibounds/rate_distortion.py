@@ -406,9 +406,12 @@ def rd_curve(
 
 
 def binary_hamming_rd(p: float, target: float) -> float:
-    """Closed-form R(D) of a Bernoulli(p) source under Hamming distortion."""
+    """Closed-form R(D) of a Bernoulli(p) source under Hamming distortion.
+    A non-finite target is a ValueError."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p!r}")
+    if not np.isfinite(target):
+        raise ValueError(f"target distortion must be finite, got {target!r}")
     if target < 0.0:
         raise InfeasibleDistortionError(f"negative distortion {target!r}")
     pm = min(p, 1.0 - p)

@@ -24,9 +24,8 @@ this module estimates it from below and takes the best of:
    crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds) or
    park on a simplex face.
 
-y_to_x is x_to_y on the swapped joint (_posed): a joint equal to its
-transpose gets identical results both ways, and on other joints rho_m^2,
-taken from each direction's oriented joint, can differ at rounding level.
+y_to_x is x_to_y on the swapped joint (_posed, the one reader of a
+direction): a joint equal to its transpose gets identical results both ways.
 
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
@@ -155,11 +154,9 @@ def _posed(j: JointDistribution, direction: str) -> JointDistribution:
     return j if direction == "x_to_y" else j.swapped()
 
 
-def _oriented(j: JointDistribution, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(input marginal, output marginal, conditional matrix) for a direction:
-    y_to_x is x_to_y on the swapped joint (_posed), so a joint equal to its
-    transpose gets identical results in both directions."""
-    j = _posed(j, direction)
+def _oriented(j: JointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(input marginal, output marginal, conditional matrix) of a joint
+    already posed as x_to_y (_posed)."""
     return j.probs.sum(axis=1), j.probs.sum(axis=0), conditional(j).rows
 
 
@@ -173,7 +170,7 @@ def divergence_ratio(
     q must stay at total-variation distance > EXCLUSION_RADIUS from the
     true input marginal; at the marginal itself the ratio is 0/0.
     """
-    p_in, p_out, T = _oriented(j, direction)
+    p_in, p_out, T = _oriented(_posed(j, direction))
     if q.alphabet_size != p_in.shape[0]:
         raise DimensionMismatchError(
             f"divergence_ratio: q has {q.alphabet_size} symbols, joint input has {p_in.shape[0]}"
@@ -290,10 +287,9 @@ def _peaks(f):
 
 
 def _tilted(theta, u, p_in):
-    """The laws p_in exp(theta u / sqrt(p_in)) / Z, one row per theta."""
-    z = theta * (u / np.sqrt(p_in)) + np.log(p_in)
-    Q = np.exp(z - z.max(axis=1, keepdims=True))
-    return Q / Q.sum(axis=1, keepdims=True)
+    """The laws p_in exp(theta u / sqrt(p_in)) / Z, one row per theta: the
+    mirror step from p_in."""
+    return _mirror_rows(p_in[None, :], theta * (u / np.sqrt(p_in)))
 
 
 def _tilt_starts(p_in, p_out, T, vectors, count):
@@ -535,7 +531,7 @@ def sstar(
     if cfg is None:
         cfg = SdpiConfig()
     j = _posed(j, direction)
-    p_in, p_out, T = _oriented(j, "x_to_y")
+    p_in, p_out, T = _oriented(j)
     k = p_in.shape[0]
     U, rho = _correlation_svd(j)
     rho2 = rho ** 2
@@ -578,11 +574,6 @@ def sstar(
     value = float(np.clip(value, 0.0, 1.0))
     return SdpiResult(value=value, argmax_q=argmax, rho_m_squared=rho2,
                       method=method, evaluations=evals, first_order_gap=gap)
-
-
-def rho_star(j: JointDistribution) -> float:
-    """max of the two directional contraction constants."""
-    return max(sstar(j, "x_to_y").value, sstar(j, "y_to_x").value)
 
 
 def verify_sdpi_inequality(

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import random_joint
 
+from sdpibounds import bounds, cli
 from sdpibounds import (
     BoundReport,
     CeoQuery,
@@ -14,8 +19,20 @@ from sdpibounds import (
     cr_ratio_bound,
     full_report,
     independent_coding_penalty,
+    rho_star,
+    sstar,
     sum_rate_bound,
 )
+from sdpibounds.bounds import _both_directions
+
+DATA = Path(bounds.__file__).parent / "data"
+
+
+def symmetric_joint(rng, n):
+    a = rng.random((n, n))
+    j = JointDistribution((a + a.T) / (a + a.T).sum())
+    assert j.probs.tobytes() == j.probs.T.tobytes()
+    return j
 
 
 class TestTypes:
@@ -213,3 +230,38 @@ class TestFullReport:
         with pytest.raises(DimensionMismatchError):
             full_report(dsbs, DistortionMatrix.hamming(2), DistortionMatrix.hamming(3),
                         RateDistortionTuple(1.0, 1.0, 0.1, 0.1))
+
+
+class TestBothDirections:
+    """bounds._both_directions is the one place both s* directions are solved;
+    a joint equal to its transpose bit for bit is solved once."""
+
+    def test_sstar_calls(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(26)
+        cases = [(path, 1) for path in sorted(DATA.glob("*.json"))]
+        for j, expected in ((symmetric_joint(rng, 6), 1), (random_joint(rng, 3, 3), 2)):
+            path = tmp_path / f"j{len(cases)}.json"
+            path.write_text(json.dumps(j.to_dict()))
+            cases.append((path, expected))
+        calls = []
+        monkeypatch.setattr(bounds, "sstar", lambda *args: calls.append(args) or sstar(*args))
+        t = RateDistortionTuple(1.0, 1.0, 0.1, 0.1)
+        for path, expected in cases:
+            j = JointDistribution.from_dict(json.loads(path.read_text()))
+            ham_x, ham_y = DistortionMatrix.hamming(j.x_size), DistortionMatrix.hamming(j.y_size)
+            callers = {"full_report": lambda: full_report(j, ham_x, ham_y, t),
+                       "rho_star": lambda: rho_star(j),
+                       "sdpibounds sstar": lambda: cli.main(["sstar", str(path)])}
+            for caller, run in callers.items():
+                calls.clear()
+                run()
+                assert len(calls) == expected, (path.name, caller)
+
+    def test_matches_sstar(self):
+        rng = np.random.default_rng(2026)
+        for n in range(2, 7):
+            for j in (symmetric_joint(rng, n), random_joint(rng, n, int(rng.integers(2, 7)))):
+                xy, yx, rho = _both_directions(j)
+                assert xy.to_dict() == sstar(j, "x_to_y").to_dict()
+                assert yx.to_dict() == sstar(j, "y_to_x").to_dict()
+                assert rho == max(xy.value, yx.value)

@@ -58,6 +58,15 @@ class TestDistribution:
         with pytest.raises(ProbabilityError):
             Distribution([])
 
+    def test_uniform_size(self):
+        assert Distribution.uniform(np.int64(4)).probs.tolist() == [0.25] * 4
+        for n in (0, -1):
+            with pytest.raises(ProbabilityError, match="must be positive"):
+                Distribution.uniform(n)
+        for n in (2.0, True, "3"):
+            with pytest.raises(TypeError):
+                Distribution.uniform(n)
+
     def test_probs_are_read_only(self):
         d = Distribution.uniform(3)
         with pytest.raises(ValueError):
@@ -190,12 +199,10 @@ class TestJointOps:
         assert py.probs == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
     def test_conditional_dsbs(self, dsbs):
-        ch = conditional(dsbs, "y_given_x")
+        ch = conditional(dsbs)
         np.testing.assert_allclose(ch.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
-        back = conditional(dsbs, "x_given_y")
+        back = conditional(dsbs.swapped())
         np.testing.assert_allclose(back.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
-        with pytest.raises(ProbabilityError):
-            conditional(dsbs, "sideways")
 
     def test_mutual_information_independent(self, independent_binary):
         assert mutual_information(independent_binary) == pytest.approx(0.0, abs=1e-12)

@@ -418,3 +418,9 @@ class TestBinaryHammingRd:
             binary_hamming_rd(1.0, 0.1)
         with pytest.raises(InfeasibleDistortionError):
             binary_hamming_rd(0.5, -0.01)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_non_finite_target(self, target):
+        # NaN once read as R(0) and inf as 0 bits, not as errors.
+        with pytest.raises(ValueError, match="must be finite"):
+            binary_hamming_rd(0.3, target)

@@ -33,6 +33,7 @@ from sdpibounds.sdpi import (
     _multistart_search,
     _negative_definite,
     _oriented,
+    _posed,
     _solved,
     _sum_zero_basis,
     _tilt_starts,
@@ -99,7 +100,7 @@ class TestDivergenceRatio:
         rng = np.random.default_rng(1304)
         for j in (dsbs, random_joint(rng, 4, 4)):
             for direction in ("x_to_y", "y_to_x"):
-                p_in = _oriented(j, direction)[0]
+                p_in = _oriented(_posed(j, direction))[0]
                 for tv in np.geomspace(1.0001e-4, 1e-2, 7):
                     u = rng.standard_normal(p_in.size)
                     u -= u.mean()
@@ -211,7 +212,7 @@ class TestSstar:
             short = sstar(j, direction)
             assert res.evaluations == short.evaluations
             assert res.value == short.value
-            if _oriented(j, direction)[0].size == 2:
+            if _oriented(_posed(j, direction))[0].size == 2:
                 assert res.evaluations < 30_000
 
     def test_quaternary(self, quaternary):
@@ -282,7 +283,7 @@ class TestSstar:
         # steps left gaps of 4.7e-2 and 3.7e-2 here.
         j = quantized_gaussian_joint(rho, 9)
         res = sstar(j)
-        p_in, p_out, T = _oriented(j, "x_to_y")
+        p_in, p_out, T = _oriented(j)
         assert res.first_order_gap == _gap_at(res.argmax_q.probs, p_in, p_out, T)
         assert res.first_order_gap <= 1e-7
 
@@ -308,7 +309,7 @@ class TestSstar:
         h = 1e-6
         for k, ny in ((3, 4), (6, 5)):
             j = random_joint(rng, k, ny)
-            p_in, p_out, T = _oriented(j, "x_to_y")
+            p_in, p_out, T = _oriented(j)
             for q in rng.dirichlet(np.full(k, 3.0), size=5):
                 E = np.eye(k)
                 steps = np.array([E[a] - E[b] for a in range(k) for b in range(k) if a != b])
@@ -326,7 +327,7 @@ class TestSstar:
         # At a vertex of a full-support channel the denominator's slope into
         # any other symbol is -inf: the ratio rises with infinite slope.
         j = random_joint(np.random.default_rng(5), 4, 3)
-        p_in, p_out, T = _oriented(j, "x_to_y")
+        p_in, p_out, T = _oriented(j)
         E = np.eye(4)
         assert _gap_at(E[1], p_in, p_out, T) == np.inf
         for h in (1e-3, 1e-6, 1e-9):
@@ -335,7 +336,7 @@ class TestSstar:
         # A symbol whose row lies on outputs that q leaves at 0 lowers the
         # ratio with infinite slope, so the gap is the spread on the support.
         block = JointDistribution([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
-        p_in, p_out, T = _oriented(block, "x_to_y")
+        p_in, p_out, T = _oriented(block)
         E, h = np.eye(3), 1e-6
         q = np.array([0.9, 0.1, 0.0])
         _, _, num, den = _evaluate(np.array([q + h * (E[0] - E[1]), q - h * (E[0] - E[1])]),
@@ -491,7 +492,7 @@ class TestGridAndMultistartAgree:
         joints = [random_joint(rng, 2, 2) for _ in range(100)]
         joints += [random_joint(rng, k, int(rng.integers(2, 5))) for k in (3, 4) for _ in range(3)]
         for j in joints:
-            p_in, p_out, T = _oriented(j, "x_to_y")
+            p_in, p_out, T = _oriented(j)
             k = p_in.shape[0]
             grid = _composition_grid(k, 200 if k == 2 else 100)
             vals = _evaluate(grid, p_in, p_out, T)[0]
@@ -621,7 +622,7 @@ class TestTiltStarts:
         # 241 coarse tilts and at most 21 fine ones per start, per vector;
         # the full scan took 2 x 2,401.
         for j, direction in self.corpus():
-            p_in, p_out, T = _oriented(j, direction)
+            p_in, p_out, T = _oriented(_posed(j, direction))
             evals = _tilt_starts(p_in, p_out, T, self.vectors(j, direction), 8)[1]
             assert evals <= 2 * (241 + 4 * 21)
 
@@ -641,7 +642,7 @@ class TestTiltStarts:
         # vertex at theta = -60, a kept coarse peak and a start.  Its window
         # keeps the fine points on its inner side and wraps to none at +60.
         j = random_joint(np.random.default_rng(5), 5, 3)
-        p_in, p_out, T = _oriented(j, "x_to_y")
+        p_in, p_out, T = _oriented(j)
         vectors = self.vectors(j, "x_to_y")
         thetas = self.scanned(monkeypatch)
         starts, evals = _tilt_starts(p_in, p_out, T, vectors, 8)
@@ -681,7 +682,7 @@ class TestBatchedLineSearch:
     @classmethod
     def check(cls, joints, rounds):
         for j in joints:
-            p_in, p_out, T = _oriented(j, "x_to_y")
+            p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, cls.STARTS)
             got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds)
             want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds)
@@ -742,7 +743,7 @@ class TestDirections:
         for k in (3, 4):
             for ny in (2, 3, 4):
                 j = random_joint(rng, k, ny)
-                p_in, p_out, T = _oriented(j, "x_to_y")
+                p_in, p_out, T = _oriented(j)
                 Q = rng.dirichlet(np.full(k, 3.0), size=40)
                 Q = Q[0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05]
                 B = _sum_zero_basis(k)
@@ -860,7 +861,7 @@ class TestDirections:
         for k in (5, 7):
             for ny in (2, 4):
                 j = random_joint(rng, k, ny)
-                p_in, p_out, T = _oriented(j, "x_to_y")
+                p_in, p_out, T = _oriented(j)
                 # Flatter draws than interior_rows': fewer are concave here.
                 # Entries below 0.02 would spoil the differences.
                 Q = rng.dirichlet(np.ones(k), size=400)
@@ -881,7 +882,7 @@ class TestDirections:
         cases = []
         for rho in (0.3, 0.6, 0.85):
             j = quantized_gaussian_joint(rho, levels)
-            p_in, p_out, T = _oriented(j, "x_to_y")
+            p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
             Q = np.vstack([starts] + [_multistart_search(p_in, p_out, T, starts, rounds)[1]
                                       for rounds in (1, 2)])
@@ -913,7 +914,7 @@ class TestDirections:
         # while the solve finds it singular.  Such a row takes the gradient.
         # Alone and among interior rows, no row raises and every direction
         # is finite.
-        p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+        p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
         interior = np.random.default_rng(15).dirichlet(np.full(len(q), 3.0), size=5)
         for Q in (np.array([q]), np.vstack([interior[:2], q, interior[2:]])):
             assert np.isfinite(self.directions(Q, p_in, p_out, T)[1]).all()
@@ -925,7 +926,7 @@ class TestDirections:
         solved = sdpi._solved
         monkeypatch.setattr(sdpi, "_solved", lambda H, b: stacks.append((H, b)) or solved(H, b))
         for probs, direction, q in self.FACE_ROWS:
-            p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
             outcomes.append(self.directions(np.array([q]), p_in, p_out, T))
         monkeypatch.undo()
         return stacks, outcomes
@@ -1006,7 +1007,7 @@ class TestDirections:
         raised = 0
         for (H, b), (concave, G), (probs, direction, q) in zip(stacks, outcomes, self.FACE_ROWS):
             _, x = self.public_outcomes(H, b)
-            p_in, p_out, T = _oriented(JointDistribution(probs), direction)
+            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
             gradient = self.directions(np.array([q]), p_in, p_out, T)[1]
             if x[0] is None:
                 raised += 1
@@ -1065,7 +1066,7 @@ def _sstar_starts(j, count):
     """The ascent starts of sstar(j, "x_to_y") under the default grid size:
     grid points on up to 4 symbols, tilt points above.
     """
-    p_in, p_out, T = _oriented(j, "x_to_y")
+    p_in, p_out, T = _oriented(j)
     k = p_in.shape[0]
     if k <= 4:
         grid = _composition_grid(k, 20)
