@@ -8,8 +8,14 @@ multiplicative update that leaves the gap open is followed by a safeguarded
 projected Newton step on the convex dual over the output law, so solves end
 in a handful of iterations instead of thousands, also near the slopes where
 a reproduction symbol enters or leaves the support.  Points at a target
-distortion come from a warm-started secant search on the slope, and
-sampled curves warm-start each slope from the one before.
+distortion come from a safeguarded Newton search on the slope, with the
+slope's derivative from the solver's optimality conditions, inside a
+bracket closed by the critical slope where the zero-rate point mass stops
+being optimal; it starts at the slope where the uniform output law meets
+the target, and warm-starts each solve from the one before.  A target
+that Hamming costs put where every reproduction symbol is active takes
+one solve.  Sampled curves warm-start each slope from the one before and
+solve no slope past the critical one.
 
 Each returned point is achievable: the rate is the exact mutual information
 of the test channel the iteration ends with, so a point can sit slightly
@@ -215,6 +221,18 @@ def _newton_step(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _joint(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Joint law of source and reproduction under the test channel A q / (A q).
+
+    A joint cell below _CELL_FLOOR is dropped: with both of its marginals
+    that small, their product could underflow to 0 under a positive cell.
+    """
+    lam = np.maximum(A @ q, _LOG_FLOOR)
+    pxy = p[:, None] * A * q / lam[:, None]
+    pxy[pxy < _CELL_FLOOR] = 0.0
+    return pxy
+
+
 def blahut_arimoto(
     source: Distribution,
     d: DistortionMatrix | None = None,
@@ -275,11 +293,7 @@ def blahut_arimoto(
             f"no convergence after {_BA_MAX_ITERATIONS} iterations (gap {gap:.3e})", gap=gap
         )
 
-    # A joint cell below _CELL_FLOOR is dropped: with both of its marginals
-    # that small, their product could underflow to 0 under a positive cell.
-    lam = np.maximum(A @ q, _LOG_FLOOR)
-    pxy = p[:, None] * A * q / lam[:, None]
-    pxy[pxy < _CELL_FLOOR] = 0.0
+    pxy = _joint(p, A, q)
     distortion = float((pxy * d.costs).sum())
     rate = _mi_from_matrix(pxy)
     q.setflags(write=False)
@@ -294,6 +308,230 @@ _SLOPE_STEPS = 200
 # jumping across the target, is a linear curve segment to machine
 # precision: solves inside it meet a dual that is flat along a face.
 _JUMP_WIDTH = 1e-12
+# Output-law mass below which a symbol counts as off the support in
+# _distortion_slope.
+_SUPPORT_FLOOR = 1e-9
+# Steps of the scalar searches for the uniform-law slope and the critical
+# slope, which cost no solve.
+_SCALAR_STEPS = 100
+
+
+def _critical_slope(p: np.ndarray, costs: np.ndarray) -> tuple[float, list[int]]:
+    """Largest s < 0 at which the best point mass stops being optimal.
+
+    The point mass on y*, the column of least average cost, meets the
+    optimality conditions at slope s while f_y(s) = sum_x p(x)
+    2^(s (d(x,y) - d(x,y*))) <= 1 for every y.  Each h_y = log2 f_y is
+    convex with h_y(0) = 0 and, if the column is cheaper than y* somewhere,
+    one more root s_y < 0.  The critical slope s_c is the largest s_y, 0 if
+    a column ties with y*, and -inf if no column has a root (then D_min =
+    D_max).  The roots are those of h_y(s)/s, which stay simple as they
+    near 0, found by Newton's method on all columns at once from a slope
+    left of every root.  Also returned is the support just below s_c:
+    [y*, y_c] with y_c the column of the largest root, or [y*] if s_c is 0
+    or -inf.
+    """
+    rows = p > 0.0
+    y_star = int(np.argmin(p @ costs))
+    e = costs[rows] - costs[rows, y_star][:, None]
+    w = p[rows][:, None]
+    e_min = e.min(axis=0)
+    cols = np.flatnonzero(e_min < 0.0)
+    if cols.size == 0:
+        return -np.inf, [y_star]
+    # Costs in units of the largest cost drop, so that no product overflows.
+    scale = -float(e_min.min())
+    e, e_min = e[:, cols] / scale, e_min[cols] / scale
+    if float((w[:, 0] @ e).min()) <= 0.0:
+        return 0.0, [y_star]
+    # At this s the term of each column's cheapest row alone gives h_y >= 1.
+    s = (np.log2(w[np.argmin(e, axis=0), 0]) - 1.0) / -e_min
+    for _ in range(_SCALAR_STEPS):
+        terms = w * np.exp2(s * e)
+        total = terms.sum(axis=0)
+        h = np.log2(total)
+        dh = (terms * e).sum(axis=0) / total
+        step = h * s / (dh * s - h)
+        s = np.minimum(s - step, 0.5 * s)
+        if np.all(np.abs(step) <= 1e-13 * np.abs(s)):
+            break
+    k = int(np.argmax(s))
+    return float(s[k]) / scale, [y_star, int(cols[k])]
+
+
+def _distortion_slope(
+    p: np.ndarray, excess: np.ndarray, slope: float, q: np.ndarray, support=None
+) -> float:
+    """dD/ds along the curve at output law q, optimal at ``slope`` (Rose 1994).
+
+    With A = 2^(s E) for the excess costs E, lam = A q and the test channel
+    W = A q / lam, the optimal q keeps c_y = sum_x p_x A_xy / lam_x at 1 on
+    its support S (by default the symbols with mass above _SUPPORT_FLOOR).
+    Differentiating that in s gives q' on S from
+    (A_S^T diag(p/lam^2) A_S) q'_S = ln2 sum_x p_x A_xy / lam_x (E_xy - e_x),
+    with e_x the mean excess cost of row x under W; the matrix is the
+    Hessian that _newton_step builds.  Then
+    D' = sum_x p_x sum_y W_xy E_xy [q'_y/q_y + ln2 (E_xy - e_x) - (A q')_x/lam_x],
+    where W_xy q'_y / q_y = A_xy q'_y / lam_x stays finite as q_y -> 0.  On
+    a linear curve segment the system is singular; the least-squares q'
+    then gives some slope, which the search's safeguard judges.
+    """
+    if support is None:
+        support = np.flatnonzero(q > _SUPPORT_FLOOR)
+    # Costs near the float range can overflow the products below; the
+    # result is then inf or nan, which the search does not step on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.exp2(slope * excess)
+        lam = np.maximum(A @ q, _LOG_FLOOR)
+        w = p / lam
+        W = A * (q / lam[:, None])
+        e_bar = (W * excess).sum(axis=1)
+        dev = excess - e_bar[:, None]
+        AS = A[:, support]
+        hess = AS.T @ ((w / lam)[:, None] * AS)
+        rhs = LN2 * (w @ (AS * dev[:, support]))
+        if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):
+            return np.nan
+        dq = np.zeros_like(q)
+        dq[support] = np.linalg.lstsq(hess, rhs, rcond=None)[0]
+        return float(LN2 * (p @ (W * excess * dev).sum(axis=1))
+                     + w @ ((A * excess) @ dq - e_bar * (A @ dq)))
+
+
+def _hermite_root(a: tuple, b: tuple) -> float:
+    """Root of the cubic Hermite interpolant of s as a function of g.
+
+    ``a`` and ``b`` are (s, g, g') at two slopes; the interpolant matches
+    s and ds/dg = 1/g' at both, so its value at g = 0 refines the Newton
+    step from ``b`` with what ``a`` knows.
+    """
+    (s0, g0, d0), (s1, g1, d1) = a, b
+    h = g1 - g0
+    t = -g0 / h
+    return (((2.0 * t - 3.0) * t * t + 1.0) * s0 + (t - 1.0) ** 2 * t * h / d0
+            + (3.0 - 2.0 * t) * t * t * s1 + (t - 1.0) * t * t * h / d1)
+
+
+def _slope_steps(s: float, gap: float, u_hi: float, g_lo: float, g_hi: float, dg_hi):
+    """Safeguarded Newton iteration for g(s) = D(s) - target = 0, as a generator.
+
+    Yields slopes, starting at s, and receives (g, g') at each.  The
+    bracket lives on u = 2^(s * gap) in (0, u_hi], with g_lo = D_min -
+    target < 0 < g_hi known at its ends; dg_hi() gives g' at the upper end
+    (0 if unknown) and is called only if that end is used.
+
+    Steps run on psi = log((D - D_min) / (target - D_min)), which is nearly
+    linear in s where D - D_min falls like 2^(s * gap): Newton's
+    s - psi/psi', refined by the root of the cubic Hermite interpolant
+    through the slope before (_hermite_root); for the step after the first
+    slope, the bracket's upper end stands in for the slope before if the
+    first slope fell below the target.  Such a step is taken while it lies
+    inside the bracket and the last step at least halved |g|.  Otherwise
+    the search falls back to the secant (regula falsi) point of the
+    bracket, and to its midpoint on u while fallback steps keep failing to
+    halve |g|.  The generator ends once the bracket is narrower than
+    _JUMP_WIDTH relative, or when rounding leaves no point inside it.  A
+    first slope outside the bracket is replaced by the secant point.
+    """
+    scale = -g_lo
+
+    def psi(s, g, dg):
+        # psi is -inf where D rounds to D_min: no step from there.
+        if scale + g > 0.0 and dg > 0.0:
+            return s, float(np.log1p(g / scale)), dg / (scale + g)
+        return None
+
+    lo, hi = 0.0, u_hi
+    u = 2.0 ** min(s * gap, 0.0)
+    if not lo < u < hi:
+        u = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < u < hi:
+            return
+        s = float(np.log2(u)) / gap
+    g, dg = yield s
+    before = psi(float(np.log2(u_hi)) / gap, g_hi, dg_hi()) if g < 0.0 else None
+    g_prev = np.inf
+    fallback = False
+    while True:
+        if g > 0.0:
+            hi, g_hi = u, g
+        else:
+            lo, g_lo = u, g
+        if hi - lo <= _JUMP_WIDTH * hi:
+            return
+        progress = abs(g) <= 0.5 * abs(g_prev)
+        here = psi(s, g, dg)
+        u = 0.0
+        if progress and here is not None:
+            s_new = s - here[1] / here[2]
+            if before is not None and before[1] != here[1]:
+                s_new = _hermite_root(before, here)
+            u = 2.0 ** min(s_new * gap, 0.0)
+        if lo < u < hi:
+            s, fallback = s_new, False
+        else:
+            if fallback and not progress:
+                u = 0.5 * (lo + hi)
+            else:
+                u, fallback = (lo * g_hi - hi * g_lo) / (g_hi - g_lo), True
+            if not lo < u < hi:
+                return
+            s = float(np.log2(u)) / gap
+        before, g_prev = here, g
+        g, dg = yield s
+
+
+def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float) -> float:
+    """Slope at which the uniform output law meets excess distortion ``aim``.
+
+    Under the uniform law the test channel is each row of A = 2^(s E)
+    normalized, so its distortion is a monotone scalar function of s with
+    derivative ln2 times the mean conditional variance of E; no solve is
+    needed.  For Hamming costs at a slope where every reproduction symbol
+    is active, the optimal distortion (k-1)2^s / (1 + (k-1)2^s) equals this
+    one whatever the source, so the slope returned is exact there.
+    """
+    # Costs and slopes in units of the gap, so that no square overflows.
+    unit, aim = excess / gap, aim / gap
+    search = _slope_steps(-1.0, 1.0, 1.0, -aim, float(p @ unit.mean(axis=1)) - aim, lambda: 0.0)
+    t = next(search)
+    for _ in range(_SCALAR_STEPS):
+        A = np.exp2(t * unit)
+        W = A / A.sum(axis=1, keepdims=True)
+        e_bar = (W * unit).sum(axis=1)
+        g = float(p @ e_bar) - aim
+        if abs(g) * gap <= 1e-3 * _DISTORTION_TOLERANCE:
+            break
+        var = (W * (unit - e_bar[:, None]) ** 2).sum(axis=1)
+        try:
+            t = search.send((g, LN2 * float(p @ var)))
+        except StopIteration:
+            break
+    return t / gap
+
+
+def _time_share(
+    p: np.ndarray, costs: np.ndarray, low: RdPoint, high: RdPoint, target: float
+) -> RdPoint:
+    """Point at the target that mixes the test channels of two solves.
+
+    ``low`` and ``high`` have distortions below and above the target; the
+    channel theta W_low + (1 - theta) W_high meets the target, and its
+    mutual information, the rate returned, is at most the chord between the
+    two points, since mutual information is convex in the channel.
+    """
+    excess = costs - costs.min(axis=1, keepdims=True)
+
+    def joint(pt):
+        with np.errstate(over="ignore"):
+            return _joint(p, np.exp2(pt.slope * excess), pt.output_law)
+
+    theta = (high.distortion - target) / (high.distortion - low.distortion)
+    pxy = theta * joint(low) + (1.0 - theta) * joint(high)
+    law = theta * low.output_law + (1.0 - theta) * high.output_law
+    law.setflags(write=False)
+    return RdPoint(float((pxy * costs).sum()), _mi_from_matrix(pxy), low.slope,
+                   low.iterations + high.iterations, law)
 
 
 def rd_at_distortion(
@@ -301,23 +539,35 @@ def rd_at_distortion(
     d: DistortionMatrix | None = None,
     target: float = 0.0,
 ) -> RdPoint:
-    """Curve point at a target distortion, by a secant search on the slope.
+    """Curve point at a target distortion, by a safeguarded Newton search on the slope.
 
     Distortion rises with the slope s, from the least distortion D_min at
-    s -> -inf to the zero-rate distortion D_max at s = 0.  The search runs
-    on u = 2^(s * gap) in (0, 1], where gap is the least positive cost above
-    a row's minimum, so that D(u) - D_min vanishes at least linearly as
-    u -> 0; g(u) = D(u) - target is then known at both ends without a solve,
-    g(0) = D_min - target and g(1) = D_max - target.  Illinois-type regula
-    falsi steps shrink the bracket, each solve starting from the previous
-    one's output law, and the search stops at a point whose distortion is
-    within _DISTORTION_TOLERANCE of the target.  A target that close to
-    D_min takes the first of the slopes -64, -128, ... that reaches it.  If
-    the target lies on a linear curve segment, D jumps over it and the
-    search stops once the bracket is narrower than _JUMP_WIDTH relative;
-    the point returned then has distortion <= target, so its rate is a safe
-    stand-in (an upper bound on the rate function, achievable at the
-    target).  A non-finite target is a ValueError.
+    s -> -inf to the zero-rate distortion D_max, which the point mass on
+    the best constant reproduction reaches at the critical slope s_c and
+    keeps up to s = 0 (_critical_slope).  The search runs in the bracket
+    (-inf, s_c), where D - target is known at both ends without a solve,
+    so no solve lands on the zero-rate plateau; each solve starts from the
+    previous one's output law.
+    - First slope: where the uniform output law meets the target, found
+      without a solve (_uniform_law_slope).  It is exact for Hamming costs
+      while every reproduction symbol is active, so such targets take one
+      solve.
+    - Further slopes: Newton steps, with dD/ds from the solve's optimality
+      conditions (_distortion_slope), refined by the slope before
+      (_slope_steps).  A step that leaves the bracket, or follows one that
+      did not halve |D - target|, falls back to a secant or bisection step
+      on the bracket.
+    The search stops at a point whose distortion is within
+    _DISTORTION_TOLERANCE of the target.  A target that close to D_min
+    takes the first of the slopes -64, -128, ... that reaches it.  If the
+    target lies on a linear curve segment, D jumps over it, and the search
+    ends once the bracket is narrower than _JUMP_WIDTH relative.  The point
+    returned then time-shares the test channels of the nearest solves on
+    either side of the target, or of the one below and the zero-rate point
+    mass (_time_share): its distortion is the target, and its rate, at or
+    below the chord of those solves, is a safe stand-in (an upper bound on
+    the rate function, achievable at the target).  A non-finite target is
+    a ValueError.
     """
     d = _check_pair(source, d)
     if not np.isfinite(target):
@@ -340,35 +590,42 @@ def rd_at_distortion(
             pt = blahut_arimoto(source, d, slope, start=pt.output_law)
         return pt
 
+    p = source.probs
     excess = d.costs - d.costs.min(axis=1, keepdims=True)
     gap = float(excess[excess > 0.0].min())
-    lo, g_lo = 0.0, d_min - target
-    hi, g_hi = 1.0, d_max - target
+    s_c, top = _critical_slope(p, d.costs)
+    # The zero-rate end: its channel sends every x to the best constant.
+    best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[top[0]])
+
+    def dg_c():
+        if len(top) == 1:
+            return 0.0
+        return _distortion_slope(p, excess, s_c, best_high.output_law, top)
+
+    search = _slope_steps(_uniform_law_slope(p, excess, gap, target - d_min), gap,
+                          2.0 ** (s_c * gap), d_min - target, d_max - target, dg_c)
+    slope = next(search, None)
     best_low = law = None
-    side = 0
     for _ in range(_SLOPE_STEPS):
-        u = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo < u < hi or hi - lo <= _JUMP_WIDTH * hi:
+        if slope is None:
             break
-        pt = blahut_arimoto(source, d, float(np.log2(u)) / gap, start=law)
+        pt = blahut_arimoto(source, d, slope, start=law)
         law = pt.output_law
         g = pt.distortion - target
         if abs(g) <= _DISTORTION_TOLERANCE:
             return pt
-        if g > 0.0:
-            hi, g_hi = u, g
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
-        else:
-            lo, g_lo = u, g
-            best_low = pt
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
+        if g < 0.0:
+            if best_low is None or pt.distortion > best_low.distortion:
+                best_low = pt
+        elif pt.distortion < best_high.distortion:
+            best_high = pt
+        try:
+            slope = search.send((g, _distortion_slope(p, excess, slope, law)))
+        except StopIteration:
+            slope = None
     if best_low is None:
         raise ConvergenceError(f"no slope reached distortion {target!r}")
-    return best_low
+    return _time_share(p, d.costs, best_low, best_high, target)
 
 
 def rd_curve(
@@ -378,18 +635,22 @@ def rd_curve(
 ) -> RdCurve:
     """Sampled curve from near-lossless down to the zero-rate end.
 
-    Slopes sweep a geometric range, so points cluster where the curve
-    bends; each solve starts from the output law of the one before.  The
-    exact zero-rate endpoint is always included; where the least and the
-    zero-rate distortion coincide, it is the curve's one point.
+    Slopes sweep a geometric range upward, so points cluster where the
+    curve bends; each solve starts from the output law of the one before.
+    Slopes at or above the critical slope (_critical_slope), where the
+    point mass of the zero-rate end is optimal, are not solved, and the
+    exact zero-rate endpoint (D_max, 0) is always the last point; where
+    the least and the zero-rate distortion coincide, it is the curve's one
+    point.
     """
     d = _check_pair(source, d)
     if _require_integer(n_points, "n_points") < 2:
         raise ValueError("n_points must be >= 2")
     slopes = -np.exp2(np.linspace(6.0, -6.0, n_points - 1))
+    s_c, _ = _critical_slope(source.probs, d.costs)
     pts = []
     law = None
-    for s in slopes:
+    for s in slopes[slopes < s_c]:
         pts.append(blahut_arimoto(source, d, float(s), start=law))
         law = pts[-1].output_law
     pts.append(blahut_arimoto(source, d, 0.0))

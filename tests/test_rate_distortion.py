@@ -51,6 +51,20 @@ def random_cost_source(rng, n):
     return src, DistortionMatrix(costs)
 
 
+def count_solves(monkeypatch):
+    """Wrap rate_distortion.blahut_arimoto; the list it returns grows by one
+    entry per solve."""
+    solves = []
+    solve = rate_distortion.blahut_arimoto
+
+    def counted(*args, **kwargs):
+        solves.append(args[2] if len(args) > 2 else kwargs.get("slope"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rate_distortion, "blahut_arimoto", counted)
+    return solves
+
+
 class TestDistortionMatrix:
     def test_hamming(self):
         d = DistortionMatrix.hamming(3)
@@ -301,9 +315,11 @@ class TestRdAtDistortion:
 
     def test_linear_segment_returns_point_below_target(self):
         # A third reproduction symbol erases at cost 0.2.  The uniform bit's
-        # curve follows 1 - h(D) up to D ~ 0.036, then the straight line of
+        # curve follows 1 - h(D) up to D_a ~ 0.036, then the straight line of
         # time sharing with erasure to (0.2, 0).  D(s) jumps across that
-        # line at one slope, where the dual is flat along a face.
+        # line at the critical slope, where the dual is flat along a face,
+        # so the point returned time-shares the last solve below the target
+        # with the zero-rate point mass.
         d = DistortionMatrix([[0.0, 1.0, 0.2], [1.0, 0.0, 0.2]])
         curve = rd_curve(Distribution.uniform(2), d, n_points=65)
         lo = max(p.distortion for p in curve.points if p.distortion < 0.1)
@@ -311,7 +327,85 @@ class TestRdAtDistortion:
         target = 0.5 * (lo + hi)
         pt = rd_at_distortion(Distribution.uniform(2), d, target=target)
         assert pt.distortion <= target + 1e-6
-        assert pt.rate >= np.interp(target, curve.distortions, curve.rates) - 1e-6
+        # The rate function lies on or above each curve point's supporting
+        # line R_i + s_i (D - D_i), and on or below the curve's chords.
+        support = max(p.rate + p.slope * (target - p.distortion) for p in curve.points)
+        assert support - 1e-6 <= pt.rate <= np.interp(target, curve.distortions, curve.rates) + 1e-9
+        # On the segment the rate function is the line from (D_a, 1 - h(D_a))
+        # to (0.2, 0), tangent to 1 - h(D) at D_a; bisect for D_a.
+        def tangent_gap(x):
+            # R(x) + R'(x) (0.2 - x): the tangent at x, read at D = 0.2.
+            return binary_hamming_rd(0.5, x) - np.log2((1.0 - x) / x) * (0.2 - x)
+        a, b = 0.01, 0.19
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            a, b = (a, m) if tangent_gap(m) > 0.0 else (m, b)
+        line = binary_hamming_rd(0.5, a) * (0.2 - target) / (0.2 - a)
+        assert pt.rate == pytest.approx(line, abs=1e-6)
+
+    def test_jump_inside_the_curve_meets_the_target(self):
+        # D(s) jumps over the target at a slope well below the critical one;
+        # the point returned time-shares the nearest solves on either side.
+        probs = [0.7590008586135956, 0.24099914138640455]
+        costs = [
+            [0.9069731290135322, 0.4557080716495051, 0.8185409085143726,
+             0.18671930216633503, 0.06803315774149488, 0.6186153985176414],
+            [0.54353336364427, 0.7850098721149444, 0.793989508365939,
+             0.5468301845224876, 0.8239747993989686, 0.15734730894419313],
+        ]
+        target = 0.2486078777909334
+        src, d = Distribution(probs), DistortionMatrix(costs)
+        pt = rd_at_distortion(src, d, target=target)
+        assert pt.distortion == pytest.approx(target, abs=1e-12)
+        curve = rd_curve(src, d, 65)
+        support = max(p.rate + p.slope * (target - p.distortion) for p in curve.points)
+        assert support - 1e-6 <= pt.rate <= np.interp(target, curve.distortions, curve.rates) + 1e-9
+
+    def test_hamming_target_with_every_symbol_active_takes_one_solve(self, monkeypatch):
+        # The uniform output law's slope is exact there: D(s) =
+        # (k-1)2^s / (1 + (k-1)2^s) whatever the source.
+        solves = count_solves(monkeypatch)
+        src = Distribution([0.2, 0.5, 0.3])
+        for target in (0.02, 0.1, 0.3):
+            solves.clear()
+            pt = rd_at_distortion(src, target=target)
+            assert abs(pt.distortion - target) <= 1e-6
+            assert len(solves) == 1
+            assert pt.slope == pytest.approx(np.log2(target / (2.0 * (1.0 - target))), abs=1e-6)
+
+    def test_integer_costs_with_ties_near_dmax_take_few_solves(self, monkeypatch):
+        # Targets 0.999 of the way to D_max under costs in {0, 1, 2, 3},
+        # where the secant search took 8 to 44 solves on these 40 draws.
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(3, 9))
+            src = Distribution(rng.dirichlet(np.ones(n)))
+            costs = rng.integers(0, 4, size=(n, n)).astype(float)
+            d_min = float(src.probs @ costs.min(axis=1))
+            d_max = float((src.probs @ costs).min())
+            if d_max - d_min < 1e-6:
+                continue
+            target = d_min + 0.999 * (d_max - d_min)
+            solves.clear()
+            pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
+            assert abs(pt.distortion - target) <= 1e-6
+            assert len(solves) <= 3
+            checked += 1
+
+    def test_no_solve_on_the_zero_rate_plateau(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            src, d = random_cost_source(rng, int(rng.integers(2, 7)))
+            s_c, _ = rate_distortion._critical_slope(src.probs, d.costs)
+            d_min = float(src.probs @ d.costs.min(axis=1))
+            d_max = float((src.probs @ d.costs).min())
+            for frac in (0.5, 0.9, 0.999):
+                solves.clear()
+                rd_at_distortion(src, d, target=d_min + frac * (d_max - d_min))
+                assert all(s < s_c for s in solves)
 
     def test_matches_closed_form_fuzz(self):
         rng = np.random.default_rng(1234)
@@ -321,6 +415,72 @@ class TestRdAtDistortion:
             target = float(rng.uniform(0.001, pm - 1e-3))
             pt = rd_at_distortion(Distribution([p, 1.0 - p]), target=target)
             assert pt.rate == pytest.approx(binary_hamming_rd(p, target), abs=1e-4)
+
+
+class TestCriticalSlope:
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45, 0.7])
+    def test_bernoulli_closed_form(self, p):
+        # The rate of Bernoulli(p) reaches zero at slope log2(pm / (1 - pm)).
+        pm = min(p, 1.0 - p)
+        s_c, top = rate_distortion._critical_slope(np.array([p, 1.0 - p]), 1.0 - np.eye(2))
+        assert s_c == pytest.approx(np.log2(pm / (1.0 - pm)), rel=1e-12)
+        assert top == ([1, 0] if p < 0.5 else [0, 1])
+
+    def test_point_mass_condition_fails_just_below(self):
+        # At s_c the point mass meets the optimality conditions with equality
+        # in one column, and just below s_c it fails them.
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            src, d = random_cost_source(rng, int(rng.integers(2, 8)))
+            p, costs = src.probs, d.costs
+            s_c, top = rate_distortion._critical_slope(p, costs)
+            e = costs - costs[:, [top[0]]]
+            f = p @ np.exp2(s_c * e)
+            assert f.max() == pytest.approx(1.0, abs=1e-12)
+            assert f[top[1]] == pytest.approx(1.0, abs=1e-12)
+            assert (p @ np.exp2(s_c * (1.0 + 1e-6) * e)).max() > 1.0
+
+    def test_tie_and_no_root(self):
+        # Two equally good constants: the curve reaches D_max only at s = 0.
+        assert rate_distortion._critical_slope(np.full(3, 1 / 3), 1.0 - np.eye(3)) == (0.0, [0])
+        # One constant is best for every source symbol: D_min = D_max.
+        costs = np.array([[0.2, 0.5], [0.7, 0.9]])
+        assert rate_distortion._critical_slope(np.array([0.5, 0.5]), costs) == (-np.inf, [0])
+
+
+class TestDistortionSlope:
+    @pytest.mark.parametrize("slope", [-6.0, -3.0, -1.5])
+    def test_bernoulli_closed_form(self, slope):
+        # Below the critical slope log2(0.3/0.7) both symbols are active and
+        # D(s) = 1 / (1 + 2^-s) for any Bernoulli source.
+        src = Distribution([0.3, 0.7])
+        pt = blahut_arimoto(src, slope=slope)
+        got = rate_distortion._distortion_slope(src.probs, 1.0 - np.eye(2), slope, pt.output_law)
+        want = np.log(2.0) * 2.0 ** -slope / (1.0 + 2.0 ** -slope) ** 2
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_matches_central_differences(self):
+        # Warm solves at s -+ h, h = 1e-3, at slopes where no symbol's mass
+        # sits between 1e-9 and 1e-3 on that interval, away from a change
+        # of support, where D'(s) jumps.
+        rng = np.random.default_rng(11)
+        h = 1e-3
+        compared = 0
+        for _ in range(40):
+            src, d = random_cost_source(rng, int(rng.integers(2, 7)))
+            slope = -float(np.exp2(rng.uniform(-1.0, 4.0)))
+            mid = blahut_arimoto(src, d, slope)
+            left = blahut_arimoto(src, d, slope - h, start=mid.output_law)
+            right = blahut_arimoto(src, d, slope + h, start=mid.output_law)
+            laws = np.array([left.output_law, mid.output_law, right.output_law])
+            if np.any((laws > 1e-9) & (laws < 1e-3)):
+                continue
+            excess = d.costs - d.costs.min(axis=1, keepdims=True)
+            got = rate_distortion._distortion_slope(src.probs, excess, slope, mid.output_law)
+            want = (right.distortion - left.distortion) / (2.0 * h)
+            assert got == pytest.approx(want, rel=1e-4, abs=1e-9)
+            compared += 1
+        assert compared >= 20
 
 
 class TestRdCurve:
@@ -353,6 +513,27 @@ class TestRdCurve:
             src, d = random_cost_source(rng, int(rng.integers(2, 9)))
             c = rd_curve(src, d, 33)
             assert c.rates[-1] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.15, 0.6, 0.25]], ids=["binary", "ternary"])
+    def test_stops_at_the_critical_slope(self, probs):
+        # Slopes at or above s_c give the point mass; none is solved, the
+        # last point is exactly (D_max, 0), and every other point is the
+        # warm-started solve at its slope.
+        src = Distribution(probs)
+        d = DistortionMatrix.hamming(len(probs))
+        c = rd_curve(src, n_points=33)
+        d_max = float((src.probs @ d.costs).min())
+        assert (c.points[-1].distortion, c.points[-1].rate) == (d_max, 0.0)
+        assert all(p.distortion < d_max and p.rate > 0.0 for p in c.points[:-1])
+        s_c, _ = rate_distortion._critical_slope(src.probs, d.costs)
+        slopes = -np.exp2(np.linspace(6.0, -6.0, 32))
+        law = None
+        sweep = []
+        for s in slopes[slopes < s_c]:
+            sweep.append(blahut_arimoto(src, d, float(s), start=law))
+            law = sweep[-1].output_law
+        assert {p.slope for p in c.points[:-1]} <= {p.slope for p in sweep}
+        assert all(p in sweep for p in c.points[:-1])
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
