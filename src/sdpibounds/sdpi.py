@@ -46,10 +46,15 @@ A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
 symbols at 116 and 62 of 199 subset sizes of a 200-row batch, on 2 to 9
 only for a row alone.  So a batching change is checked on its results.
+The search's bookkeeping (start selection, the sweep's per-start state,
+skipping empty stacks) keeps the rows of every batched call, which is why
+trimming it leaves every answer bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -217,8 +222,9 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     Qy = np.maximum(dy + p_out, 0.0)
     num = _kl_rows(Qy, dy, p_out)
     den = _kl_rows(d + p_in, d, p_in)
-    tv = 0.5 * np.abs(d).sum(axis=1)
-    out = np.where(tv > EXCLUSION_RADIUS, num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    # Twice the total variation against twice the radius.
+    out = np.where(np.abs(d).sum(axis=1) > 2 * EXCLUSION_RADIUS,
+                   num / np.maximum(den, _LOG_FLOOR), -np.inf)
     return out, Qy, num, den
 
 
@@ -257,16 +263,46 @@ def _sum_zero_basis(k: int) -> np.ndarray:
 def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -> np.ndarray:
     """Up to count rows of finite value, best first, each at total variation
     >= spread from those taken before it; ties in lexicographic order.
+
+    That is one greedy pass down the rows sorted by value, descending, then
+    lexicographically, and a row's fate depends only on the rows before it.
+    So the pass reads that order in blocks of 5 count rows (at most 64),
+    sorting only the rows at or above the block's last value, and stops once
+    it has count rows: the 8 grid starts of 2 to 4 symbols took at most 39
+    rows on the benchmark inputs.  A block takes its distances to the rows
+    already taken and among its own rows in one call.  They are summed in
+    the order a row sum takes below 8 symbols; at spread 0 a distance only
+    has to be a number, not NaN, to keep a row, whatever the order.
     """
-    live = np.flatnonzero(np.isfinite(values))
-    taken = []
-    while live.size and len(taken) < count:
-        tied = live[values[live] == values[live].max()]
-        best = tied[np.lexsort(rows[tied][:, ::-1].T)[0]]
-        taken.append(best)
-        tv = 0.5 * np.abs(rows[live] - rows[best]).sum(axis=1)
-        # The slack absorbs rounding: grid distances are multiples of the pitch.
-        live = live[(tv > spread - 1e-9) & (live != best)]
+    live = np.isfinite(values).nonzero()[0]
+    v = values[live]
+    taken, done = [], 0
+    while len(taken) < count and done < live.size:
+        lo, done = done, min(live.size, done + min(5 * count, 64))
+        cand = live if done == live.size else live[v >= np.partition(v, -done)[-done]]
+        block = cand[np.lexsort((*rows[cand, ::-1].T, -values[cand]))][lo:done].tolist()
+        if not taken:
+            # The best row is always taken, with no distance to check.
+            taken.append(block.pop(0))
+            if len(taken) == count or not block:
+                continue
+        # Symbols first, and contiguous: broadcasting runs along rows.
+        Y = rows[taken + block].T.copy()
+        # far[j, i]: is block row i at total variation > spread from row j
+        # of Y, the rows taken so far and then the block's own?  The sums
+        # are twice the total variation.  The slack absorbs rounding: grid
+        # distances are multiples of the pitch.
+        far = np.abs(Y[:, :, None] - Y[:, None, len(taken):]).sum(axis=0) > 2 * (spread - 1e-9)
+        # Each row of far as an integer, bit i for block row i; bit i of
+        # alive: block row i is far from every row taken so far.
+        bits = (far @ np.left_shift(1, np.arange(len(block), dtype=np.uint64))).tolist()
+        alive, before = (1 << len(block)) - 1, len(taken)
+        for b in bits[:before]:
+            alive &= b
+        while alive and len(taken) < count:
+            i = (alive & -alive).bit_length() - 1
+            taken.append(block[i])
+            alive &= bits[before + i] & ~(1 << i)
     return rows[taken]
 
 
@@ -328,9 +364,11 @@ def _mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     Formed in the log domain, log max(Q, _LOG_FLOOR) + V minus its row max,
     so no row underflows to all zeros and an entry at 0 can come back.
     """
-    Z = np.log(np.maximum(Q, _LOG_FLOOR)) + V
-    W = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return W / W.sum(axis=1, keepdims=True)
+    W = np.log(np.maximum(Q, _LOG_FLOOR)) + V
+    W -= W.max(axis=1, keepdims=True)
+    np.exp(W, out=W)
+    W /= W.sum(axis=1, keepdims=True)
+    return W
 
 
 def _negative_definite(H):
@@ -339,12 +377,12 @@ def _negative_definite(H):
     One call for the whole stack.  np.linalg.cholesky raises for a stack
     when one matrix fails, so this calls the per-matrix gufunc behind it,
     cholesky_lo of numpy's private numpy.linalg._umath_linalg (the same
-    LAPACK routine), which fills a failed matrix with NaN instead.  A factor
-    that succeeds starts with sqrt(-H[0, 0]) > 0, never NaN.
+    LAPACK routine), which fills a failed matrix with NaN instead and sets
+    the invalid flag: call it under np.errstate(all="ignore"), as
+    _directions does.  A factor that succeeds starts with sqrt(-H[0, 0]) > 0;
+    one that fails, with NaN.
     """
-    with np.errstate(all="ignore"):
-        L = _umath_linalg.cholesky_lo(-H, signature="d->d")
-    return ~np.isnan(L[:, 0, 0])
+    return _umath_linalg.cholesky_lo(-H, signature="d->d")[:, 0, 0] > 0.0
 
 
 def _solved(H, b):
@@ -352,11 +390,10 @@ def _solved(H, b):
 
     Bit for bit np.linalg.solve on each matrix alone where that returns; a
     matrix it raises on, one that LAPACK finds singular, gets NaN here
-    instead of failing the stack.  The same private gufunc route as
-    _negative_definite.
+    instead of failing the stack.  The same private gufunc route, and the
+    same errstate, as _negative_definite.
     """
-    with np.errstate(all="ignore"):
-        return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
+    return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
 
 
 def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
@@ -382,31 +419,37 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     k = Q.shape[1]
     N = np.maximum(num, _TINY)[:, None]
     D = np.maximum(den, _TINY)[:, None]
-    log_out = np.log(np.maximum(Qy, _LOG_FLOOR) / p_out)
-    log_in = np.log(np.maximum(Q, _LOG_FLOOR) / p_in)
+    q_out = np.maximum(Qy, _LOG_FLOOR)
+    q = np.maximum(Q, _LOG_FLOOR)
+    log_out = np.log(q_out / p_out)
+    log_in = np.log(q / p_in)
     G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
-    vanishing = (num < _TINY) | (den < _TINY)
+    # num < _TINY or den < _TINY: fmin, unlike minimum, skips a NaN.
+    vanishing = np.fmin(num, den) < _TINY
     G[vanishing] = 0.0
 
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
     bD = log_in @ B
-    inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
-             - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
-        H -= ((B.T * inv_q[:, None, :]) @ B
-              - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
-    concave = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
-    concave[concave] = _negative_definite(H[concave])
-    rows = np.flatnonzero(concave)
-    d = _solved(H[rows], (bD / D - bN / N)[rows]) @ B.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = d * inv_q[rows]
-    # A row whose solve failed, or whose d/q overflows, takes the gradient.
-    ok = np.isfinite(v).all(axis=1)
-    concave[rows[~ok]] = False
-    G[rows[ok]] = v[ok]
+    gN, gD = bN / N, bD / D
+    inv_q = 1.0 / q
+    # One errstate for the whole stack: H overflows on rows near a face, and
+    # the factorization and solve flag their failed matrices.
+    with np.errstate(all="ignore"):
+        H = ((TB.T / q_out[:, None, :]) @ TB - bN[:, :, None] * gN[:, None, :]) / N[:, :, None]
+        H -= ((B.T * inv_q[:, None, :]) @ B - bD[:, :, None] * gD[:, None, :]) / D[:, :, None]
+        concave = np.isfinite(H).all(axis=(1, 2))
+        concave[vanishing] = False
+        # No factorization, solve or assignment for an empty stack.
+        if concave.any():
+            concave[concave] = _negative_definite(H[concave])
+        rows = concave.nonzero()[0]
+        if rows.size:
+            v = (_solved(H[rows], (gD - gN)[rows]) @ B.T) * inv_q[rows]
+            # A row whose solve failed, or whose d/q overflows, takes the gradient.
+            ok = np.isfinite(v).all(axis=1)
+            concave[rows] = ok
+            G[rows[ok]] = v[ok]
     return concave, G
 
 
@@ -462,56 +505,69 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     start, and the evaluation count.
     """
     Q = starts.copy()
-    step = np.full(Q.shape[0], 0.1)
+    n = Q.shape[0]
     f, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-    evals = Q.shape[0]
-    G = np.empty_like(Q)
+    evals = n
+    # The bookkeeping is per start, on Python floats, whose arithmetic is
+    # numpy's float64 arithmetic; only the batched steps use numpy.
+    f, step = f.tolist(), [0.1] * n
     # Rounds each start has left, 0 once retired.
-    left = np.full(Q.shape[0], max_iterations)
-    deep = np.zeros(Q.shape[0], dtype=bool)
-    # Try h >= 1 steps by exactly step * 2**-h, and runs if step >= floor[h - 1].
-    floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
+    left = [max_iterations] * n
+    # The halvings each start tries in its next sweep, and the usable ones
+    # past its first window.  Halving h tries step * 2**-h, exactly, and is
+    # usable if step >= floor[h]: always for h = 0, then while
+    # step * 2**-h >= _STEP_TOLERANCE.
+    tries, rest = [range(0)] * n, [range(0)] * n
+    floor = [-math.inf] + [math.ldexp(_STEP_TOLERANCE, h) for h in range(1, _HALVINGS)]
+    G = np.empty_like(Q)
     # Starts that begin a round, with Qy, num and den of their points.
-    fresh = np.arange(Q.shape[0])
+    fresh = list(range(n))
     TB = T.T @ _sum_zero_basis(Q.shape[1])
 
-    while (rows := np.flatnonzero(left)).size:
+    while live := [r for r in range(n) if left[r]]:
         # A sweep that only goes on with halvings needs no new direction.
-        if fresh.size:
+        if fresh:
             concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
-            step[fresh[concave]] = 1.0
-        late = deep[rows]
-        # Row r tries halvings lo[r] to hi[r] - 1, in order.
-        usable = 1 + np.searchsorted(floor, step[rows], side="right")
-        lo = late * _FIRST_TRIES
-        hi = np.where(late, usable, np.minimum(usable, _FIRST_TRIES))
-        at = np.repeat(np.arange(rows.size), hi - lo)
-        halvings = np.arange(at.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
-        idx = rows[at]
-        tried_steps = np.ldexp(step[idx], -halvings)
-        V = tried_steps[:, None] * G[idx]
-        trial = _mirror_rows(Q[idx], V)
+            for r, newton in zip(fresh, concave.tolist()):
+                if newton:
+                    step[r] = 1.0
+                usable = bisect.bisect_right(floor, step[r])
+                tries[r], rest[r] = range(min(usable, _FIRST_TRIES)), range(_FIRST_TRIES, usable)
+        # The tries come start by start, each start's in halving order.
+        idx = [r for r in live for _ in tries[r]]
+        tried = [math.ldexp(step[r], -h) for r in live for h in tries[r]]
+        at = np.array(idx)
+        trial = _mirror_rows(Q[at], np.array(tried)[:, None] * G[at])
         ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
-        evals += at.size
-        pick = (ft > f[idx] + 1e-15).nonzero()[0]
-        # Tries run row by row in halving order; keep each first improvement.
-        won = at[pick]
-        first = np.ones(pick.size, dtype=bool)
-        first[1:] = won[1:] != won[:-1]
-        pick = pick[first]
-        acc = idx[pick]
-        Q[acc], f[acc] = trial[pick], ft[pick]
-        step[acc] = tried_steps[pick] * 1.5
-        left[acc] -= 1
-        failed = np.bincount(at[pick], minlength=rows.size) == 0
-        # A failed first window goes on to any usable halvings left; any
-        # other failure leaves a direction useless at this scale: retire.
-        deep[rows] = failed & ~late & (usable > _FIRST_TRIES)
-        left[rows[failed & ~deep[rows]]] = 0
-        pick = pick[left[acc] > 0]
-        fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
+        evals += len(idx)
+        scores = ft.tolist()
+        won, again, u = [], [], 0
+        for r in live:
+            # The first improving try, as halving one at a time would take.
+            bar, end = f[r] + 1e-15, u + len(tries[r])
+            while u < end and not scores[u] > bar:
+                u += 1
+            if u == end:
+                # A failed first window goes on to any usable halvings left;
+                # any other failure leaves a direction useless at this
+                # scale: retire.
+                tries[r], rest[r] = rest[r], range(0)
+                if not tries[r]:
+                    left[r] = 0
+                continue
+            f[r], step[r] = scores[u], tried[u] * 1.5
+            left[r] -= 1
+            won.append(u)
+            if left[r]:
+                again.append(u)
+            u = end
+        if won:
+            Q[at[won]] = trial[won]
+        fresh = [idx[u] for u in again]
+        if again:
+            Qy, num, den = ty[again], tn[again], td[again]
 
-    return f, Q, evals
+    return np.array(f), Q, evals
 
 
 def sstar(
@@ -547,8 +603,11 @@ def sstar(
         vals = _evaluate(grid, p_in, p_out, T)[0]
         evals += grid.shape[0]
         ran.append("grid")
-        cand_vals.append(vals)
-        cand_rows.append(grid)
+        # Only the grid rows tied at its best value can be the best point
+        # (a ratio is a number or -inf, never NaN).
+        top = vals == vals.max()
+        cand_vals.append(vals[top])
+        cand_rows.append(grid[top])
         starts = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)]
     if k >= 2 and cfg.multistart_count > 0:
         if not ran:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import sdpibounds
 from sdpibounds import sdpi
@@ -24,7 +25,14 @@ from sdpibounds import (
     tensor_product,
     verify_sdpi_inequality,
 )
+from sdpibounds.probability import _kl_rows
 from sdpibounds.sdpi import (
+    _FIRST_TRIES,
+    _HALVINGS,
+    _LOG_FLOOR,
+    _STEP_TOLERANCE,
+    _TINY,
+    EXCLUSION_RADIUS,
     _composition_grid,
     _directions,
     _evaluate,
@@ -547,6 +555,58 @@ class TestTopRows:
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
 
+    def test_matches_a_full_sort_on_the_start_grids(self):
+        # The pitch-1/20 grids that sstar starts from, 21, 231 and 1,771
+        # rows, at the start spread.  Values are ratios of random joints, or
+        # 3 or 4 levels over bands of a random linear score, whose ties
+        # straddle any cut by value.
+        rng = np.random.default_rng(41)
+        beyond = 0
+        for k in (2, 3, 4):
+            grid = _composition_grid(k, 20)
+            for draw in range(12):
+                if draw % 2:
+                    p_in, p_out, T = _oriented(random_joint(rng, k, int(rng.integers(2, 5))))
+                    values = _evaluate(grid, p_in, p_out, T)[0]
+                else:
+                    score = grid @ rng.normal(size=k)
+                    edges = np.quantile(score, np.linspace(0, 1, 3 + draw % 4 // 2 + 1)[1:-1])
+                    values = 0.1 * np.digitize(score, edges)
+                for count in (0, 1, 8, grid.shape[0]):
+                    want = self.by_lexsort(values, grid, count, 0.1)
+                    got = _top_rows(values, grid, count, 0.1)
+                    assert got.shape == want.shape == (min(count, want.shape[0]), k)
+                    assert np.array_equal(got, want)
+                    beyond += self.order_read(values, grid, want) > min(5 * count, 64)
+        # Every pass over the 231 or 1,771 rows that takes all it can reads
+        # on past its first block.
+        assert beyond >= 24
+
+    @staticmethod
+    def order_read(values, rows, taken):
+        """Rows of the full sort up to and including the last one taken."""
+        if not taken.size:
+            return 0
+        order = np.lexsort(np.vstack([rows[:, ::-1].T, -values]))
+        return 1 + max(int(np.flatnonzero((rows[order] == t).all(axis=1))[0]) for t in taken)
+
+    def test_best_of_a_concatenation_with_repeated_rows(self):
+        # sstar's final pick: count 1 at spread 0 over the vertices, the
+        # grid and the ascent's points, which repeat grid rows, with values
+        # tied across the parts.
+        rng = np.random.default_rng(42)
+        for k in (2, 3, 4):
+            grid = _composition_grid(k, 20)
+            for _ in range(20):
+                again = grid[rng.integers(0, grid.shape[0], size=8)]
+                rows = np.vstack([np.eye(k), grid, again, again[:3]])
+                values = rng.choice([0.1, 0.3, 0.6, -np.inf], size=rows.shape[0])
+                values[-11:-3] = rng.choice([0.6, 0.3], size=8)
+                want = self.by_lexsort(values, rows, 1, 0.0)
+                got = _top_rows(values, rows, 1, 0.0)
+                assert got.shape == want.shape == (1, k)
+                assert np.array_equal(got, want)
+
     def test_no_finite_value(self):
         rows = np.eye(3)
         got = _top_rows(np.array([np.nan, np.inf, -np.inf]), rows, 8, 0.0)
@@ -955,11 +1015,13 @@ class TestDirections:
         # the solve is the same bit for bit.  The stacks mix
         # negative-definite, indefinite and singular matrices, the face rows'
         # Hessians (entries up to 1e300) and a matrix whose LU overflows to
-        # inf - inf.
+        # inf - inf.  The helpers run under their caller's errstate, as
+        # _directions calls them: a failed matrix sets the invalid flag.
         H = np.stack([-np.eye(2), np.eye(2), np.diag([-1.0, 0.0]), -2.0 * np.eye(2)])
-        assert _negative_definite(H).tolist() == [True, False, False, True]
-        assert _negative_definite(H[:0]).shape == (0,)
-        x = _solved(H, np.arange(8.0).reshape(4, 2))
+        with np.errstate(all="ignore"):
+            assert _negative_definite(H).tolist() == [True, False, False, True]
+            assert _negative_definite(H[:0]).shape == (0,)
+            x = _solved(H, np.arange(8.0).reshape(4, 2))
         np.testing.assert_array_equal(x[[0, 1, 3]], [[-0.0, -1.0], [2.0, 3.0], [-3.0, -3.5]])
         assert np.isnan(x[2]).all()
 
@@ -985,8 +1047,9 @@ class TestDirections:
                     H = np.stack([pool[i] for i in rng.integers(len(pool), size=size)])
                     b = rng.normal(size=(size, m))
                     definite, want = self.public_outcomes(H, b)
-                    assert _negative_definite(H).tolist() == definite
-                    got = _solved(H, b)
+                    with np.errstate(all="ignore"):
+                        assert _negative_definite(H).tolist() == definite
+                        got = _solved(H, b)
                     for row, x in zip(got, want):
                         if x is None:
                             assert np.isnan(row).all()
@@ -1120,6 +1183,209 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
             alive[stuck] = False
             pending[stuck] = False
         alive[pending] = False
+    return f, Q, evals
+
+
+class TestTrimmedKernels:
+    """The ascent's kernels against their versions before their bookkeeping
+    was trimmed (the _reference_* functions below), byte for byte: the
+    trims keep every operation on a value and every call's rows."""
+
+    SIZES = (1, 2, 8, 64)
+
+    @staticmethod
+    def pools():
+        """(p_in, p_out, T, pool of rows) per joint on k = 2 to 33 inputs.
+
+        A random joint with full support and one whose first two inputs
+        share their conditional row.  The rows: dense draws, face rows with
+        entries at 0 and 1e-300, the marginal itself (num = den = 0), and
+        the marginal moved 1e-9 between the shared inputs (num and den below
+        _TINY).
+        """
+        rng = np.random.default_rng(33)
+        for k in range(2, 34):
+            ny = int(rng.integers(2, 6))
+            shared = random_joint(rng, k, ny).probs.copy()
+            shared[1] = shared[0] * (shared[1].sum() / shared[0].sum())
+            for j in (random_joint(rng, k, ny), JointDistribution(shared / shared.sum())):
+                p_in, p_out, T = _oriented(j)
+                dense = rng.dirichlet(np.full(k, 2.0), size=6)
+                face = rng.dirichlet(np.ones(k), size=6)
+                face[:, 0] = 0.0
+                face[::2, -1] = 1e-300
+                face /= face.sum(axis=1, keepdims=True)
+                nudged = p_in.copy()
+                nudged[:2] += [1e-9, -1e-9]
+                yield p_in, p_out, T, np.vstack([dense, face, p_in, nudged])
+
+    @classmethod
+    def stacks(cls):
+        """(p_in, p_out, T, Q) with Q of each size in SIZES drawn from a pool."""
+        rng = np.random.default_rng(34)
+        for p_in, p_out, T, pool in cls.pools():
+            for size in cls.SIZES:
+                yield p_in, p_out, T, pool[rng.integers(0, pool.shape[0], size=size)]
+        for probs, direction, q in TestDirections.FACE_ROWS:
+            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
+            interior = rng.dirichlet(np.full(len(q), 3.0), size=63)
+            for Q in (np.array([q]), np.vstack([interior[:1], q]), np.vstack([interior[:7], q]),
+                      np.vstack([interior[:31], q, interior[31:]])):
+                yield p_in, p_out, T, Q
+
+    def test_directions(self):
+        seen = {"concave": 0, "not concave": 0, "vanishing": 0}
+        for p_in, p_out, T, Q in self.stacks():
+            _, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
+            TB = T.T @ _sum_zero_basis(Q.shape[1])
+            want = _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB)
+            got = _directions(Q, Qy, num, den, p_in, p_out, T, TB)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            seen["concave"] += int(want[0].sum())
+            seen["not concave"] += int((~want[0]).sum())
+            seen["vanishing"] += int(((num < 1e-15) | (den < 1e-15)).sum())
+        assert min(seen.values()) > 0, seen
+
+    def test_evaluate_and_mirror_rows(self):
+        rng = np.random.default_rng(35)
+        for p_in, p_out, T, Q in self.stacks():
+            for got, want in zip(_evaluate(Q, p_in, p_out, T), _reference_evaluate(Q, p_in, p_out, T)):
+                assert got.tobytes() == want.tobytes()
+            for scale in (1e-3, 1.0, 1e3):
+                V = scale * rng.standard_normal(Q.shape)
+                assert _mirror_rows(Q, V).tobytes() == _reference_mirror_rows(Q, V).tobytes()
+
+    @pytest.mark.parametrize("rounds", [3, 2000])
+    def test_multistart_search(self, rounds):
+        # TestBatchedLineSearch's joints and the 9-, 17- and 33-level
+        # Gaussians: every start's value and point, and the evaluations.
+        joints = TestBatchedLineSearch.cases() + [quantized_gaussian_joint(rho, levels)
+                                                 for rho, levels in ((0.3, 9), (0.5, 17), (0.8, 33))]
+        for j in joints:
+            p_in, p_out, T = _oriented(j)
+            starts = _sstar_starts(j, 8)
+            got = _multistart_search(p_in, p_out, T, starts, rounds)
+            want = _reference_multistart_search(p_in, p_out, T, starts, rounds)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+
+# The kernels of the ascent before their bookkeeping was trimmed, verbatim
+# but for the _reference_ prefix on their names and calls.
+
+def _reference_evaluate(Q: np.ndarray, p_in, p_out, T):
+    d = Q - p_in
+    dy = d @ T
+    Qy = np.maximum(dy + p_out, 0.0)
+    num = _kl_rows(Qy, dy, p_out)
+    den = _kl_rows(d + p_in, d, p_in)
+    tv = 0.5 * np.abs(d).sum(axis=1)
+    out = np.where(tv > EXCLUSION_RADIUS, num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    return out, Qy, num, den
+
+
+def _reference_mirror_rows(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    Z = np.log(np.maximum(Q, _LOG_FLOOR)) + V
+    W = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+def _reference_negative_definite(H):
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(-H, signature="d->d")
+    return ~np.isnan(L[:, 0, 0])
+
+
+def _reference_solved(H, b):
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
+
+
+def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
+    k = Q.shape[1]
+    N = np.maximum(num, _TINY)[:, None]
+    D = np.maximum(den, _TINY)[:, None]
+    log_out = np.log(np.maximum(Qy, _LOG_FLOOR) / p_out)
+    log_in = np.log(np.maximum(Q, _LOG_FLOOR) / p_in)
+    G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
+    vanishing = (num < _TINY) | (den < _TINY)
+    G[vanishing] = 0.0
+
+    B = _sum_zero_basis(k)
+    bN = log_out @ T.T @ B
+    bD = log_in @ B
+    inv_q = 1.0 / np.maximum(Q, _LOG_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = ((TB.T / np.maximum(Qy, _LOG_FLOOR)[:, None, :]) @ TB
+             - bN[:, :, None] * (bN / N)[:, None, :]) / N[:, :, None]
+        H -= ((B.T * inv_q[:, None, :]) @ B
+              - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
+    concave = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
+    concave[concave] = _reference_negative_definite(H[concave])
+    rows = np.flatnonzero(concave)
+    d = _reference_solved(H[rows], (bD / D - bN / N)[rows]) @ B.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = d * inv_q[rows]
+    # A row whose solve failed, or whose d/q overflows, takes the gradient.
+    ok = np.isfinite(v).all(axis=1)
+    concave[rows[~ok]] = False
+    G[rows[ok]] = v[ok]
+    return concave, G
+
+
+def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
+    Q = starts.copy()
+    step = np.full(Q.shape[0], 0.1)
+    f, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
+    evals = Q.shape[0]
+    G = np.empty_like(Q)
+    # Rounds each start has left, 0 once retired.
+    left = np.full(Q.shape[0], max_iterations)
+    deep = np.zeros(Q.shape[0], dtype=bool)
+    # Try h >= 1 steps by exactly step * 2**-h, and runs if step >= floor[h - 1].
+    floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
+    # Starts that begin a round, with Qy, num and den of their points.
+    fresh = np.arange(Q.shape[0])
+    TB = T.T @ _sum_zero_basis(Q.shape[1])
+
+    while (rows := np.flatnonzero(left)).size:
+        # A sweep that only goes on with halvings needs no new direction.
+        if fresh.size:
+            concave, G[fresh] = _reference_directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
+            step[fresh[concave]] = 1.0
+        late = deep[rows]
+        # Row r tries halvings lo[r] to hi[r] - 1, in order.
+        usable = 1 + np.searchsorted(floor, step[rows], side="right")
+        lo = late * _FIRST_TRIES
+        hi = np.where(late, usable, np.minimum(usable, _FIRST_TRIES))
+        at = np.repeat(np.arange(rows.size), hi - lo)
+        halvings = np.arange(at.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        idx = rows[at]
+        tried_steps = np.ldexp(step[idx], -halvings)
+        V = tried_steps[:, None] * G[idx]
+        trial = _reference_mirror_rows(Q[idx], V)
+        ft, ty, tn, td = _reference_evaluate(trial, p_in, p_out, T)
+        evals += at.size
+        pick = (ft > f[idx] + 1e-15).nonzero()[0]
+        # Tries run row by row in halving order; keep each first improvement.
+        won = at[pick]
+        first = np.ones(pick.size, dtype=bool)
+        first[1:] = won[1:] != won[:-1]
+        pick = pick[first]
+        acc = idx[pick]
+        Q[acc], f[acc] = trial[pick], ft[pick]
+        step[acc] = tried_steps[pick] * 1.5
+        left[acc] -= 1
+        failed = np.bincount(at[pick], minlength=rows.size) == 0
+        # A failed first window goes on to any usable halvings left; any
+        # other failure leaves a direction useless at this scale: retire.
+        deep[rows] = failed & ~late & (usable > _FIRST_TRIES)
+        left[rows[failed & ~deep[rows]]] = 0
+        pick = pick[left[acc] > 0]
+        fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
+
     return f, Q, evals
 
 
