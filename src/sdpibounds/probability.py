@@ -5,7 +5,8 @@ Conventions used throughout the package:
  - every logarithm is base 2, so entropies, divergences and rates are in bits;
  - pmf arrays are float64, validated on construction, then frozen read-only;
  - a pmf whose total mass is within 1e-9 of 1 is renormalized silently,
-   anything further off is rejected as a real modeling error;
+   anything further off is rejected as a real modeling error; one within
+   rounding of 1 is kept bit for bit (a JSON round trip, a transpose);
  - joint distributions are (x, y) matrices in row-major order, x indexes rows.
 
 Joint distributions must have strictly positive marginals.  Zero rows or
@@ -34,8 +35,14 @@ _ABOVE_MINUS_ONE = float(np.nextafter(-1.0, 0.0))
 
 
 def _clean_pmf(values, ndim: int, what: str, axis: int | None = None) -> np.ndarray:
-    """Validated read-only copy of values with unit mass along axis (None: in total)."""
-    arr = np.array(values, dtype=np.float64)
+    """Validated read-only copy of values with unit mass along axis (None: in total).
+
+    The total is summed in sorted order, so a transpose gets the same one.
+    Dividing n entries by their total rounds the total (n - 1 additions)
+    and each entry once, and a new sum rounds n - 1 times: a pmf divided
+    once has a total within n eps of 1, and such a total is not divided.
+    """
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ProbabilityError(f"{what}: expected a {ndim}-d array, got shape {arr.shape}")
     if arr.size == 0:
@@ -48,11 +55,12 @@ def _clean_pmf(values, ndim: int, what: str, axis: int | None = None) -> np.ndar
     np.clip(arr, 0.0, None, out=arr)
     # Finite entries near the float maximum sum to inf: a bad total, not a warning.
     with np.errstate(over="ignore"):
-        total = arr.sum(axis=axis, keepdims=True)
+        total = np.sort(arr, axis=axis).sum(axis=axis, keepdims=True)
     off = np.abs(total - 1.0)
     if np.any(off > SUM_TOLERANCE):
         raise ProbabilityError(f"{what}: total mass {float(total.flat[np.argmax(off)])!r} is not 1")
-    arr /= total
+    if np.any(off > arr.size / total.size * np.finfo(np.float64).eps):
+        arr /= total
     arr.setflags(write=False)
     return arr
 
@@ -141,11 +149,8 @@ class JointDistribution:
 
     def swapped(self) -> "JointDistribution":
         """The same pair with the roles of X and Y exchanged: the transpose,
-        bit for bit, not validated and renormalized a second time."""
-        twin = object.__new__(JointDistribution)
-        object.__setattr__(twin, "probs", self.probs.T.copy())
-        twin.probs.setflags(write=False)
-        return twin
+        bit for bit (_clean_pmf leaves a built pmf's bits alone)."""
+        return JointDistribution(self.probs.T)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JointDistribution":

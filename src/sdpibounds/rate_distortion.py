@@ -12,10 +12,13 @@ distortion come from a safeguarded Newton search on the slope, with the
 slope's derivative from the solver's optimality conditions, inside a
 bracket closed by the critical slope where the zero-rate point mass stops
 being optimal; it starts at the slope where the uniform output law meets
-the target, and warm-starts each solve from the one before.  A target
-that Hamming costs put where every reproduction symbol is active takes
-one solve.  Sampled curves warm-start each slope from the one before and
-solve no slope past the critical one.
+the target, and warm-starts each solve from the one before; a target at
+the least distortion takes the same search.  A target that Hamming costs
+put where every reproduction symbol is active takes one solve.  Sampled
+curves warm-start each slope from the one before and solve no slope past
+the critical one.  Distortion tolerances and curve slopes are in units of
+the largest excess cost, capped at 1 (_cost_unit), so costs scaled down
+give the same rates at distortions scaled with them.
 
 Each returned point is achievable: the rate is the exact mutual information
 of the test channel the iteration ends with, so a point can sit slightly
@@ -24,6 +27,7 @@ above the true curve but never below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,8 +304,8 @@ def blahut_arimoto(
     return RdPoint(distortion, max(rate, 0.0), slope, it, q)
 
 
-# Distortion accuracy at which rd_at_distortion's search stops, and its cap
-# on solves.
+# Distortion accuracy at which rd_at_distortion's search stops, in cost
+# units (_cost_unit), and its cap on solves.
 _DISTORTION_TOLERANCE = 1e-6
 _SLOPE_STEPS = 200
 # A bracket on u narrower than this, relative, with the distortion still
@@ -314,6 +318,11 @@ _SUPPORT_FLOOR = 1e-9
 # Steps of the scalar searches for the uniform-law slope and the critical
 # slope, which cost no solve.
 _SCALAR_STEPS = 100
+
+
+def _cost_unit(costs: np.ndarray) -> float:
+    """The largest cost above its row's least, capped at 1 (1 if all tie)."""
+    return min(1.0, float(np.ptp(costs, axis=1).max())) or 1.0
 
 
 def _critical_slope(p: np.ndarray, costs: np.ndarray) -> tuple[float, list[int]]:
@@ -426,12 +435,12 @@ def _slope_steps(s: float, gap: float, u_hi: float, g_lo: float, g_hi: float, dg
     through the slope before (_hermite_root); for the step after the first
     slope, the bracket's upper end stands in for the slope before if the
     first slope fell below the target.  Such a step is taken while it lies
-    inside the bracket and the last step at least halved |g|.  Otherwise
-    the search falls back to the secant (regula falsi) point of the
-    bracket, and to its midpoint on u while fallback steps keep failing to
-    halve |g|.  The generator ends once the bracket is narrower than
-    _JUMP_WIDTH relative, or when rounding leaves no point inside it.  A
-    first slope outside the bracket is replaced by the secant point.
+    inside the bracket, unless the Newton step before it did not halve
+    |g|; otherwise the next slope is the bracket's midpoint on u, and the
+    step after a midpoint tries Newton again.  A first slope outside
+    the bracket is moved to where the line through the bracket's ends
+    meets g = 0.  The generator ends once the bracket is narrower than
+    _JUMP_WIDTH relative, or when rounding leaves no point inside it.
     """
     scale = -g_lo
 
@@ -451,33 +460,27 @@ def _slope_steps(s: float, gap: float, u_hi: float, g_lo: float, g_hi: float, dg
     g, dg = yield s
     before = psi(float(np.log2(u_hi)) / gap, g_hi, dg_hi()) if g < 0.0 else None
     g_prev = np.inf
-    fallback = False
     while True:
         if g > 0.0:
-            hi, g_hi = u, g
+            hi = u
         else:
-            lo, g_lo = u, g
+            lo = u
         if hi - lo <= _JUMP_WIDTH * hi:
             return
-        progress = abs(g) <= 0.5 * abs(g_prev)
         here = psi(s, g, dg)
         u = 0.0
-        if progress and here is not None:
-            s_new = s - here[1] / here[2]
+        if abs(g) <= 0.5 * abs(g_prev) and here is not None:
+            s = s - here[1] / here[2]
             if before is not None and before[1] != here[1]:
-                s_new = _hermite_root(before, here)
-            u = 2.0 ** min(s_new * gap, 0.0)
-        if lo < u < hi:
-            s, fallback = s_new, False
-        else:
-            if fallback and not progress:
-                u = 0.5 * (lo + hi)
-            else:
-                u, fallback = (lo * g_hi - hi * g_lo) / (g_hi - g_lo), True
+                s = _hermite_root(before, here)
+            u = 2.0 ** min(s * gap, 0.0)
+        before, g_prev = here, g
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
             if not lo < u < hi:
                 return
             s = float(np.log2(u)) / gap
-        before, g_prev = here, g
+            g_prev = np.inf
         g, dg = yield s
 
 
@@ -491,6 +494,7 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
     is active, the optimal distortion (k-1)2^s / (1 + (k-1)2^s) equals this
     one whatever the source, so the slope returned is exact there.
     """
+    stop = 1e-3 * _DISTORTION_TOLERANCE * _cost_unit(excess)
     # Costs and slopes in units of the gap, so that no square overflows.
     unit, aim = excess / gap, aim / gap
     search = _slope_steps(-1.0, 1.0, 1.0, -aim, float(p @ unit.mean(axis=1)) - aim, lambda: 0.0)
@@ -500,7 +504,7 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
         W = A / A.sum(axis=1, keepdims=True)
         e_bar = (W * unit).sum(axis=1)
         g = float(p @ e_bar) - aim
-        if abs(g) * gap <= 1e-3 * _DISTORTION_TOLERANCE:
+        if abs(g) * gap <= stop:
             break
         var = (W * (unit - e_bar[:, None]) ** 2).sum(axis=1)
         try:
@@ -510,17 +514,16 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
     return t / gap
 
 
-def _time_share(
-    p: np.ndarray, costs: np.ndarray, low: RdPoint, high: RdPoint, target: float
-) -> RdPoint:
+def _time_share(p: np.ndarray, costs: np.ndarray, excess: np.ndarray,
+                low: RdPoint, high: RdPoint, target: float) -> RdPoint:
     """Point at the target that mixes the test channels of two solves.
 
     ``low`` and ``high`` have distortions below and above the target; the
     channel theta W_low + (1 - theta) W_high meets the target, and its
     mutual information, the rate returned, is at most the chord between the
     two points, since mutual information is convex in the channel.
+    ``excess`` holds the costs above each row's least, as in blahut_arimoto.
     """
-    excess = costs - costs.min(axis=1, keepdims=True)
 
     def joint(pt):
         with np.errstate(over="ignore"):
@@ -554,12 +557,15 @@ def rd_at_distortion(
       solve.
     - Further slopes: Newton steps, with dD/ds from the solve's optimality
       conditions (_distortion_slope), refined by the slope before
-      (_slope_steps).  A step that leaves the bracket, or follows one that
-      did not halve |D - target|, falls back to a secant or bisection step
-      on the bracket.
+      (_slope_steps).  A step that leaves the bracket, or follows a Newton
+      step that did not halve |D - target|, bisects the bracket instead.
     The search stops at a point whose distortion is within
-    _DISTORTION_TOLERANCE of the target.  A target that close to D_min
-    takes the first of the slopes -64, -128, ... that reaches it.  If the
+    _DISTORTION_TOLERANCE cost units (_cost_unit) of the target.  D_min
+    itself is reached only as s -> -inf, so a target closer to it than a
+    sliver, 2^-40 of the least positive excess cost or of the cost unit,
+    whichever is less, but at least 1024 ulps of D_min, is raised to the
+    sliver and takes the same search.  Where D_max is within the sliver,
+    D_min = D_max included, the zero-rate point is returned.  If the
     target lies on a linear curve segment, D jumps over it, and the search
     ends once the bracket is narrower than _JUMP_WIDTH relative.  The point
     returned then time-shares the test channels of the nearest solves on
@@ -580,22 +586,20 @@ def rd_at_distortion(
     d_max = _zero_rate_distortion(source, d)
     if target >= d_max:
         return RdPoint(float(target), 0.0, 0.0, 0)
-    if target <= d_min + _DISTORTION_TOLERANCE:
-        slope = -64.0
-        pt = blahut_arimoto(source, d, slope)
-        while pt.distortion > target + _DISTORTION_TOLERANCE:
-            slope *= 2.0
-            if slope < -2.0 ** 20:
-                raise ConvergenceError(f"slope bracket exhausted at {slope}")
-            pt = blahut_arimoto(source, d, slope, start=pt.output_law)
-        return pt
-
     p = source.probs
-    excess = d.costs - d.costs.min(axis=1, keepdims=True)
-    gap = float(excess[excess > 0.0].min())
     s_c, top = _critical_slope(p, d.costs)
     # The zero-rate end: its channel sends every x to the best constant.
     best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[top[0]])
+    excess = d.costs - d.costs.min(axis=1, keepdims=True)
+    gap = float(excess[excess > 0.0].min(initial=np.inf))
+    unit = _cost_unit(d.costs)
+    # D_min itself is reached only as s -> -inf: aim a sliver above it, far
+    # inside the tolerance and wide enough that rounding keeps it.
+    target = max(target, d_min + max(2.0 ** -40 * min(gap, unit), 1024 * math.ulp(d_min)))
+    if s_c == -np.inf or target >= d_max:
+        # Every column ties with the best constant's (D_min = D_max), or
+        # D_max is within the sliver.
+        return best_high
 
     def dg_c():
         if len(top) == 1:
@@ -612,7 +616,7 @@ def rd_at_distortion(
         pt = blahut_arimoto(source, d, slope, start=law)
         law = pt.output_law
         g = pt.distortion - target
-        if abs(g) <= _DISTORTION_TOLERANCE:
+        if abs(g) <= _DISTORTION_TOLERANCE * unit:
             return pt
         if g < 0.0:
             if best_low is None or pt.distortion > best_low.distortion:
@@ -625,7 +629,7 @@ def rd_at_distortion(
             slope = None
     if best_low is None:
         raise ConvergenceError(f"no slope reached distortion {target!r}")
-    return _time_share(p, d.costs, best_low, best_high, target)
+    return _time_share(p, d.costs, excess, best_low, best_high, target)
 
 
 def rd_curve(
@@ -635,8 +639,9 @@ def rd_curve(
 ) -> RdCurve:
     """Sampled curve from near-lossless down to the zero-rate end.
 
-    Slopes sweep a geometric range upward, so points cluster where the
-    curve bends; each solve starts from the output law of the one before.
+    Slopes sweep a geometric range upward, -2^6 to -2^-6 per cost unit
+    (_cost_unit), so points cluster where the curve bends; each solve
+    starts from the output law of the one before.
     Slopes at or above the critical slope (_critical_slope), where the
     point mass of the zero-rate end is optimal, are not solved, and the
     exact zero-rate endpoint (D_max, 0) is always the last point; where
@@ -646,7 +651,8 @@ def rd_curve(
     d = _check_pair(source, d)
     if _require_integer(n_points, "n_points") < 2:
         raise ValueError("n_points must be >= 2")
-    slopes = -np.exp2(np.linspace(6.0, -6.0, n_points - 1))
+    unit = _cost_unit(d.costs)
+    slopes = -np.exp2(np.linspace(6.0, -6.0, n_points - 1)) / unit
     s_c, _ = _critical_slope(source.probs, d.costs)
     pts = []
     law = None
@@ -657,7 +663,7 @@ def rd_curve(
     pts.sort(key=lambda p: (p.distortion, p.rate))
     kept: list[RdPoint] = []
     for p in pts:
-        if kept and p.distortion - kept[-1].distortion <= 1e-12:
+        if kept and p.distortion - kept[-1].distortion <= 1e-12 * unit:
             # Same distortion from two slopes: keep the cheaper rate.
             if p.rate < kept[-1].rate:
                 kept[-1] = p

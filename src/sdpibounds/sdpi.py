@@ -122,7 +122,7 @@ class SdpiResult:
     it shows how far the search was from converging there, not how far
     value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
-    around the marginal and its gap stays large (0.056 on the 33-level
+    around the marginal and its gap stays large (0.031 on the 33-level
     Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
     pair, the swapped joint for y_to_x, so the two directions of one joint
     can differ in it at rounding level.
@@ -396,6 +396,12 @@ def _solved(H, b):
     return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
 
 
+def _gradient(q, q_out, N, D, p_in, p_out, T):
+    """Gradient of log(N/D) at q, output law q_out (both floored), and its two logs."""
+    log_out, log_in = np.log(q_out / p_out), np.log(q / p_in)
+    return ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D, log_out, log_in
+
+
 def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
@@ -421,9 +427,7 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     D = np.maximum(den, _TINY)[:, None]
     q_out = np.maximum(Qy, _LOG_FLOOR)
     q = np.maximum(Q, _LOG_FLOOR)
-    log_out = np.log(q_out / p_out)
-    log_in = np.log(q / p_in)
-    G = ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D
+    G, log_out, log_in = _gradient(q, q_out, N, D, p_in, p_out, T)
     # num < _TINY or den < _TINY: fmin, unlike minimum, skips a NaN.
     vanishing = np.fmin(num, den) < _TINY
     G[vanishing] = 0.0
@@ -472,8 +476,8 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
     on = q > 0
     if (T[~on][:, qy <= 0].sum(axis=1) * den < num).any():
         return np.inf
-    g = ((np.log(np.maximum(qy, _LOG_FLOOR) / p_out) + 1.0) @ T.T / num)[on]
-    g -= (np.log(q[on] / p_in[on]) + 1.0) / den
+    g = _gradient(np.maximum(q, _LOG_FLOOR), np.maximum(qy, _LOG_FLOOR), num, den,
+                  p_in, p_out, T)[0][on]
     return float(g.max() - g.min())
 
 

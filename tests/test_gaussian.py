@@ -44,6 +44,11 @@ class TestParams:
         with pytest.raises(ValueError):
             FigureRow(0.1, 0.1, 1.0, 1.5, 1.8, 1.8)  # bound above exact
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_figure_row_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            FigureRow(0.1, 0.1, bad, 1.5, 1.8, 1.8)
+
 
 class TestClosedForms:
     def test_beta_uncorrelated(self):

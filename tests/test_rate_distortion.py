@@ -86,6 +86,11 @@ class TestDistortionMatrix:
         with pytest.raises(ValueError):
             DistortionMatrix.from_dict({"x_size": 2, "xhat_size": 2, "costs": [0.0]})
 
+    @pytest.mark.parametrize("costs", [np.zeros((0, 2)), np.zeros((2, 0)), [0.0, 1.0]])
+    def test_rejects_empty_and_non_matrix_costs(self, costs):
+        with pytest.raises(ValueError, match="expected a nonempty matrix"):
+            DistortionMatrix(costs)
+
 
 class TestRdPoint:
     def test_validation(self):
@@ -95,6 +100,10 @@ class TestRdPoint:
             RdPoint(0.1, -0.5, -1.0, 3)
         with pytest.raises(ValueError):
             RdPoint(0.1, 0.5, 1.0, 3)
+
+    def test_rejects_negative_iterations(self):
+        with pytest.raises(ValueError, match="negative iteration count"):
+            RdPoint(0.1, 0.5, -1.0, -1)
 
     def test_to_dict(self):
         d = RdPoint(0.1, 0.5, -2.0, 7).to_dict()
@@ -394,6 +403,45 @@ class TestRdAtDistortion:
             assert len(solves) <= 3
             checked += 1
 
+    def test_targets_at_the_least_distortion_take_the_one_search(self, monkeypatch):
+        # A target at or within 1e-6 of D_min runs the search every target
+        # runs, from the uniform-law slope, in at most 3 solves.
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(2, 9))
+            src = Distribution(rng.dirichlet(np.ones(n)))
+            costs = [1.0 - np.eye(n), random_cost_source(rng, n)[1].costs,
+                     rng.integers(0, 4, size=(n, n)).astype(float),
+                     rng.uniform(0.0, 1.0, size=(n, int(rng.integers(2, 9))))][trial % 4]
+            d_min = float(src.probs @ costs.min(axis=1))
+            if float((src.probs @ costs).min()) - d_min < 1e-6:
+                continue
+            for target in (d_min, d_min + 1e-7, d_min + 5e-7):
+                solves.clear()
+                pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
+                assert abs(pt.distortion - target) <= 1e-6
+                assert 1 <= len(solves) <= 3
+                if trial % 4 == 0 and target == d_min:
+                    # Hamming: R(0) is the entropy.
+                    assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
+
+    @pytest.mark.parametrize("probs, costs, target", [
+        # The least positive excess cost is far above the cost unit of 1.
+        ([0.3, 0.7], [[0.0, 1e308], [1e308, 0.0]], 0.0),
+        # Every cost is offset by 1e6, so 2^-40 of a unit is below an ulp
+        # of D_min.
+        ([0.3, 0.7], [[1e6, 1e6 + 1.0], [1e6 + 1.0, 1e6]], 1e6),
+        # D_max - D_min is 1e-20, below the sliver a target at D_min is
+        # raised by.
+        ([1e-20, 1.0 - 1e-20], [[0.0, 1.0], [1.0, 0.0]], 0.0),
+    ], ids=["huge-gap", "offset", "thin-span"])
+    def test_least_distortion_targets_on_extreme_costs(self, probs, costs, target):
+        src = Distribution(probs)
+        pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
+        assert abs(pt.distortion - target) <= 1e-6
+        assert pt.rate == pytest.approx(entropy(src), abs=1e-5)
+
     def test_no_solve_on_the_zero_rate_plateau(self, monkeypatch):
         solves = count_solves(monkeypatch)
         rng = np.random.default_rng(31)
@@ -406,6 +454,38 @@ class TestRdAtDistortion:
                 solves.clear()
                 rd_at_distortion(src, d, target=d_min + frac * (d_max - d_min))
                 assert all(s < s_c for s in solves)
+
+    @pytest.mark.parametrize("c", [1e-7, 1e-5, 1e-2])
+    def test_scaled_costs_scale_the_distortions_only(self, c):
+        # Tolerances and curve slopes are in units of the largest excess
+        # cost (capped at 1), so costs times c give the same rates at c
+        # times the distortions.  With absolute ones, 1e-5 times these
+        # costs read 0.58 bits at 0.3 of the span against 0.6338.
+        rng = np.random.default_rng(4)
+        src = Distribution(rng.dirichlet(np.ones(4)))
+        costs = rng.uniform(0.1, 1.0, size=(4, 4))
+        np.fill_diagonal(costs, 0.0)
+        bit = Distribution([0.3, 0.7])
+        hamming = 1.0 - np.eye(2)
+
+        def span_point(scale):
+            d = DistortionMatrix(scale * costs)
+            d_min = float(src.probs @ d.costs.min(axis=1))
+            d_max = float((src.probs @ d.costs).min())
+            return rd_at_distortion(src, d, d_min + 0.3 * (d_max - d_min))
+
+        want, got = span_point(1.0), span_point(c)
+        assert got.rate == pytest.approx(want.rate, rel=1e-9)
+        assert got.distortion == pytest.approx(c * want.distortion, rel=1e-9)
+        assert rd_at_distortion(bit, DistortionMatrix(c * hamming), 0.0).rate == pytest.approx(
+            entropy(bit), abs=1e-9)
+        for source, d in ((bit, hamming), (src, costs)):
+            want = rd_curve(source, DistortionMatrix(d), 9).points
+            got = rd_curve(source, DistortionMatrix(c * d), 9).points
+            assert len(got) == len(want) >= 5
+            for g, w in zip(got, want):
+                assert g.rate == pytest.approx(w.rate, rel=1e-9, abs=1e-12)
+                assert g.distortion == pytest.approx(c * w.distortion, rel=1e-9)
 
     def test_matches_closed_form_fuzz(self):
         rng = np.random.default_rng(1234)
@@ -563,6 +643,12 @@ class TestRdCurve:
         assert len(RdCurve((RdPoint(0.1, 0.5, -1.0, 1),)).points) == 1
         with pytest.raises(ValueError):
             RdCurve(())
+
+    @pytest.mark.parametrize("distortions", [(0.1, 0.1), (0.2, 0.1)])
+    def test_rejects_distortions_that_do_not_increase(self, distortions):
+        points = tuple(RdPoint(v, 0.5, -1.0, 1) for v in distortions)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RdCurve(points)
 
     @pytest.mark.parametrize("probs, costs, dist", [
         ([1.0], None, 0.0),

@@ -950,9 +950,10 @@ class TestDirections:
         assert self.check_newton(cases, conditioned=False) >= least
 
     FACE_ROWS = [
-        ([[0.11494768806776054, 0.028170251681758567],
-          [0.049716566881553265, 0.3768463007926013],
-          [0.32413713230969304, 0.10618206026663311]],
+        # The first joint's bits are those its face row was found on.
+        ([[0.11494768806776055, 0.02817025168175857],
+          [0.04971656688155327, 0.37684630079260134],
+          [0.3241371323096931, 0.10618206026663313]],
          "x_to_y", [4.625445919708648e-255, 0.9484745794825644, 0.05152542051743558]),
         ([[0.13195691812076105, 0.026431970129774243],
           [0.28761049907248837, 0.12042156854154412],
