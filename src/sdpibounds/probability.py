@@ -9,9 +9,11 @@ Conventions used throughout the package:
    rounding of 1 is kept bit for bit (a JSON round trip, a transpose);
  - joint distributions are (x, y) matrices in row-major order, x indexes rows.
 
-Joint distributions must have strictly positive marginals.  Zero rows or
-columns would make conditionals and divergence ratios undefined, so they are
-rejected up front rather than patched downstream.
+Joint distributions must have marginals of at least the least normal
+double, np.finfo(float).tiny (about 2.2e-308).  Zero rows or columns would
+make conditionals and divergence ratios undefined, and subnormal ones
+overflow them, so they are rejected up front rather than patched
+downstream.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ LN2 = float(np.log(2.0))
 SUM_TOLERANCE = 1e-9
 # Entries slightly negative from upstream float arithmetic clip to zero.
 NEGATIVE_TOLERANCE = 1e-12
+# The least normal double: the least marginal mass a joint may have.
+_LEAST_NORMAL = float(np.finfo(np.float64).tiny)
 # The next double above -1 (see _kl_rows).
 _ABOVE_MINUS_ONE = float(np.nextafter(-1.0, 0.0))
 
@@ -129,14 +133,14 @@ class Distribution:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A joint pmf on {0..x_size-1} x {0..y_size-1} with full-support marginals."""
+    """A joint pmf on {0..x_size-1} x {0..y_size-1}; every marginal mass is >= 2.2e-308."""
 
     probs: np.ndarray
 
     def __post_init__(self):
         arr = _clean_pmf(self.probs, 2, "JointDistribution")
-        if np.any(arr.sum(axis=1) <= 0.0) or np.any(arr.sum(axis=0) <= 0.0):
-            raise ProbabilityError("JointDistribution: a marginal has a zero entry")
+        if min(arr.sum(axis=1).min(), arr.sum(axis=0).min()) < _LEAST_NORMAL:
+            raise ProbabilityError("JointDistribution: a marginal has a zero or subnormal entry")
         object.__setattr__(self, "probs", arr)
 
     @property

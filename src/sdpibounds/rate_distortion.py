@@ -12,9 +12,10 @@ distortion come from a safeguarded Newton search on the slope, with the
 slope's derivative from the solver's optimality conditions, inside a
 bracket closed by the critical slope where the zero-rate point mass stops
 being optimal; it starts at the slope where the uniform output law meets
-the target, and warm-starts each solve from the one before; a target at
-the least distortion takes the same search.  A target that Hamming costs
-put where every reproduction symbol is active takes one solve.  Sampled
+the target, and warm-starts each solve from the one before.  A target
+within the stop tolerance of the least distortion D_min takes one solve at
+slope -inf, where the kernel is a 0/1 mask (_kernel); so does a target
+that Hamming costs put where every reproduction symbol is active.  Sampled
 curves warm-start each slope from the one before and solve no slope past
 the critical one.  Distortion tolerances and curve slopes are in units of
 the largest excess cost, capped at 1 (_cost_unit), so costs scaled down
@@ -27,7 +28,6 @@ above the true curve but never below it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +82,7 @@ class DistortionMatrix:
 
 @dataclass(frozen=True)
 class RdPoint:
-    """One achievable (distortion, rate) point and the slope that produced it."""
+    """One achievable (distortion, rate) point and the slope, -inf at D_min, that produced it."""
 
     distortion: float
     rate: float
@@ -96,7 +96,7 @@ class RdPoint:
             raise ValueError(f"RdPoint: bad distortion {self.distortion!r}")
         if not (np.isfinite(self.rate) and self.rate >= 0.0):
             raise ValueError(f"RdPoint: bad rate {self.rate!r}")
-        if not (np.isfinite(self.slope) and self.slope <= 0.0):
+        if not self.slope <= 0.0:
             raise ValueError(f"RdPoint: bad slope {self.slope!r}")
         if self.iterations < 0:
             raise ValueError("RdPoint: negative iteration count")
@@ -201,19 +201,21 @@ def _newton_step(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
     free = np.flatnonzero(~leaving & (q > 0.0))
     k = free.size
     delta = np.where(leaving, -q, 0.0)
-    WA = (w / lam)[:, None] * A[:, free]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = A[:, free].T @ WA
-    kkt[:k, :k] += np.diag(np.linalg.norm(r[free]) / np.sqrt(q[free]))
-    kkt[:k, k] = kkt[k, :k] = 1.0
-    rhs = np.append(-r[free] - WA.T @ (A @ delta), -delta.sum())
-    if not (np.all(np.isfinite(kkt)) and np.all(np.isfinite(rhs))):
-        return q
-    delta[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-    down = delta < 0.0
-    alpha = 1.0
-    if down.any():
-        alpha = min(alpha, _NEWTON_BOUNDARY * float(np.min(q[down] / -delta[down])))
+    # Overflow leaves a system non-finite (q comes back) or a boundary ratio inf (never binds).
+    with np.errstate(over="ignore", invalid="ignore"):
+        WA = (w / lam)[:, None] * A[:, free]
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = A[:, free].T @ WA
+        kkt[:k, :k] += np.diag(np.linalg.norm(r[free]) / np.sqrt(q[free]))
+        kkt[:k, k] = kkt[k, :k] = 1.0
+        rhs = np.append(-r[free] - WA.T @ (A @ delta), -delta.sum())
+        if not (np.all(np.isfinite(kkt)) and np.all(np.isfinite(rhs))):
+            return q
+        delta[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        down = delta < 0.0
+        alpha = 1.0
+        if down.any():
+            alpha = min(alpha, _NEWTON_BOUNDARY * float(np.min(q[down] / -delta[down])))
     # F(q + alpha delta) - F(q), summed through log1p so that a change far
     # below F's own rounding keeps its sign.
     ratio = (A @ delta) / lam
@@ -223,6 +225,15 @@ def _newton_step(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
             return trial / trial.sum()
         alpha *= 0.5
     return q
+
+
+def _kernel(slope: float, excess: np.ndarray) -> np.ndarray:
+    """2^(slope * excess), and at slope -inf its limit, the 0/1 mask of each
+    row's least costs.  An exponent past the float range gives 0, as it should."""
+    if slope == -np.inf:
+        return (excess == 0.0).astype(np.float64)
+    with np.errstate(over="ignore"):
+        return np.exp2(slope * excess)
 
 
 def _joint(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -246,6 +257,7 @@ def blahut_arimoto(
 ) -> RdPoint:
     """Curve point at a fixed Lagrangian slope (bits per unit distortion, <= 0).
 
+    Slope -inf gives (D_min, R(D_min)): the kernel is then a 0/1 mask (_kernel).
     Iterates the output-law update until the optimality gap drops below
     _BA_TOLERANCE bits, and raises ConvergenceError, carrying the gap left,
     after _BA_MAX_ITERATIONS iterations without.  Each update that leaves
@@ -256,7 +268,7 @@ def blahut_arimoto(
     (uniform by default), mixed with _START_MIX uniform mass.
     """
     d = _check_pair(source, d)
-    if not (np.isfinite(slope) and slope <= 0.0):
+    if not slope <= 0.0:
         raise ValueError(f"slope must be <= 0, got {slope!r}")
     if slope == 0.0:
         return RdPoint(_zero_rate_distortion(source, d), 0.0, 0.0, 0)
@@ -264,10 +276,7 @@ def blahut_arimoto(
     p = source.probs
     # Costs above each row's minimum: scaling a row of A leaves the test
     # channel, c and the gap unchanged, and keeps A's largest entry at 1.
-    # An exponent past the float range is -inf, and its entry 0, as it
-    # should be.
-    with np.errstate(over="ignore"):
-        A = np.exp2(slope * (d.costs - d.costs.min(axis=1, keepdims=True)))
+    A = _kernel(slope, d.costs - d.costs.min(axis=1, keepdims=True))
     n = d.xhat_size
     if start is None:
         q = np.full(n, 1.0 / n)
@@ -277,7 +286,6 @@ def blahut_arimoto(
             raise ValueError(f"start must be an output law on {n} symbols")
         q = (1.0 - _START_MIX) * q / q.sum() + _START_MIX / n
     prev_obj = np.inf
-    it = 0
     gap = np.inf
     for it in range(1, _BA_MAX_ITERATIONS + 1):
         lam = np.maximum(A @ q, _LOG_FLOOR)
@@ -387,10 +395,10 @@ def _distortion_slope(
     """
     if support is None:
         support = np.flatnonzero(q > _SUPPORT_FLOOR)
+    A = _kernel(slope, excess)
     # Costs near the float range can overflow the products below; the
     # result is then inf or nan, which the search does not step on.
     with np.errstate(over="ignore", invalid="ignore"):
-        A = np.exp2(slope * excess)
         lam = np.maximum(A @ q, _LOG_FLOOR)
         w = p / lam
         W = A * (q / lam[:, None])
@@ -524,13 +532,9 @@ def _time_share(p: np.ndarray, costs: np.ndarray, excess: np.ndarray,
     two points, since mutual information is convex in the channel.
     ``excess`` holds the costs above each row's least, as in blahut_arimoto.
     """
-
-    def joint(pt):
-        with np.errstate(over="ignore"):
-            return _joint(p, np.exp2(pt.slope * excess), pt.output_law)
-
     theta = (high.distortion - target) / (high.distortion - low.distortion)
-    pxy = theta * joint(low) + (1.0 - theta) * joint(high)
+    pxy = (theta * _joint(p, _kernel(low.slope, excess), low.output_law)
+           + (1.0 - theta) * _joint(p, _kernel(high.slope, excess), high.output_law))
     law = theta * low.output_law + (1.0 - theta) * high.output_law
     law.setflags(write=False)
     return RdPoint(float((pxy * costs).sum()), _mi_from_matrix(pxy), low.slope,
@@ -560,20 +564,17 @@ def rd_at_distortion(
       (_slope_steps).  A step that leaves the bracket, or follows a Newton
       step that did not halve |D - target|, bisects the bracket instead.
     The search stops at a point whose distortion is within
-    _DISTORTION_TOLERANCE cost units (_cost_unit) of the target.  D_min
-    itself is reached only as s -> -inf, so a target closer to it than a
-    sliver, 2^-40 of the least positive excess cost or of the cost unit,
-    whichever is less, but at least 1024 ulps of D_min, is raised to the
-    sliver and takes the same search.  Where D_max is within the sliver,
-    D_min = D_max included, the zero-rate point is returned.  If the
-    target lies on a linear curve segment, D jumps over it, and the search
-    ends once the bracket is narrower than _JUMP_WIDTH relative.  The point
-    returned then time-shares the test channels of the nearest solves on
-    either side of the target, or of the one below and the zero-rate point
-    mass (_time_share): its distortion is the target, and its rate, at or
-    below the chord of those solves, is a safe stand-in (an upper bound on
-    the rate function, achievable at the target).  A non-finite target is
-    a ValueError.
+    _DISTORTION_TOLERANCE cost units (_cost_unit) of the target; a target
+    that close to D_min returns the one solve at slope -inf, whose rate is
+    R(D_min) >= R(target) (D_min = D_max returns the zero-rate point).  If
+    the target lies on a linear curve segment, D jumps over it, and the
+    search ends once the bracket is narrower than _JUMP_WIDTH relative.
+    The point returned then time-shares the test channels of the nearest
+    solves on either side of the target, or of the one below (the slope
+    -inf solve if none) and the zero-rate point mass (_time_share): its
+    distortion is the target, and its rate, at or below the chord of those
+    solves, is a safe stand-in (an upper bound on the rate function,
+    achievable at the target).  A non-finite target is a ValueError.
     """
     d = _check_pair(source, d)
     if not np.isfinite(target):
@@ -590,16 +591,13 @@ def rd_at_distortion(
     s_c, top = _critical_slope(p, d.costs)
     # The zero-rate end: its channel sends every x to the best constant.
     best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[top[0]])
+    if s_c == -np.inf:  # every column ties with the best constant's
+        return best_high
+    unit = _cost_unit(d.costs)
+    if target - d_min <= _DISTORTION_TOLERANCE * unit:
+        return blahut_arimoto(source, d, -np.inf)
     excess = d.costs - d.costs.min(axis=1, keepdims=True)
     gap = float(excess[excess > 0.0].min(initial=np.inf))
-    unit = _cost_unit(d.costs)
-    # D_min itself is reached only as s -> -inf: aim a sliver above it, far
-    # inside the tolerance and wide enough that rounding keeps it.
-    target = max(target, d_min + max(2.0 ** -40 * min(gap, unit), 1024 * math.ulp(d_min)))
-    if s_c == -np.inf or target >= d_max:
-        # Every column ties with the best constant's (D_min = D_max), or
-        # D_max is within the sliver.
-        return best_high
 
     def dg_c():
         if len(top) == 1:
@@ -628,7 +626,7 @@ def rd_at_distortion(
         except StopIteration:
             slope = None
     if best_low is None:
-        raise ConvergenceError(f"no slope reached distortion {target!r}")
+        best_low = blahut_arimoto(source, d, -np.inf)
     return _time_share(p, d.costs, excess, best_low, best_high, target)
 
 

@@ -200,10 +200,16 @@ def maximal_correlation(j: JointDistribution) -> float:
 
 
 def _correlation_svd(j: JointDistribution):
-    """(U, maximal correlation) from the reduced SVD of p(x,y)/sqrt(p(x)p(y))."""
-    px = j.probs.sum(axis=1)
-    py = j.probs.sum(axis=0)
-    U, s, _ = np.linalg.svd(j.probs / np.sqrt(np.outer(px, py)), full_matrices=False)
+    """(U, maximal correlation) from the reduced SVD of p(x,y)/sqrt(p(x)p(y)).
+
+    Both marginals are scaled by 2^511, so a product of two masses of at
+    least the least normal double (JointDistribution) stays normal; the
+    powers of two cancel exactly, so every other quotient keeps its bits.
+    """
+    scale = 2.0 ** 511
+    px = j.probs.sum(axis=1) * scale
+    py = j.probs.sum(axis=0) * scale
+    U, s, _ = np.linalg.svd(j.probs * scale / np.sqrt(np.outer(px, py)), full_matrices=False)
     return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0)
 
 

@@ -110,6 +110,21 @@ class TestSstar:
     def test_missing_file(self, tmp_path, capsys):
         assert run(capsys, "sstar", str(tmp_path / "absent.json"))[0] == 4
 
+    def test_marginal_product_below_the_least_double(self, tmp_path, capsys):
+        joint = jfile(tmp_path, "j.json", {"x_size": 2, "y_size": 2, "probs": [1e-200, 0, 0, 1]})
+        code, out, err = run(capsys, "sstar", joint)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["rho_star"] == 1.0
+        for direction in ("x_to_y", "y_to_x"):
+            assert payload[direction]["value"] == payload[direction]["rho_m_squared"] == 1.0
+
+    @pytest.mark.parametrize("probs", [[5e-324, 0, 0, 1], [1e-320, 1e-320, 0.5, 0.5]])
+    def test_subnormal_marginal(self, tmp_path, capsys, probs):
+        joint = jfile(tmp_path, "j.json", {"x_size": 2, "y_size": 2, "probs": probs})
+        assert run(capsys, "sstar", joint) == (
+            3, "", "error: JointDistribution: a marginal has a zero or subnormal entry\n")
+
     def test_mass_past_the_float_range(self, tmp_path, capsys):
         joint = jfile(tmp_path, "j.json", {"x_size": 1, "y_size": 3, "probs": [1e308] * 3})
         assert run(capsys, "sstar", joint) == (

@@ -88,6 +88,18 @@ class TestJointDistribution:
         with pytest.raises(ProbabilityError):
             JointDistribution([[0.5, 0.0], [0.5, 0.0]])
 
+    @pytest.mark.parametrize("probs", [[[5e-324, 0.0], [0.0, 1.0]], [[1e-320, 1e-320], [0.5, 0.5]]])
+    def test_rejects_a_subnormal_marginal(self, probs):
+        # A marginal mass below the least normal double overflows the
+        # ratios that divide by it.
+        with pytest.raises(ProbabilityError, match="a marginal has a zero or subnormal entry"):
+            JointDistribution(probs)
+
+    def test_accepts_a_marginal_at_the_least_normal_double(self):
+        tiny = np.finfo(np.float64).tiny
+        j = JointDistribution([[tiny, 0.0], [0.0, 1.0]])
+        assert j.probs[0, 0] == tiny
+
     def test_swapped(self, dsbs):
         assert np.array_equal(dsbs.swapped().probs, dsbs.probs.T)
 

@@ -109,6 +109,11 @@ class TestRdPoint:
         d = RdPoint(0.1, 0.5, -2.0, 7).to_dict()
         assert set(d) == {"distortion", "rate", "slope", "iterations"}
 
+    def test_slope_minus_infinity_is_accepted_and_nan_is_not(self):
+        assert RdPoint(0.0, 1.0, -np.inf, 1).to_dict()["slope"] == -np.inf
+        with pytest.raises(ValueError, match="bad slope nan"):
+            RdPoint(0.0, 1.0, np.nan, 1)
+
     def test_output_law_is_outside_dict_and_equality(self):
         pt = blahut_arimoto(Distribution([0.3, 0.7]), slope=-2.0)
         assert pt.output_law.shape == (2,) and pt.output_law.sum() == pytest.approx(1.0)
@@ -133,6 +138,49 @@ class TestBlahutArimoto:
         assert pt.distortion == pytest.approx(0.0, abs=1e-12)
         assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
 
+    def test_slope_minus_infinity_solves_the_least_distortion(self):
+        # The kernel is then the 0/1 mask of each row's least costs.
+        excess = np.array([[0.0, 2.0, 0.0], [1e-300, 0.0, 5.0]])
+        np.testing.assert_array_equal(rate_distortion._kernel(-np.inf, excess),
+                                      [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        src = Distribution([0.2, 0.8])
+        pt = blahut_arimoto(src, slope=-np.inf)
+        assert (pt.distortion, pt.slope) == (0.0, -np.inf)
+        assert pt.rate == pytest.approx(entropy(src), abs=1e-12)
+        # On rectangular costs it is the limit of steep finite slopes.
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            nx, ny = (int(v) for v in rng.integers(2, 9, size=2))
+            src = Distribution(rng.dirichlet(np.ones(nx)))
+            d = DistortionMatrix(rng.uniform(0.0, 1.0, size=(nx, ny)))
+            at_inf = blahut_arimoto(src, d, -np.inf)
+            steep = blahut_arimoto(src, d, -1e4)
+            assert at_inf.distortion == pytest.approx(src.probs @ d.costs.min(axis=1), abs=1e-15)
+            assert at_inf.rate == pytest.approx(steep.rate, abs=1e-9)
+        with pytest.raises(ValueError, match="slope must be <= 0"):
+            blahut_arimoto(src, d, np.nan)
+
+    def test_steep_slope_with_a_subnormal_newton_entry_warns_not(self):
+        # At slope -1e4 a Newton step entry of this 8x8 rectangular draw is
+        # subnormal, so its boundary ratio overflows to inf: that entry never
+        # limits the step, and no warning may escape.
+        rng = np.random.default_rng(5)
+        for i in range(295):
+            n = rng.integers(2, 9)
+            p = rng.dirichlet(np.ones(n))
+            if i % 3 == 0:
+                costs = rng.uniform(0, 1, (n, rng.integers(2, 9)))
+            elif i % 3 == 1:
+                costs = rng.integers(0, 4, (n, n))
+            else:
+                costs = rng.uniform(0.1, 1, (n, n))
+                np.fill_diagonal(costs, 0.0)
+        assert costs.shape == (8, 8)
+        pt = blahut_arimoto(Distribution(p), DistortionMatrix(costs), -1e4)
+        assert pt.distortion == pytest.approx(0.19811731805610877, rel=1e-12)
+        assert pt.rate == pytest.approx(2.4735523131701305, rel=1e-12)
+        assert pt.iterations == 2
+
     def test_costs_past_the_float_range(self):
         # slope * cost overflows to -inf: the entry of A is 0, with no warning.
         src = Distribution([0.2, 0.8])
@@ -148,6 +196,22 @@ class TestBlahutArimoto:
         d = 1.0 / (1.0 + 2.0 ** (-s))
         assert pt.distortion == pytest.approx(d, rel=1e-8)
         assert pt.rate == pytest.approx(binary_hamming_rd(0.5, d), rel=1e-7)
+
+    def test_objective_increase_raises(self, monkeypatch):
+        # Neither the update nor an accepted Newton step raises the
+        # objective, so only a faulty step can: here one that jumps to a
+        # near point mass on the wrong symbol.
+        monkeypatch.setattr(rate_distortion, "_newton_step",
+                            lambda p, A, q: np.array([0.001, 0.001, 0.998]))
+        with pytest.raises(ConvergenceError, match="objective increased at iteration 2") as exc:
+            blahut_arimoto(Distribution([0.5, 0.3, 0.2]), slope=-5.0)
+        assert np.isfinite(exc.value.gap)
+
+    def test_newton_step_on_an_overflowing_system_keeps_q(self):
+        # p / (Aq)^2 overflows in the second row: no step, and no warning.
+        q = np.array([0.5, 0.5])
+        A = np.array([[1.0, 0.0], [0.0, 1e-200]])
+        assert rate_distortion._newton_step(np.array([0.5, 0.5]), A, q) is q
 
     def test_convergence_error_carries_gap(self, monkeypatch):
         monkeypatch.setattr(rate_distortion, "_BA_MAX_ITERATIONS", 1)
@@ -404,8 +468,9 @@ class TestRdAtDistortion:
             checked += 1
 
     def test_targets_at_the_least_distortion_take_the_one_search(self, monkeypatch):
-        # A target at or within 1e-6 of D_min runs the search every target
-        # runs, from the uniform-law slope, in at most 3 solves.
+        # A target within the tolerance of D_min (1e-6 cost units; every
+        # cost unit here is above 0.6) takes one solve, at slope -inf,
+        # whose distortion is D_min up to rounding.
         solves = count_solves(monkeypatch)
         rng = np.random.default_rng(11)
         for trial in range(40):
@@ -420,27 +485,37 @@ class TestRdAtDistortion:
             for target in (d_min, d_min + 1e-7, d_min + 5e-7):
                 solves.clear()
                 pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
-                assert abs(pt.distortion - target) <= 1e-6
-                assert 1 <= len(solves) <= 3
-                if trial % 4 == 0 and target == d_min:
+                assert solves == [-np.inf] and pt.slope == -np.inf
+                assert pt.distortion == pytest.approx(d_min, rel=1e-15, abs=1e-15)
+                if trial % 4 == 0:
                     # Hamming: R(0) is the entropy.
                     assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
 
     @pytest.mark.parametrize("probs, costs, target", [
         # The least positive excess cost is far above the cost unit of 1.
         ([0.3, 0.7], [[0.0, 1e308], [1e308, 0.0]], 0.0),
-        # Every cost is offset by 1e6, so 2^-40 of a unit is below an ulp
-        # of D_min.
+        # Every cost is offset by 1e6, where an ulp is 1.2e-10.
         ([0.3, 0.7], [[1e6, 1e6 + 1.0], [1e6 + 1.0, 1e6]], 1e6),
-        # D_max - D_min is 1e-20, below the sliver a target at D_min is
-        # raised by.
+        # D_max - D_min is 1e-20, far inside the tolerance.
         ([1e-20, 1.0 - 1e-20], [[0.0, 1.0], [1.0, 0.0]], 0.0),
     ], ids=["huge-gap", "offset", "thin-span"])
-    def test_least_distortion_targets_on_extreme_costs(self, probs, costs, target):
+    def test_least_distortion_targets_on_extreme_costs(self, monkeypatch, probs, costs, target):
+        # Each is the one solve at slope -inf: (D_min, H(X)) under these costs.
+        solves = count_solves(monkeypatch)
         src = Distribution(probs)
         pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
-        assert abs(pt.distortion - target) <= 1e-6
-        assert pt.rate == pytest.approx(entropy(src), abs=1e-5)
+        assert solves == [-np.inf] and pt.slope == -np.inf
+        assert pt.distortion == pytest.approx(target, rel=1e-15)
+        assert pt.rate == pytest.approx(entropy(src), abs=1e-12)
+
+    def test_a_search_with_no_point_below_takes_the_least_distortion_solve(self, monkeypatch):
+        # With no slope step left, the search has no solve below the target:
+        # the slope -inf solve stands in, time-shared with the zero-rate end.
+        monkeypatch.setattr(rate_distortion, "_SLOPE_STEPS", 0)
+        pt = rd_at_distortion(Distribution.uniform(2), target=0.25)
+        assert pt.distortion == pytest.approx(0.25, abs=1e-15) and pt.slope == -np.inf
+        # Its rate lies between R(0.25) and the chord from (0, 1) to (0.5, 0).
+        assert binary_hamming_rd(0.5, 0.25) <= pt.rate <= 0.5 + 1e-12
 
     def test_no_solve_on_the_zero_rate_plateau(self, monkeypatch):
         solves = count_solves(monkeypatch)
@@ -486,6 +561,39 @@ class TestRdAtDistortion:
             for g, w in zip(got, want):
                 assert g.rate == pytest.approx(w.rate, rel=1e-9, abs=1e-12)
                 assert g.distortion == pytest.approx(c * w.distortion, rel=1e-9)
+
+    def test_relabeling_and_row_offsets_keep_the_rate(self):
+        # R(D) does not see the order of the source or reproduction symbols,
+        # and adding c to the costs of row x shifts every distortion by
+        # p_x c.  Each change moves the rate by rounding alone: at most
+        # 8.5e-15 bits over these 531 cases.
+        rng = np.random.default_rng(7)
+        checked = 0
+        for trial in range(64):
+            n = int(rng.integers(2, 7))
+            p = rng.dirichlet(np.ones(n))
+            m = n if trial % 4 < 3 else int(rng.integers(2, 7))
+            costs = [1.0 - np.eye(n), rng.uniform(0.1, 1.0, size=(n, n)) * (1.0 - np.eye(n)),
+                     rng.integers(0, 4, size=(n, n)).astype(float),
+                     rng.uniform(0.0, 1.0, size=(n, m))][trial % 4]
+            d_min = float(p @ costs.min(axis=1))
+            d_max = float((p @ costs).min())
+            if d_max - d_min < 1e-6:
+                continue
+            rows, cols = rng.permutation(n), rng.permutation(m)
+            x, c = int(rng.integers(n)), float(rng.uniform(0.5, 3.0))
+            offset = costs.copy()
+            offset[x] += c
+            for frac in (0.0, 0.3, 0.7):
+                target = d_min + frac * (d_max - d_min)
+                want = rd_at_distortion(Distribution(p), DistortionMatrix(costs), target).rate
+                for q, d, t in ((p[rows], costs[rows], target),
+                                (p, costs[:, cols], target),
+                                (p, offset, target + p[x] * c)):
+                    got = rd_at_distortion(Distribution(q), DistortionMatrix(d), t).rate
+                    assert got == pytest.approx(want, abs=1e-12)
+                    checked += 1
+        assert checked >= 500
 
     def test_matches_closed_form_fuzz(self):
         rng = np.random.default_rng(1234)
@@ -561,6 +669,34 @@ class TestDistortionSlope:
             assert got == pytest.approx(want, rel=1e-4, abs=1e-9)
             compared += 1
         assert compared >= 20
+
+    def test_an_overflowing_system_gives_nan(self):
+        # Row 2's only mass sits on a symbol of mass 1e-200 at slope -2000,
+        # so p / lam^2 overflows: nan, which the slope search does not step on.
+        got = rate_distortion._distortion_slope(np.array([0.5, 0.5]), 1.0 - np.eye(2), -2000.0,
+                                                np.array([1.0, 1e-200]))
+        assert np.isnan(got)
+
+
+class TestSlopeSteps:
+    def test_no_first_slope_inside_the_bracket(self):
+        # The first slope sits on the bracket's upper end, and the line
+        # through the ends meets g = 0 at a u that underflows to 0.
+        assert list(rate_distortion._slope_steps(0.0, 1.0, 1.0, -5e-324, 10.0, lambda: 0.0)) == []
+
+    def test_ends_when_rounding_leaves_no_point_inside(self):
+        # The bracket [5e-324, 1e-323] on u holds no double, yet it is wider
+        # than _JUMP_WIDTH relative, since that width underflows to 0.
+        search = rate_distortion._slope_steps(-1074.0, 1.0, 1e-323, -1.0, 1.0, lambda: 0.0)
+        assert next(search) == -1074.0
+        with pytest.raises(StopIteration):
+            search.send((-0.5, 1.0))
+
+    def test_uniform_law_slope_for_an_unreachable_aim(self):
+        # The uniform law's excess distortion is at most 0.5 here: the
+        # search closes on slope 0 and ends without meeting 0.9.
+        s = rate_distortion._uniform_law_slope(np.array([0.5, 0.5]), 1.0 - np.eye(2), 1.0, 0.9)
+        assert -1e-9 < s < 0.0
 
 
 class TestRdCurve:

@@ -152,6 +152,16 @@ class TestMaximalCorrelation:
         j = JointDistribution([[0.5, 0.5]])
         assert maximal_correlation(j) == 0.0
 
+    def test_marginal_product_below_the_least_double(self):
+        # The product of the two 1e-200 marginals underflows a double, so
+        # sqrt(p(x) p(y)) cannot be formed as is.  Y = X, so s* = 1.
+        j = JointDistribution([[1e-200, 0.0], [0.0, 1.0]])
+        assert maximal_correlation(j) == 1.0
+        for direction in ("x_to_y", "y_to_x"):
+            res = sstar(j, direction)
+            assert res.value == 1.0 and res.rho_m_squared == 1.0
+        assert rho_star(j) == 1.0
+
     def test_bounded_fuzz(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
