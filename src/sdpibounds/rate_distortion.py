@@ -579,8 +579,16 @@ def rd_at_distortion(
     d = _check_pair(source, d)
     if not np.isfinite(target):
         raise ValueError(f"target distortion must be finite, got {target!r}")
-    d_min = float(source.probs @ d.costs.min(axis=1))
-    if target < d_min - 1e-9:
+    least = d.costs.min(axis=1)
+    d_min = float(source.probs @ least)
+    # A target that sums the same n products in another order is D_min too.
+    # Two float sums of them differ by at most 2 gamma_n sum |p_x least_x|,
+    # gamma_n = n u / (1 - n u) with u = 2^-53 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., section 3.1), on top of
+    # the absolute slack.
+    nu = least.size * 2.0 ** -53
+    rounding = 2.0 * nu / (1.0 - nu) * float(source.probs @ np.abs(least))
+    if target < d_min - 1e-9 - rounding:
         raise InfeasibleDistortionError(
             f"target distortion {target!r} below the attainable minimum {d_min!r}"
         )

@@ -16,13 +16,15 @@ this module estimates it from below and takes the best of:
    (_tilt_starts): a coarse scan of each, refined ten times finer near its
    best peaks only, 575 to 650 evaluations where one fine scan took 4,802
    on the benchmark Gaussians.  No start is random.  Every start takes
-   Newton steps where the log ratio is locally concave and gradient steps
-   elsewhere; _directions picks each direction.  Its concavity test is one
-   Cholesky call for all rows, and its Newton steps one solve; both work
-   per matrix, so a failed matrix fails alone.  Every step is a mirror
-   step, q exp(t v)/Z, in the KL geometry, where projected gradient steps
-   crawl (a 9-level Gaussian stopped 1.2e-5 short after 2,000 rounds) or
-   park on a simplex face.
+   Newton steps where the log ratio is locally concave, saddle-free Newton
+   steps where it is not, and gradient steps only where neither can be
+   formed; _directions picks each direction.  Its concavity test is one
+   Cholesky call for all rows, its Newton steps one solve and its
+   saddle-free steps one eigendecomposition; each works per matrix, so a
+   failed matrix fails alone.  Every step is a mirror step, q exp(t v)/Z,
+   in the KL geometry, where projected gradient steps crawl (a 9-level
+   Gaussian stopped 1.2e-5 short after 2,000 rounds) or park on a simplex
+   face.
 
 y_to_x is x_to_y on the swapped joint (_posed, the one reader of a
 direction): a joint equal to its transpose gets identical results both ways.
@@ -122,7 +124,7 @@ class SdpiResult:
     it shows how far the search was from converging there, not how far
     value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
-    around the marginal and its gap stays large (0.031 on the 33-level
+    around the marginal and its gap stays larger (3.6e-5 on the 33-level
     Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
     pair, the swapped joint for y_to_x, so the two directions of one joint
     can differ in it at rounding level.
@@ -402,6 +404,34 @@ def _solved(H, b):
     return _umath_linalg.solve(H, b[:, :, None], signature="dd->d")[:, :, 0]
 
 
+# Floor of the saddle-free step's |eigenvalues|, relative to the row's
+# largest.  An eigenvalue near 0 would send the step along its eigenvector
+# off to infinity; rounding leaves one only eps |lambda_max| accurate, so
+# the floor caps the modified Hessian's condition number at 1e8, where the
+# floored eigenvalues still hold about 8 digits.
+_EIGEN_FLOOR = 1e-8
+
+
+def _saddle_free(H, b):
+    """x = -|H|^-1 b per matrix of the stack, |H| = V diag(|lambda|) V' from
+    the eigendecomposition H = V diag(lambda) V', with each |lambda| raised
+    to at least _EIGEN_FLOOR times the matrix's largest.
+
+    Where H is negative definite, -|H| = H and x solves H x = b as _solved
+    does.  With b the negated gradient of a function to maximize, x is the
+    saddle-free Newton step (Dauphin et al., arXiv:1406.2572; Nocedal &
+    Wright, Numerical Optimization, 3.4): Newton's step with every
+    curvature taken as negative, so it ascends along every eigenvector.
+    One call for the stack through eigh_lo, the per-matrix gufunc behind
+    np.linalg.eigh, which gives NaN for a matrix whose decomposition fails;
+    the same private route and errstate as _negative_definite.
+    """
+    lam, V = _umath_linalg.eigh_lo(H, signature="d->dd")
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
+    return -(V @ ((b[:, None, :] @ V)[:, 0, :] / lam)[:, :, None])[:, :, 0]
+
+
 def _gradient(q, q_out, N, D, p_in, p_out, T):
     """Gradient of log(N/D) at q, output law q_out (both floored), and its two logs."""
     log_out, log_in = np.log(q_out / p_out), np.log(q / p_in)
@@ -412,21 +442,25 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     """(concave, direction) per row: the ascent direction of log(num/den).
 
     Qy, num and den are the output laws and ratio parts of Q from _evaluate,
-    and TB is T' B, which stays fixed over a search.  Each direction is the
-    exponent v of a mirror step q exp(t v)/Z: the gradient, zeroed where
-    num or den vanishes, or, on a row where the log ratio is locally
-    concave, d/q for the Newton direction d, whose mirror step is q + t d
-    to first order.
+    and TB is T' B, which stays fixed over a search.  Returns (concave,
+    saddle, direction): each direction is the exponent v of a mirror step
+    q exp(t v)/Z, and is d/q for a Newton direction d, whose mirror step is
+    q + t d to first order, on the rows flagged concave (Newton) or saddle
+    (saddle-free Newton), and the gradient elsewhere, zeroed where num or
+    den vanishes.
     Newton works in the sum-zero tangent space with an orthonormal basis B
     (k x k-1); a row is concave when the reduced Hessian
-        H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
+        H = H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
     H_N = T diag(1/q_out) T', H_D = diag(1/q), g_N = T log(q_out/p_out),
     g_D = log(q/p_in), is negative definite: when a Cholesky factorization
     of its negation succeeds (_negative_definite, one call for all rows).
-    One call to _solved gives the Newton steps of all concave rows.  A row
-    with an entry near 0, where 1/q puts entries up to 1e300 into H, can
-    pass the factorization and still be singular to solve; it takes the
-    gradient.
+    One call to _solved gives the Newton steps of all concave rows, and one
+    call to _saddle_free the steps of the rows with a finite H that fail
+    the factorization, where gradient steps crawl (65 % of the rows on the
+    benchmark's quantized Gaussians).  A row with an entry near 0, where
+    1/q puts entries up to 1e300 into H, can pass the factorization and
+    still be singular to solve; it takes the gradient, as does a row whose
+    eigendecomposition fails.
     """
     k = Q.shape[1]
     N = np.maximum(num, _TINY)[:, None]
@@ -444,23 +478,28 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     gN, gD = bN / N, bD / D
     inv_q = 1.0 / q
     # One errstate for the whole stack: H overflows on rows near a face, and
-    # the factorization and solve flag their failed matrices.
+    # the factorization, solve and eigendecomposition flag their failed
+    # matrices.
     with np.errstate(all="ignore"):
         H = ((TB.T / q_out[:, None, :]) @ TB - bN[:, :, None] * gN[:, None, :]) / N[:, :, None]
         H -= ((B.T * inv_q[:, None, :]) @ B - bD[:, :, None] * gD[:, None, :]) / D[:, :, None]
         concave = np.isfinite(H).all(axis=(1, 2))
         concave[vanishing] = False
+        saddle = concave.copy()
         # No factorization, solve or assignment for an empty stack.
         if concave.any():
             concave[concave] = _negative_definite(H[concave])
-        rows = concave.nonzero()[0]
-        if rows.size:
-            v = (_solved(H[rows], (gD - gN)[rows]) @ B.T) * inv_q[rows]
-            # A row whose solve failed, or whose d/q overflows, takes the gradient.
-            ok = np.isfinite(v).all(axis=1)
-            concave[rows] = ok
-            G[rows[ok]] = v[ok]
-    return concave, G
+        saddle &= ~concave
+        for flags, solve in ((concave, _solved), (saddle, _saddle_free)):
+            rows = flags.nonzero()[0]
+            if rows.size:
+                v = (solve(H[rows], (gD - gN)[rows]) @ B.T) * inv_q[rows]
+                # A row whose solve or eigendecomposition failed, or whose
+                # d/q overflows, takes the gradient.
+                ok = np.isfinite(v).all(axis=1)
+                flags[rows] = ok
+                G[rows[ok]] = v[ok]
+    return concave, saddle, G
 
 
 def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
@@ -501,7 +540,7 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     """Ascent on the log ratio from each row of starts.
 
     A try is a step along the direction v from _directions, tried from
-    step 1.0 on locally concave (Newton) rows: the mirror step
+    step 1.0 on (saddle-free) Newton rows: the mirror step
     q exp(t v)/Z in the KL geometry (Beck & Teboulle 2003), where the
     divergence's Hessian diag(1/q) would make Euclidean steps crawl.
 
@@ -537,8 +576,8 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     while live := [r for r in range(n) if left[r]]:
         # A sweep that only goes on with halvings needs no new direction.
         if fresh:
-            concave, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
-            for r, newton in zip(fresh, concave.tolist()):
+            concave, saddle, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
+            for r, newton in zip(fresh, (concave | saddle).tolist()):
                 if newton:
                     step[r] = 1.0
                 usable = bisect.bisect_right(floor, step[r])

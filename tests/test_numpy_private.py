@@ -15,7 +15,8 @@ def test_umath_linalg_gufuncs():
         linalg = importlib.import_module("numpy.linalg._umath_linalg")
     except ImportError:
         linalg = None
-    for name, caller in (("cholesky_lo", "sdpi._negative_definite"), ("solve", "sdpi._solved")):
+    for name, caller in (("cholesky_lo", "sdpi._negative_definite"), ("solve", "sdpi._solved"),
+                         ("eigh_lo", "sdpi._saddle_free")):
         assert hasattr(linalg, name), (
             f"numpy {numpy.__version__} has no numpy.linalg._umath_linalg.{name}, "
             f"which {caller} calls"

@@ -329,6 +329,31 @@ class TestRdAtDistortion:
         with pytest.raises(InfeasibleDistortionError, match="below the attainable minimum 0.0"):
             rd_at_distortion(Distribution.uniform(2), d, target=-2e-9)
 
+    def test_least_distortion_summed_in_another_order_on_offset_costs(self, monkeypatch):
+        # Costs of 1e9 plus zero-diagonal uniform(0.1, 1), where an ulp of
+        # D_min is 1.2e-7: D_min summed in Python order falls below numpy's
+        # sum by more than the absolute slack of 1e-9 on draws 10, 13, 17
+        # and 18, which raised.  Every such target is the slope -inf solve;
+        # a target a thousandth of a cost unit below D_min still raises.
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(1)
+        below = 0
+        for _ in range(20):
+            costs = rng.uniform(0.1, 1.0, size=(3, 3))
+            np.fill_diagonal(costs, 0.0)
+            costs += 1e9
+            src = Distribution(rng.dirichlet(np.ones(3)))
+            d_min = float(src.probs @ costs.min(axis=1))
+            target = sum(float(p) * float(c) for p, c in zip(src.probs, costs.min(axis=1)))
+            below += target < d_min - 1e-9
+            solves.clear()
+            pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
+            assert solves == [-np.inf] and pt.slope == -np.inf
+            assert pt.distortion == pytest.approx(d_min, rel=1e-15)
+            with pytest.raises(InfeasibleDistortionError):
+                rd_at_distortion(src, DistortionMatrix(costs), target=d_min - 1e-3)
+        assert below == 4
+
     def test_bernoulli_sweep_matches_closed_form(self):
         # 14 of these 19 targets raised ConvergenceError under slope bisection.
         for target in np.linspace(0.01, 0.19, 19):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import sdpibounds
@@ -30,6 +32,7 @@ from sdpibounds.sdpi import (
     _FIRST_TRIES,
     _HALVINGS,
     _LOG_FLOOR,
+    _EIGEN_FLOOR,
     _STEP_TOLERANCE,
     _TINY,
     EXCLUSION_RADIUS,
@@ -37,6 +40,7 @@ from sdpibounds.sdpi import (
     _directions,
     _evaluate,
     _first_order_gap,
+    _gradient,
     _mirror_rows,
     _multistart_search,
     _negative_definite,
@@ -414,6 +418,27 @@ class TestSstar:
     def test_unknown_direction(self, dsbs):
         with pytest.raises(ProbabilityError):
             sstar(dsbs, "backwards")
+
+    @pytest.mark.parametrize("draw, direction, best", [
+        (445, "y_to_x", "0.844258666404"),
+        (458, "x_to_y", "0.003404825793"),
+        (236, "y_to_x", "0.9982730406"),
+        (395, "x_to_y", "0.9997500266"),
+    ])
+    def test_sparse_fuzz_draws_reach_their_best_known_values(self, draw, direction, best):
+        # Draws of the sparse fuzz classes whose maxima lie near a simplex
+        # face, where earlier searches fell short: draw 445 returned rho_m^2
+        # = 0.836542517837, 458 0.003401244275 (the pitch-1/100 grid's
+        # value is the floor here), 236 0.998257914774 and 395
+        # 0.9997480093.  The floors are the best values known, printed to
+        # 12 or 10 places; the slack is 1e-12 relative or half a unit in
+        # the last place printed, whichever is larger.  Nelder-Mead polished
+        # from the witness and 30 random starts finds nothing higher on 236
+        # than 0.998273040595936, 4.1e-12 relative below its printed value.
+        places = len(best.split(".")[1])
+        best = float(best)
+        res = sstar(_fuzz_joint(draw), direction)
+        assert res.value >= best - max(1e-12 * best, 0.5 * 10.0 ** -places)
 
 
 class TestInvariance:
@@ -863,13 +888,14 @@ class TestDirections:
     def test_gradient_matches_central_differences(self):
         checked = 0
         for p_in, p_out, T, Q, B in self.interior_rows(11):
-            concave, G = self.directions(Q, p_in, p_out, T)
-            for q, g in zip(Q[~concave], G[~concave]):
+            _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
+            G = _gradient(Q, Qy, num[:, None], den[:, None], p_in, p_out, T)[0]
+            for q, g in zip(Q, G):
                 pts = np.vstack([q + self.H * B.T, q - self.H * B.T])
                 diffs = self.central_differences(self.log_ratio(pts, p_in, p_out, T), B.shape[1])
                 np.testing.assert_allclose(B.T @ g, diffs, rtol=1e-6, atol=1e-7)
                 checked += 1
-        assert checked >= 50
+        assert checked >= 100
 
     @staticmethod
     def gradients(Q, p_in, p_out, T):
@@ -890,31 +916,51 @@ class TestDirections:
                 - np.diag(1.0 / q) / den + np.outer(g_den, g_den) / den ** 2)
         return B.T @ full @ B
 
+    @staticmethod
+    def modified(hess):
+        """-|H|, from np.linalg.eigh, with |eigenvalues| floored as
+        _saddle_free floors them: H itself where H is negative definite."""
+        lam, V = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max())
+        return -(V * lam) @ V.T
+
     def check_newton(self, cases, conditioned=True):
-        """Count the concave rows.  On each, the direction v is d/q, whose
-        mirror step q exp(t v)/Z is q + t d to first order: d = v q must
-        solve H (B'd) = -B'g with H from reduced_hessian, and H must match
-        central differences of the gradient.
+        """Count the (concave, saddle-free) rows.  On each, the direction v
+        is d/q, whose mirror step q exp(t v)/Z is q + t d to first order:
+        d = v q must solve M (B'd) = -B'g, where M is H from reduced_hessian
+        on a concave row and -|H| (modified) on a saddle-free row, and H
+        must match central differences of the gradient.  A concave row's H
+        is negative definite and a saddle-free row's is not.
 
         Rows with conditioned=False have entries too small for differences
         at step H and an H too ill-conditioned for the residual entry by
         entry, so there the residual is checked in norm instead, relative
-        to |H| |B'd| + |B'g|: the backward error of the solve.
+        to |M| |B'd| + |B'g|: the backward error of the solve.  So is every
+        saddle-free row's: an eigendecomposition is backward stable in norm
+        only, and entry by entry the residual reached 1.7e-9 relative on
+        these rows, at condition numbers of |H| up to 2e5.
         """
-        checked = 0
+        checked = [0, 0]
         for p_in, p_out, T, Q, B in cases:
-            concave, G = self.directions(Q, p_in, p_out, T)
-            for q, v in zip(Q[concave], G[concave]):
+            concave, saddle, G = self.directions(Q, p_in, p_out, T)
+            assert not (concave & saddle).any()
+            for q, v, newton in zip(Q[concave | saddle], G[concave | saddle], concave[concave | saddle]):
                 d = v * q
                 assert d.sum() == pytest.approx(0.0, abs=1e-12)
                 hess = self.reduced_hessian(q, p_in, p_out, T, B)
+                system = hess if newton else self.modified(hess)
                 red = self.gradients(q[None, :], p_in, p_out, T)[0] @ B
-                checked += 1
+                checked[0 if newton else 1] += 1
+                if conditioned:
+                    assert (np.linalg.eigvalsh(hess).max() < 0.0) == newton
+                if not (conditioned and newton):
+                    scale = np.linalg.norm(system, 2) * np.linalg.norm(B.T @ d) + np.linalg.norm(red)
+                    assert np.linalg.norm(system @ (B.T @ d) + red) <= 1e-10 * scale
                 if not conditioned:
-                    scale = np.linalg.norm(hess, 2) * np.linalg.norm(B.T @ d) + np.linalg.norm(red)
-                    assert np.linalg.norm(hess @ (B.T @ d) + red) <= 1e-10 * scale
                     continue
-                np.testing.assert_allclose(hess @ (B.T @ d), -red, rtol=1e-10, atol=0.0)
+                if newton:
+                    np.testing.assert_allclose(system @ (B.T @ d), -red, rtol=1e-10, atol=0.0)
                 grads = self.gradients(np.vstack([q + self.H * B.T, q - self.H * B.T]),
                                        p_in, p_out, T)
                 diffs = self.central_differences(grads @ B, B.shape[1])
@@ -922,7 +968,8 @@ class TestDirections:
         return checked
 
     def test_newton_solves_the_reduced_system(self):
-        assert self.check_newton(self.interior_rows(12)) >= 15
+        concave, saddle = self.check_newton(self.interior_rows(12))
+        assert concave >= 15 and saddle >= 15
 
     def test_mirror_newton_direction_is_newton_over_q(self):
         # The same check on 5 and 7 symbols.
@@ -937,27 +984,59 @@ class TestDirections:
                 Q = rng.dirichlet(np.ones(k), size=400)
                 Q = Q[(0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05) & (Q.min(axis=1) > 0.02)]
                 cases.append((p_in, p_out, T, Q, _sum_zero_basis(k)))
-        assert self.check_newton(cases) >= 15
+        concave, saddle = self.check_newton(cases)
+        assert concave >= 15 and saddle >= 15
 
-    @pytest.mark.parametrize("levels, least", [(17, 10), (33, 6)])
+    def test_saddle_free_direction_against_eigh(self):
+        # Matrix by matrix against np.linalg.eigh: the step x solves
+        # -|H| x = b with the floored |eigenvalues| (modified), in norm
+        # relative to its backward error, and the floor bounds its length.
+        # On a negative definite H it is the solve.  The stacks hold random
+        # symmetric matrices, a negative definite one, and one whose
+        # eigenvalues below 1e-12 are floored.
+        rng = np.random.default_rng(18)
+        for m in (1, 2, 5, 32):
+            A = rng.normal(size=(6, m, m))
+            H = A + A.transpose(0, 2, 1)
+            H[0] = -(A[0] @ A[0].T) - np.eye(m)
+            H[1] = np.diag(np.r_[-1.0, np.full(m - 1, 1e-12)])
+            b = rng.normal(size=(6, m))
+            with np.errstate(all="ignore"):
+                x = sdpi._saddle_free(H, b)
+            for h, r, got in zip(H, b, x):
+                system = self.modified(h)
+                scale = np.linalg.norm(system, 2) * np.linalg.norm(got) + np.linalg.norm(r)
+                assert np.linalg.norm(system @ got - r) <= 1e-13 * scale
+                top = np.abs(np.linalg.eigvalsh(h)).max()
+                assert np.linalg.norm(got) <= np.linalg.norm(r) / (_EIGEN_FLOOR * top) * (1 + 1e-9)
+            np.testing.assert_allclose(x[0], np.linalg.solve(H[0], b[0]), rtol=1e-9)
+            with np.errstate(all="ignore"):
+                assert sdpi._saddle_free(H[:0], b[:0]).shape == (0, m)
+
+    @pytest.mark.parametrize("levels, least", [(17, (10, 15)), (33, (6, 12))])
     def test_newton_on_gaussian_ascent_rows(self, levels, least):
         # The tilt starts of the 17- and 33-level Gaussians and their points
-        # after one and two rounds, where most Newton directions of
+        # after one round, where most (saddle-free) Newton directions of
         # sstar-sized searches are solved.  Their reduced Hessians have
         # condition numbers of 1e8 to 1e10, so the residual is checked in
-        # norm.  Later rounds are left out: near convergence the gradient
-        # falls to its rounding level (4e-12 at 17 levels, rho = 0.6, where
-        # it is 0.4 % off a 50-digit value), and so does any direction
-        # solved from it.
+        # norm.  Later rounds are left out: near convergence, which a start
+        # can reach in two rounds, the gradient falls to its rounding level
+        # (4e-12 at 17 levels, rho = 0.6, where it is 0.4 % off a 50-digit
+        # value), and so does any direction solved from it.  So are the
+        # tilt starts with an entry below 1e-150, whose H has eigenvalues of
+        # 1e200 to 1e306: the saddle-free step floors the others at 1e-8 of
+        # those, where rounding makes a term-by-term H differ from the
+        # library's by about as much (relative 1e-8 in norm), and d = v q
+        # loses its digits near the least double.
         cases = []
         for rho in (0.3, 0.6, 0.85):
             j = quantized_gaussian_joint(rho, levels)
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
-            Q = np.vstack([starts] + [_multistart_search(p_in, p_out, T, starts, rounds)[1]
-                                      for rounds in (1, 2)])
-            cases.append((p_in, p_out, T, Q, _sum_zero_basis(levels)))
-        assert self.check_newton(cases, conditioned=False) >= least
+            Q = np.vstack([starts, _multistart_search(p_in, p_out, T, starts, 1)[1]])
+            cases.append((p_in, p_out, T, Q[Q.min(axis=1) > 1e-150], _sum_zero_basis(levels)))
+        concave, saddle = self.check_newton(cases, conditioned=False)
+        assert concave >= least[0] and saddle >= least[1]
 
     FACE_ROWS = [
         # The first joint's bits are those its face row was found on.
@@ -992,15 +1071,15 @@ class TestDirections:
 
     def face_hessians(self, monkeypatch):
         """(H, b) stacks that _directions hands to _solved on the face rows
-        above, alone, with each row's (concave, direction)."""
-        stacks, outcomes = [], []
+        above, alone."""
+        stacks = []
         solved = sdpi._solved
         monkeypatch.setattr(sdpi, "_solved", lambda H, b: stacks.append((H, b)) or solved(H, b))
         for probs, direction, q in self.FACE_ROWS:
             p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
-            outcomes.append(self.directions(np.array([q]), p_in, p_out, T))
+            self.directions(np.array([q]), p_in, p_out, T)
         monkeypatch.undo()
-        return stacks, outcomes
+        return stacks
 
     @staticmethod
     def public_outcomes(H, b):
@@ -1045,8 +1124,7 @@ class TestDirections:
             zeroed[-1], zeroed[:, -1] = 0.0, 0.0
             V = rng.normal(size=(m, max(1, m // 4)))
             pools[m] = [negative, A + A.T, zeroed, -(V @ V.T), np.zeros((m, m))]
-        face, _ = self.face_hessians(monkeypatch)
-        for F, _ in face:
+        for F, _ in self.face_hessians(monkeypatch):
             pools.setdefault(F.shape[1], []).extend(F)
         pools[3].append(np.array([[1.0, 1e308, -1e308], [1.0, -1e308, 1e308], [0.0, 1.0, 1.0]]))
         assert np.isnan(np.linalg.solve(pools[3][-1], np.ones((3, 1)))).all()
@@ -1073,23 +1151,58 @@ class TestDirections:
         assert min(seen.values()) > 0, seen
 
     def test_row_whose_solve_raises_takes_the_gradient(self, monkeypatch):
-        # Two face rows pass the factorization, and np.linalg.solve raises
-        # on their Hessians: they take the same gradient as a row that
-        # fails the factorization.
-        stacks, outcomes = self.face_hessians(monkeypatch)
-        monkeypatch.setattr(sdpi, "_negative_definite", lambda H: np.zeros(H.shape[0], dtype=bool))
-        raised = 0
-        for (H, b), (concave, G), (probs, direction, q) in zip(stacks, outcomes, self.FACE_ROWS):
-            _, x = self.public_outcomes(H, b)
+        # A Newton solve that fails, as LAPACK's does on a singular matrix,
+        # or an eigendecomposition that fails gives NaN.  The row then takes
+        # the gradient of _gradient, with its flag down, and every other
+        # row keeps its direction.  On interior rows and the face rows,
+        # alone and among interior rows.
+        cases = [(p_in, p_out, T, Q) for p_in, p_out, T, Q, _ in self.interior_rows(17)]
+        rng = np.random.default_rng(19)
+        for probs, direction, q in self.FACE_ROWS:
             p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
-            gradient = self.directions(np.array([q]), p_in, p_out, T)[1]
-            if x[0] is None:
-                raised += 1
-                assert not concave[0]
-                assert G.tobytes() == gradient.tobytes()
-            else:
-                assert concave[0]
-        assert raised == 2
+            cases.append((p_in, p_out, T, np.array([q])))
+            cases.append((p_in, p_out, T, np.vstack([rng.dirichlet(np.full(len(q), 3.0), size=2), q])))
+        failing = lambda H, b: np.full(b.shape, np.nan)
+        seen = {"_solved": 0, "_saddle_free": 0}
+        for p_in, p_out, T, Q in cases:
+            concave, saddle, G = self.directions(Q, p_in, p_out, T)
+            _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
+            gradient = _gradient(np.maximum(Q, _LOG_FLOOR), np.maximum(Qy, _LOG_FLOOR),
+                                 np.maximum(num, _TINY)[:, None], np.maximum(den, _TINY)[:, None],
+                                 p_in, p_out, T)[0]
+            for name, hit, kept in (("_solved", concave, saddle), ("_saddle_free", saddle, concave)):
+                monkeypatch.setattr(sdpi, name, failing)
+                got = self.directions(Q, p_in, p_out, T)
+                monkeypatch.undo()
+                flags = got[:2] if name == "_solved" else got[1::-1]
+                assert not flags[0].any() and (flags[1] == kept).all()
+                assert got[2][hit].tobytes() == gradient[hit].tobytes()
+                assert got[2][~hit].tobytes() == G[~hit].tobytes()
+                seen[name] += int(hit.sum())
+        assert min(seen.values()) >= 10, seen
+
+
+def _fuzz_joint(draw):
+    """Draw number draw of the s* fuzz: 600 draws of 2-4 x 2-6 joints from
+    default_rng(20261019), dense Dirichlet(1), Dirichlet(0.3) with cells
+    zeroed at rate 0.35, or Dirichlet(0.05), by draw mod 3."""
+    rng = np.random.default_rng(20261019)
+    for i in range(draw + 1):
+        nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        P = _fuzz_cells(rng, i % 3, nx * ny).reshape(nx, ny)
+    return JointDistribution(P / P.sum())
+
+
+def _fuzz_cells(rng, kind, n):
+    """n cells of one joint of fuzz class kind (_fuzz_joint)."""
+    if kind == 0:
+        return rng.dirichlet(np.ones(n))
+    if kind == 1:
+        P = rng.dirichlet(np.full(n, 0.3))
+        P[rng.random(n) < 0.35] = 0.0
+        return P
+    return rng.dirichlet(np.full(n, 0.05))
+
 
 def _decimal_ratio(q, j, direction):
     """divergence_ratio in 50-digit decimal arithmetic.
@@ -1155,10 +1268,10 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
     The batched line search of _multistart_search must accept the same
     points from the same starts; this loop tries each halving only after
     the previous one failed.  It takes the library's direction per row from
-    _directions, and resets the step to 1.0 on the rows that get a Newton
-    direction.  Its tries are mirror steps q exp(t v)/Z, with v the gradient
-    or, on Newton rows, the Newton direction d over q, so that the step is
-    q + t d to first order.  Returns the final value and point of every
+    _directions, and resets the step to 1.0 on the rows that get a Newton or
+    saddle-free Newton direction.  Its tries are mirror steps q exp(t v)/Z,
+    with v the gradient or, on those rows, the direction d over q, so that
+    the step is q + t d to first order.  Returns the final value and point of every
     start, and the evaluation count.
     """
     Q = starts.copy()
@@ -1170,9 +1283,9 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
         if not alive.any():
             break
         _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-        concave, G = _directions(Q, Qy, num, den, p_in, p_out, T,
-                                 T.T @ _sum_zero_basis(T.shape[0]))
-        step[concave] = 1.0
+        concave, saddle, G = _directions(Q, Qy, num, den, p_in, p_out, T,
+                                         T.T @ _sum_zero_basis(T.shape[0]))
+        step[concave | saddle] = 1.0
         pending = alive.copy()
         for _ in range(40):
             idx = np.flatnonzero(pending)
@@ -1245,16 +1358,17 @@ class TestTrimmedKernels:
                 yield p_in, p_out, T, Q
 
     def test_directions(self):
-        seen = {"concave": 0, "not concave": 0, "vanishing": 0}
+        seen = {"concave": 0, "saddle-free": 0, "gradient": 0, "vanishing": 0}
         for p_in, p_out, T, Q in self.stacks():
             _, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
             TB = T.T @ _sum_zero_basis(Q.shape[1])
             want = _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB)
             got = _directions(Q, Qy, num, den, p_in, p_out, T, TB)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
             seen["concave"] += int(want[0].sum())
-            seen["not concave"] += int((~want[0]).sum())
+            seen["saddle-free"] += int(want[1].sum())
+            seen["gradient"] += int((~want[0] & ~want[1]).sum())
             seen["vanishing"] += int(((num < 1e-15) | (den < 1e-15)).sum())
         assert min(seen.values()) > 0, seen
 
@@ -1335,6 +1449,7 @@ def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
               - bD[:, :, None] * (bD / D)[:, None, :]) / D[:, :, None]
     concave = np.isfinite(H).all(axis=(1, 2)) & ~vanishing
     concave[concave] = _reference_negative_definite(H[concave])
+    indefinite = np.isfinite(H).all(axis=(1, 2)) & ~vanishing & ~concave
     rows = np.flatnonzero(concave)
     d = _reference_solved(H[rows], (bD / D - bN / N)[rows]) @ B.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1343,7 +1458,18 @@ def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
     ok = np.isfinite(v).all(axis=1)
     concave[rows[~ok]] = False
     G[rows[ok]] = v[ok]
-    return concave, G
+    saddle = np.flatnonzero(indefinite)
+    with np.errstate(all="ignore"):
+        lam, V = _umath_linalg.eigh_lo(H[saddle], signature="d->dd")
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
+        coef = ((bD / D - bN / N)[saddle][:, None, :] @ V) / lam[:, None, :]
+        d = -(V @ coef.transpose(0, 2, 1))[:, :, 0] @ B.T
+        v = d * inv_q[saddle]
+    ok = np.isfinite(v).all(axis=1)
+    indefinite[saddle[~ok]] = False
+    G[saddle[ok]] = v[ok]
+    return concave, indefinite, G
 
 
 def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
@@ -1364,8 +1490,9 @@ def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterati
     while (rows := np.flatnonzero(left)).size:
         # A sweep that only goes on with halvings needs no new direction.
         if fresh.size:
-            concave, G[fresh] = _reference_directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
-            step[fresh[concave]] = 1.0
+            concave, saddle, G[fresh] = _reference_directions(Q[fresh], Qy, num, den,
+                                                              p_in, p_out, T, TB)
+            step[fresh[concave | saddle]] = 1.0
         late = deep[rows]
         # Row r tries halvings lo[r] to hi[r] - 1, in order.
         usable = 1 + np.searchsorted(floor, step[rows], side="right")
@@ -1471,6 +1598,22 @@ class TestTensorization:
 
 
 class TestDegradationMonotonicity:
+    # Y through a random channel to Z: s*(X -> Z) <= s*(X -> Y) holds for
+    # the true constants, so a larger estimate for Z than for Y shows that
+    # the search on Y fell short.  Joints from the three fuzz classes at 2-3
+    # symbols, derandomized: 150 examples, about 2 s.
+    @given(kind=st.integers(0, 2), sizes=st.tuples(*[st.integers(2, 3)] * 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    def test_data_processing_property(self, kind, sizes, seed):
+        nx, ny, nz = sizes
+        rng = np.random.default_rng(seed)
+        P = _fuzz_cells(rng, kind, nx * ny).reshape(nx, ny)
+        assume((P.sum(axis=1) > 0).all() and (P.sum(axis=0) > 0).all())
+        j = JointDistribution(P / P.sum())
+        z = JointDistribution(j.probs @ rng.dirichlet(np.ones(nz), size=ny))
+        assert sstar(z, "x_to_y").value <= sstar(j, "x_to_y").value + 1e-9
+
     def test_post_processing_cannot_raise_the_constant(self):
         rng = np.random.default_rng(314)
         for _ in range(30):
