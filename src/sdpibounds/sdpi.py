@@ -124,8 +124,8 @@ class SdpiResult:
     it shows how far the search was from converging there, not how far
     value is from the supremum.
     Where rho_m^2 wins, the best point often rests on the exclusion ball
-    around the marginal and its gap stays larger (3.6e-5 on the 33-level
-    Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
+    around the marginal and its gap stays above the witnesses' (3.6e-5 on
+    the 33-level Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
     pair, the swapped joint for y_to_x, so the two directions of one joint
     can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
@@ -439,15 +439,14 @@ def _gradient(q, q_out, N, D, p_in, p_out, T):
 
 
 def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
-    """(concave, direction) per row: the ascent direction of log(num/den).
+    """(concave, saddle, direction) per row: the ascent direction of log(num/den).
 
     Qy, num and den are the output laws and ratio parts of Q from _evaluate,
-    and TB is T' B, which stays fixed over a search.  Returns (concave,
-    saddle, direction): each direction is the exponent v of a mirror step
-    q exp(t v)/Z, and is d/q for a Newton direction d, whose mirror step is
-    q + t d to first order, on the rows flagged concave (Newton) or saddle
-    (saddle-free Newton), and the gradient elsewhere, zeroed where num or
-    den vanishes.
+    and TB is T' B, which stays fixed over a search.  Each direction is the
+    exponent v of a mirror step q exp(t v)/Z: d/q for a Newton direction d,
+    whose mirror step is q + t d to first order, on the rows flagged
+    concave (Newton) or saddle (saddle-free Newton), and the gradient
+    elsewhere, zeroed where num or den vanishes.
     Newton works in the sum-zero tangent space with an orthonormal basis B
     (k x k-1); a row is concave when the reduced Hessian
         H = H_N/N - g_N g_N'/N^2 - H_D/D + g_D g_D'/D^2,
@@ -456,7 +455,7 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     of its negation succeeds (_negative_definite, one call for all rows).
     One call to _solved gives the Newton steps of all concave rows, and one
     call to _saddle_free the steps of the rows with a finite H that fail
-    the factorization, where gradient steps crawl (65 % of the rows on the
+    the factorization, where gradient steps crawl (52 % of the rows on the
     benchmark's quantized Gaussians).  A row with an entry near 0, where
     1/q puts entries up to 1e300 into H, can pass the factorization and
     still be singular to solve; it takes the gradient, as does a row whose
