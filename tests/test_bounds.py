@@ -18,6 +18,7 @@ from sdpibounds import (
     coupled_rate_check,
     cr_ratio_bound,
     full_report,
+    quantized_gaussian_joint,
     independent_coding_penalty,
     rho_star,
     sstar,
@@ -234,12 +235,14 @@ class TestFullReport:
 
 class TestBothDirections:
     """bounds._both_directions is the one place both s* directions are solved;
-    a joint equal to its transpose bit for bit is solved once."""
+    a joint equal to its transpose bit for bit, such as a quantized Gaussian,
+    is solved once."""
 
     def test_sstar_calls(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(26)
         cases = [(path, 1) for path in sorted(DATA.glob("*.json"))]
-        for j, expected in ((symmetric_joint(rng, 6), 1), (random_joint(rng, 3, 3), 2)):
+        for j, expected in ((symmetric_joint(rng, 6), 1), (random_joint(rng, 3, 3), 2),
+                            (quantized_gaussian_joint(0.5, 9), 1)):
             path = tmp_path / f"j{len(cases)}.json"
             path.write_text(json.dumps(j.to_dict()))
             cases.append((path, expected))

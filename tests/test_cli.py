@@ -130,12 +130,14 @@ class TestSstar:
         assert run(capsys, "sstar", joint) == (
             3, "", "error: JointDistribution: total mass inf is not 1\n")
 
-    def test_a_symmetric_joint_prints_identical_directions(self, capsys):
-        joint = Path(sdpibounds.__file__).parent / "data" / "quaternary.json"
-        code, out, _ = run(capsys, "sstar", str(joint))
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["x_to_y"] == payload["y_to_x"]
+    def test_a_symmetric_joint_prints_identical_directions(self, tmp_path, capsys):
+        joints = [str(Path(sdpibounds.__file__).parent / "data" / "quaternary.json"),
+                  jfile(tmp_path, "gauss9.json", quantized_gaussian_joint(0.5, 9).to_dict())]
+        for joint in joints:
+            code, out, _ = run(capsys, "sstar", joint)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["x_to_y"] == payload["y_to_x"], joint
 
 
 class TestRd:

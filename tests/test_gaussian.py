@@ -1,5 +1,8 @@
 import io
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from sdpibounds import (
     quantized_gaussian_joint,
     rows_to_csv,
 )
+from sdpibounds import gaussian
 from sdpibounds.gaussian import (
     GaussianParams,
     _normal_cdf,
@@ -184,10 +188,14 @@ class TestQuantizedJoint:
         j = quantized_gaussian_joint(0.5, 9)
         assert isinstance(j, JointDistribution)
         assert j.x_size == j.y_size == 9
-        np.testing.assert_allclose(j.probs, j.probs.T, atol=1e-12)
-        px, py = marginals(j)
-        np.testing.assert_allclose(px.probs, px.probs[::-1], atol=1e-12)
-        np.testing.assert_allclose(px.probs, py.probs, atol=1e-12)
+        assert np.array_equal(j.probs, j.probs.T)
+        # Correctly rounded sums of equal entries are equal: numpy's axis
+        # sums add them in different orders, so marginals() may not be.
+        px = np.array([math.fsum(row) for row in j.probs])
+        py = np.array([math.fsum(col) for col in j.probs.T])
+        assert np.array_equal(px, px[::-1]) and np.array_equal(px, py)
+        np.testing.assert_allclose(marginals(j)[0].probs, px, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(marginals(j)[1].probs, px, rtol=0, atol=1e-15)
 
     def test_correlation_approaches_rho(self):
         vals = [maximal_correlation(quantized_gaussian_joint(0.5, lv)) for lv in (5, 9, 17)]
@@ -216,8 +224,9 @@ class TestQuantizedJoint:
 
     @staticmethod
     def per_level_reference(rho, levels):
-        """The quantizer as written before its nodes were cached: leggauss
-        on every call, then one quadrature per x-cell."""
+        """The quantizer before it used the joint's symmetry: one quadrature
+        per x-cell, linear nodes across the whole tail cell, and cdf
+        differences that cancel to 0 in the tails."""
         from numpy.polynomial.legendre import leggauss
 
         centers = np.linspace(-4.0, 4.0, levels)
@@ -235,13 +244,66 @@ class TestQuantizedJoint:
         mass /= mass.sum()
         return JointDistribution(mass)
 
+    @pytest.mark.parametrize("levels", [2, 3, 5, 9, 17, 21, 33, 65])
+    def test_bitwise_symmetric(self, levels):
+        # Exchangeable and centrally symmetric, bit for bit, so both s*
+        # directions are one problem (bounds._both_directions).
+        for rho in (-0.95, -0.5, 0.0, 0.05, 0.5, 0.95):
+            p = quantized_gaussian_joint(rho, levels).probs
+            assert np.array_equal(p.view(np.uint64), p.T.view(np.uint64)), rho
+            assert np.array_equal(p.view(np.uint64), p[::-1, ::-1].view(np.uint64)), rho
+
+    def test_matches_the_40_digit_reference(self):
+        """Every cell against tests/data/gaussian_reference.json, exact
+        rectangle masses to 40 digits; regenerate it (mpmath) with
+
+            python tests/data/gaussian_reference.py
+        """
+        table = json.loads((Path(__file__).parent / "data" / "gaussian_reference.json").read_text())
+        assert len(table["cases"]) == 16
+        for case in table["cases"]:
+            levels = case["levels"]
+            ref = np.array([float(v) for v in case["probs"]]).reshape(levels, levels)
+            got = quantized_gaussian_joint(case["rho"], levels).probs
+            where = (case["rho"], levels)
+            assert np.all(got > 0.0), where
+            large = ref > 1e-30
+            assert np.all(np.abs(got - ref)[large] <= 1e-12 * ref[large]), where
+            # Cells down to 1e-127 keep their leading digits as well.
+            assert np.all(np.abs(got - ref)[~large] <= 1e-10 * ref[~large]), where
+
     @pytest.mark.parametrize("levels", [2, 3, 9, 17, 33, 65])
-    def test_cached_nodes_give_the_same_bytes(self, levels):
-        # The per-level loop stays: a fully vectorized quantizer raised the
-        # tracemalloc peak at 33 levels from 97 KB to 2.4 MB.
-        for rho in (-0.95, -0.5, -0.05, 0.05, 0.5, 0.95):
+    def test_agrees_with_the_per_level_quadrature(self, levels):
+        # Where both are accurate: cells above 1e-4 at |rho| <= 0.5, away
+        # from the tails' cancellation and the tail cells' steep ends.
+        for rho in (-0.5, -0.05, 0.05, 0.5):
             got = quantized_gaussian_joint(rho, levels).probs
-            assert got.tobytes() == self.per_level_reference(rho, levels).probs.tobytes()
+            old = self.per_level_reference(rho, levels).probs
+            big = old > 1e-4
+            np.testing.assert_allclose(got[big], old[big], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("levels", [2, 3, 9, 17, 33, 65])
+    def test_erfc_count_follows_the_symmetry_orbits(self, monkeypatch, levels):
+        # Row i of the fundamental domain needs the cdf at edges i .. L - i.
+        counted = []
+        monkeypatch.setattr(gaussian, "_normal_cdf", lambda x: counted.append(x.size) or _normal_cdf(x))
+        quantized_gaussian_joint(0.5, levels)
+        want = sum(levels + 1 - 2 * i for i in range((levels + 1) // 2)) * 40
+        assert sum(counted) == want
+        assert want == {2: 120, 3: 240, 9: 1200, 17: 3600, 33: 12240, 65: 44880}[levels]
+
+    def test_peak_memory_stays_small(self):
+        # One row of the fundamental domain at a time: a fully vectorized
+        # quantizer raised the tracemalloc peak at 33 levels from 97 KB to
+        # 2.4 MB.  Within 2x of the per-level loop's 96 KB.
+        quantized_gaussian_joint(0.5, 33)
+        tracemalloc.start()
+        try:
+            quantized_gaussian_joint(0.5, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 96 * 1024
 
 
 def test_normal_cdf_is_erfc_entry_by_entry():
