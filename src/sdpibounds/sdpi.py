@@ -41,8 +41,8 @@ within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 
 Each ascent start keeps its own rounds and backtracking; _multistart_search
 has the schedule.  The evaluation count includes the tries that halving one
-try at a time would skip (2,095 on the bundled quaternary joint, 2,661
-on dsbs_p10).
+try at a time would skip (2,095 on the bundled quaternary joint, 75 on
+dsbs_p10, where every start below rho_m^2 steps into the exclusion ball).
 
 A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
@@ -84,6 +84,8 @@ _TINY = 1e-15
 # search skips: the ratio is 0/0 at the marginal itself, and its limit there
 # is at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
 # which the SVD bound already supplies, so one fixed small ball loses nothing.
+# For the same reason an ascent start below rho_m^2 retires when a try of it
+# enters the ball (_multistart_search).
 EXCLUSION_RADIUS = 1e-4
 
 
@@ -123,9 +125,10 @@ class SdpiResult:
     slope, as at every vertex of a channel with rows of full support.  So
     it shows how far the search was from converging there, not how far
     value is from the supremum.
-    Where rho_m^2 wins, the best point often rests on the exclusion ball
-    around the marginal and its gap stays above the witnesses' (3.6e-5 on
-    the 33-level Gaussian at rho = 0.5).  rho_m_squared is computed on the oriented
+    Where rho_m^2 wins, the best point is often a start that retired when
+    its try entered the exclusion ball around the marginal, and its gap
+    stays above the witnesses' (2.7e-5 on the 33-level Gaussian at
+    rho = 0.5, 5.4e-5 on dsbs_p10).  rho_m_squared is computed on the oriented
     pair, the swapped joint for y_to_x, so the two directions of one joint
     can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
@@ -535,7 +538,7 @@ _STEP_TOLERANCE = 1e-10
 _MAX_ROUNDS = 2000
 
 
-def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
+def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, rho2: float):
     """Ascent on the log ratio from each row of starts.
 
     A try is a step along the direction v from _directions, tried from
@@ -546,8 +549,12 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
     Each start keeps its own step, round count and backtracking phase.  A
     round takes a direction and tries the step and one halving; if both
     fail, the next sweep tries the other halvings.  A start accepts its
-    first improving try, as halving one at a time would, and retires when a
-    whole round fails or after max_iterations rounds.  Every sweep scores
+    first improving try, as halving one at a time would.  It retires when a
+    whole round fails, after max_iterations rounds, or when a try from below
+    rho2 (rho_m^2) enters the ball: read in halving order, a try inside the
+    ball that comes before the first improving one.  Such a start heads for
+    the marginal, where the ratio tends to at most rho_m^2, and would creep
+    up to the ball in ever smaller steps.  Every sweep scores
     all tries in one mirror step and one evaluation.  A step grows by half
     on success, with no cap.  Returns the final value and point of every
     start, and the evaluation count.
@@ -593,8 +600,15 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
         for r in live:
             # The first improving try, as halving one at a time would take.
             bar, end = f[r] + 1e-15, u + len(tries[r])
+            below = f[r] < rho2
             while u < end and not scores[u] > bar:
+                if below and scores[u] == -math.inf:
+                    break
                 u += 1
+            if u < end and not scores[u] > bar:
+                # A try from below rho_m^2 entered the ball first: retire.
+                left[r], u = 0, end
+                continue
             if u == end:
                 # A failed first window goes on to any usable halvings left;
                 # any other failure leaves a direction useless at this
@@ -662,7 +676,7 @@ def sstar(
             starts, n = _tilt_starts(p_in, p_out, T, U.T[1:3], cfg.multistart_count)
             evals += n
         starts = np.vstack(starts) if starts else np.empty((0, k))
-        f, Q, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS)
+        f, Q, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS, rho2)
         evals += n
         ran.append("multistart")
         cand_vals.append(f)

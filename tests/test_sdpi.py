@@ -216,9 +216,10 @@ class TestSstar:
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing, because locally concave rows take
         # Newton steps.  Under mirror steps no binary step here grows past
-        # 1.5, and capping step growth at 1.0 leaves dsbs at 2,661
-        # evaluations.  The 3x3 joint, from the benchmark inputs, was still
-        # rising at round 2,000 under gradient steps alone.
+        # 1.5, and capping step growth at 1.0 left dsbs at 2,661
+        # evaluations before starts below rho_m^2 retired at the exclusion
+        # ball (75 now).  The 3x3 joint, from the benchmark inputs, was
+        # still rising at round 2,000 under gradient steps alone.
         rng = np.random.default_rng(2)
         binary = [dsbs, *(random_joint(rng, 2, n) for n in (2, 3, 4))]
         larger = [random_joint(rng, k, n) for n in (2, 3, 4) for k in (3, 4)]
@@ -439,6 +440,16 @@ class TestSstar:
         best = float(best)
         res = sstar(_fuzz_joint(draw), direction)
         assert res.value >= best - max(1e-12 * best, 0.5 * 10.0 ** -places)
+
+    @pytest.mark.parametrize("draw, value", [(296, 0.6952999517655242), (287, 0.5150219810568099)])
+    def test_starts_above_rho2_go_on_past_the_ball(self, draw, value):
+        # A start above rho_m^2 whose try enters the exclusion ball goes on
+        # halving: retiring it there too dropped these y_to_x values to
+        # 0.6756302772691524 and 0.5150210909885052.  The pins are the
+        # values before any start retired at the ball, bit for bit.
+        res = sstar(_fuzz_joint(draw), "y_to_x")
+        assert res.value == value
+        assert res.value > res.rho_m_squared and res.argmax_q is not None
 
 
 class TestInvariance:
@@ -779,8 +790,10 @@ class TestBatchedLineSearch:
         for j in joints:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, cls.STARTS)
-            got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds)
-            want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds)
+            rho2 = maximal_correlation(j) ** 2
+            got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds, rho2)
+            want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds,
+                                                                rho2)
             # Every start, not only the best, ends at the same value.
             np.testing.assert_allclose(got_f, want_f, rtol=1e-12, atol=0.0)
             # Values near a maximum, where Newton takes the search, are flat
@@ -805,6 +818,32 @@ class TestBatchedLineSearch:
         monkeypatch.setattr(sdpi, "_STEP_TOLERANCE", tolerance)
         self.check(self.cases()[::3], self.ROUNDS)
 
+
+    def test_a_start_below_rho2_retires_inside_the_ball(self, dsbs, monkeypatch):
+        # From 0.01 off the dsbs marginal the Newton step 1.0 lands inside
+        # the exclusion ball and its halving improves.  Below rho_m^2 the
+        # start retires in that sweep, with its value and point; with rho2
+        # at or under its value it takes the halving and goes on.
+        p_in, p_out, T = _oriented(dsbs)
+        start = np.array([[0.51, 0.49]])
+        scores, evaluate = [], sdpi._evaluate
+
+        def spy(Q, *args):
+            out = evaluate(Q, *args)
+            scores.append(out[0].tolist())
+            return out
+
+        monkeypatch.setattr(sdpi, "_evaluate", spy)
+        rho2 = maximal_correlation(dsbs) ** 2
+        f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, rho2)
+        [[f0], [ball, halved]] = scores
+        assert f0 < rho2 and ball == -np.inf and halved > f0
+        assert f.tolist() == [f0] and Q.tobytes() == start.tobytes()
+        assert evals == 1 + _FIRST_TRIES
+        for under in (f0, 0.0):
+            scores.clear()
+            f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, under)
+            assert len(scores) > 2 and f[0] > halved and evals > 1 + _FIRST_TRIES
 
     def test_no_direction_call_without_a_start(self, monkeypatch):
         # A sweep that only goes on with the halvings of earlier rounds
@@ -1033,7 +1072,8 @@ class TestDirections:
             j = quantized_gaussian_joint(rho, levels)
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
-            Q = np.vstack([starts, _multistart_search(p_in, p_out, T, starts, 1)[1]])
+            Q = np.vstack([starts, _multistart_search(p_in, p_out, T, starts, 1,
+                                                      maximal_correlation(j) ** 2)[1]])
             cases.append((p_in, p_out, T, Q[Q.min(axis=1) > 1e-150], _sum_zero_basis(levels)))
         concave, saddle = self.check_newton(cases, conditioned=False)
         assert concave >= least and saddle >= least
@@ -1262,12 +1302,13 @@ def _sstar_starts(j, count):
     return np.vstack(_tilt_starts(p_in, p_out, T, U.T[1:3], count)[0])
 
 
-def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
+def _sequential_multistart(p_in, p_out, T, starts, max_iterations, rho2):
     """Multistart ascent that backtracks one halving at a time.
 
     The batched line search of _multistart_search must accept the same
     points from the same starts; this loop tries each halving only after
-    the previous one failed.  It takes the library's direction per row from
+    the previous one failed.  A start below rho2 whose try lands inside the
+    exclusion ball retires there, keeping its value and point.  It takes the library's direction per row from
     _directions, and resets the step to 1.0 on the rows that get a Newton or
     saddle-free Newton direction.  Its tries are mirror steps q exp(t v)/Z,
     with v the gradient or, on those rows, the direction d over q, so that
@@ -1296,8 +1337,11 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations):
             ft = _evaluate(trial, p_in, p_out, T)[0]
             evals += idx.size
             better = ft > f[idx] + 1e-15
+            ball = ~better & (ft == -np.inf) & (f[idx] < rho2)
+            alive[idx[ball]] = False
+            pending[idx[ball]] = False
             good = idx[better]
-            bad = idx[~better]
+            bad = idx[~better & ~ball]
             Q[good] = trial[better]
             f[good] = ft[better]
             step[good] *= 1.5
@@ -1390,8 +1434,9 @@ class TestTrimmedKernels:
         for j in joints:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
-            got = _multistart_search(p_in, p_out, T, starts, rounds)
-            want = _reference_multistart_search(p_in, p_out, T, starts, rounds)
+            rho2 = maximal_correlation(j) ** 2
+            got = _multistart_search(p_in, p_out, T, starts, rounds, rho2)
+            want = _reference_multistart_search(p_in, p_out, T, starts, rounds, rho2)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2] == want[2]
@@ -1472,7 +1517,8 @@ def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
     return concave, indefinite, G
 
 
-def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int):
+def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int,
+                                 rho2: float):
     Q = starts.copy()
     step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
@@ -1506,12 +1552,16 @@ def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterati
         trial = _reference_mirror_rows(Q[idx], V)
         ft, ty, tn, td = _reference_evaluate(trial, p_in, p_out, T)
         evals += at.size
-        pick = (ft > f[idx] + 1e-15).nonzero()[0]
-        # Tries run row by row in halving order; keep each first improvement.
+        ball = (ft == -np.inf) & (f[idx] < rho2)
+        pick = ((ft > f[idx] + 1e-15) | ball).nonzero()[0]
+        # Tries run row by row in halving order; keep each first improvement,
+        # unless a try inside the ball from below rho2 comes first: retire.
         won = at[pick]
         first = np.ones(pick.size, dtype=bool)
         first[1:] = won[1:] != won[:-1]
         pick = pick[first]
+        left[idx[pick[ball[pick]]]] = 0
+        pick = pick[~ball[pick]]
         acc = idx[pick]
         Q[acc], f[acc] = trial[pick], ft[pick]
         step[acc] = tried_steps[pick] * 1.5

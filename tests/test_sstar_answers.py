@@ -1,0 +1,55 @@
+"""Smoke test of tools/sstar_answers.py on a three-joint corpus."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sdpibounds import JointDistribution, quantized_gaussian_joint
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "sstar_answers.py"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    spec = importlib.util.spec_from_file_location("sstar_answers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks its module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    three = [
+        ("dsbs", JointDistribution([[0.45, 0.05], [0.05, 0.45]]), "x_to_y"),
+        ("3x3", JointDistribution(np.array([[3, 1, 5], [3, 0, 1], [4, 4, 3]]) / 24), "y_to_x"),
+        ("gauss5", quantized_gaussian_joint(0.5, 5), "x_to_y"),
+    ]
+    monkeypatch.setitem(module.CORPORA, "three", lambda: iter(three))
+    return module
+
+
+def test_a_dump_diffs_empty_against_itself_and_shows_a_fall(tool, tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for out in (a, b):
+        assert tool.dump(out, ["three"]) == 3
+    [d] = tool.compare(tool.read(a), tool.read(b)).values()
+    assert d.changes() == []
+    assert d.matched == d.identical == 3
+    assert d.evaluations[0] == d.evaluations[1] > 0
+
+    # Lower the 3x3 joint's value, which has a witness, and drop the witness.
+    records = [json.loads(line) for line in b.read_text().splitlines()]
+    assert records[1]["key"] == "3x3" and records[1]["argmax_q"] is not None
+    records[1]["value"] *= 1 - 1e-9
+    records[1]["argmax_q"] = None
+    b.write_text("".join(json.dumps(r) + "\n" for r in records))
+    [d] = tool.compare(tool.read(a), tool.read(b)).values()
+    assert len(d.falls) == 1 and "3x3 y_to_x" in d.falls[0]
+    assert len(d.lost) == 1 and "3x3 y_to_x" in d.lost[0]
+    assert d.rises == d.gained == d.methods == d.only_in_one == []
+    assert d.identical == 2
+
+    assert tool.main(["diff", str(a), str(b)]) == 0
+    printed = capsys.readouterr().out
+    assert "0 rises and 1 falls" in printed and "1 lost" in printed
