@@ -47,15 +47,14 @@ BENCH_SECONDS = 40
 FUZZ_SEED, FUZZ_DRAWS = 20261019, 600
 
 
-def _load(tree: Path):
-    """The sdpibounds package of tree/src, imported first on sys.path."""
+def _load(tree: Path) -> None:
+    """Import the sdpibounds package of tree/src, and tree/bench's modules."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import sdpibounds
 
     where = Path(sdpibounds.__file__).resolve()
     if (tree / "src").resolve() not in where.parents:
         raise SystemExit(f"sdpibounds was imported from {where}, not from {tree / 'src'}")
-    return sdpibounds
 
 
 def bench_cases():
