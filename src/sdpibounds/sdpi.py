@@ -39,10 +39,11 @@ supremum is often approached, keeps about 11 significant digits (measured
 within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 1e-4 to 1e-2).
 
-Each ascent start keeps its own rounds and backtracking; _multistart_search
-has the schedule.  The evaluation count includes the tries that halving one
-try at a time would skip (2,095 on the bundled quaternary joint, 75 on
-dsbs_p10, where every start below rho_m^2 steps into the exclusion ball).
+Every round of every ascent start tries the same steps, 1 and its
+halvings, whatever its direction; _multistart_search has the schedule.  The
+evaluation count includes the tries that halving one try at a time would
+skip (2,095 on the bundled quaternary joint, 75 on dsbs_p10, where every
+start below rho_m^2 steps into the exclusion ball).
 
 A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
@@ -55,7 +56,6 @@ trimming it leaves every answer bit-identical.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -528,36 +528,34 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
     return float(g.max() - g.min())
 
 
-# A round tries a start's step, then each halving of it, 40 tries at most;
-# past the first, a try runs only while its step is at least
-# _STEP_TOLERANCE.  A round's first sweep makes _FIRST_TRIES of them.  A
-# start retires after _MAX_ROUNDS rounds at most.
-_HALVINGS = 40
+# A round tries the steps 1, 1/2, ..., 2**(1 - _STEPS) in halving order, the
+# first _FIRST_TRIES of them in its first sweep and the rest in the next;
+# the last, 2**-33, is about 1.2e-10.  A start retires after _MAX_ROUNDS
+# rounds at most.
+_STEPS = 34
 _FIRST_TRIES = 2
-_STEP_TOLERANCE = 1e-10
 _MAX_ROUNDS = 2000
 
 
 def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, rho2: float):
     """Ascent on the log ratio from each row of starts.
 
-    A try is a step along the direction v from _directions, tried from
-    step 1.0 on (saddle-free) Newton rows: the mirror step
-    q exp(t v)/Z in the KL geometry (Beck & Teboulle 2003), where the
+    A try is the mirror step q exp(t v)/Z along the direction v from
+    _directions, in the KL geometry (Beck & Teboulle 2003), where the
     divergence's Hessian diag(1/q) would make Euclidean steps crawl.
 
-    Each start keeps its own step, round count and backtracking phase.  A
-    round takes a direction and tries the step and one halving; if both
-    fail, the next sweep tries the other halvings.  A start accepts its
-    first improving try, as halving one at a time would.  It retires when a
-    whole round fails, after max_iterations rounds, or when a try from below
-    rho2 (rho_m^2) enters the ball: read in halving order, a try inside the
-    ball that comes before the first improving one.  Such a start heads for
-    the marginal, where the ratio tends to at most rho_m^2, and would creep
-    up to the ball in ever smaller steps.  Every sweep scores
-    all tries in one mirror step and one evaluation.  A step grows by half
-    on success, with no cap.  Returns the final value and point of every
-    start, and the evaluation count.
+    Each start keeps its own round count and backtracking phase.  A round
+    takes a direction and tries the steps t = 1, 1/2, ..., 2**(1 - _STEPS),
+    the same whatever the direction: the first _FIRST_TRIES in one sweep
+    and, if those fail, the rest in the next.  A start accepts its first
+    improving try, as halving one at a time would.  It retires when a whole
+    round fails, after max_iterations rounds, or when a try from below rho2
+    (rho_m^2) enters the ball: read in halving order, a try inside the ball
+    that comes before the first improving one.  Such a start heads for the
+    marginal, where the ratio tends to at most rho_m^2, and would creep up
+    to the ball in ever smaller steps.  Every sweep scores all tries in one
+    mirror step and one evaluation.  Returns the final value and point of
+    every start, and the evaluation count.
     """
     Q = starts.copy()
     n = Q.shape[0]
@@ -565,15 +563,14 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     evals = n
     # The bookkeeping is per start, on Python floats, whose arithmetic is
     # numpy's float64 arithmetic; only the batched steps use numpy.
-    f, step = f.tolist(), [0.1] * n
+    f = f.tolist()
     # Rounds each start has left, 0 once retired.
     left = [max_iterations] * n
-    # The halvings each start tries in its next sweep, and the usable ones
-    # past its first window.  Halving h tries step * 2**-h, exactly, and is
-    # usable if step >= floor[h]: always for h = 0, then while
-    # step * 2**-h >= _STEP_TOLERANCE.
-    tries, rest = [range(0)] * n, [range(0)] * n
-    floor = [-math.inf] + [math.ldexp(_STEP_TOLERANCE, h) for h in range(1, _HALVINGS)]
+    # Halving h tries the step 2**-h.  The halvings of a round's first sweep
+    # and of its second, and those each start tries in its next sweep.
+    steps = [math.ldexp(1.0, -h) for h in range(_STEPS)]
+    first, rest = range(min(_FIRST_TRIES, _STEPS)), range(_FIRST_TRIES, _STEPS)
+    tries = [first] * n
     G = np.empty_like(Q)
     # Starts that begin a round, with Qy, num and den of their points.
     fresh = list(range(n))
@@ -582,15 +579,10 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     while live := [r for r in range(n) if left[r]]:
         # A sweep that only goes on with halvings needs no new direction.
         if fresh:
-            concave, saddle, G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)
-            for r, newton in zip(fresh, (concave | saddle).tolist()):
-                if newton:
-                    step[r] = 1.0
-                usable = bisect.bisect_right(floor, step[r])
-                tries[r], rest[r] = range(min(usable, _FIRST_TRIES)), range(_FIRST_TRIES, usable)
+            G[fresh] = _directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)[2]
         # The tries come start by start, each start's in halving order.
         idx = [r for r in live for _ in tries[r]]
-        tried = [math.ldexp(step[r], -h) for r in live for h in tries[r]]
+        tried = [steps[h] for r in live for h in tries[r]]
         at = np.array(idx)
         trial = _mirror_rows(Q[at], np.array(tried)[:, None] * G[at])
         ft, ty, tn, td = _evaluate(trial, p_in, p_out, T)
@@ -610,14 +602,15 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
                 left[r], u = 0, end
                 continue
             if u == end:
-                # A failed first window goes on to any usable halvings left;
-                # any other failure leaves a direction useless at this
-                # scale: retire.
-                tries[r], rest[r] = rest[r], range(0)
-                if not tries[r]:
+                # A failed first sweep goes on to the round's other steps;
+                # a failed round leaves a direction useless at this scale:
+                # retire.
+                if tries[r] is first and rest:
+                    tries[r] = rest
+                else:
                     left[r] = 0
                 continue
-            f[r], step[r] = scores[u], tried[u] * 1.5
+            f[r], tries[r] = scores[u], first
             left[r] -= 1
             won.append(u)
             if left[r]:

@@ -1,7 +1,26 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sdpibounds import JointDistribution
+
+ANSWERS_TOOL = Path(__file__).resolve().parents[1] / "tools" / "sstar_answers.py"
+
+
+def load_sstar_answers():
+    """A fresh module of tools/sstar_answers.py, which is no package's."""
+    spec = importlib.util.spec_from_file_location("sstar_answers", ANSWERS_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks its module up in sys.modules while it builds a class.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def random_joint(rng, nx, ny, floor=1e-3):

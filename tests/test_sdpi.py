@@ -30,10 +30,8 @@ from sdpibounds import (
 from sdpibounds.probability import _kl_rows
 from sdpibounds.sdpi import (
     _FIRST_TRIES,
-    _HALVINGS,
     _LOG_FLOOR,
     _EIGEN_FLOOR,
-    _STEP_TOLERANCE,
     _TINY,
     EXCLUSION_RADIUS,
     _composition_grid,
@@ -51,9 +49,11 @@ from sdpibounds.sdpi import (
     _tilt_starts,
     _top_rows,
 )
-from conftest import random_joint
+from conftest import load_sstar_answers, random_joint
 
 GRID_ONLY = SdpiConfig(multistart_count=0)
+# The s* fuzz's draws (fuzz_joint) and joint classes (fuzz_cells).
+ANSWERS = load_sstar_answers()
 DATA = Path(sdpibounds.__file__).parent / "data"
 
 
@@ -215,11 +215,10 @@ class TestSstar:
     def test_binary_inputs_retire_early(self, dsbs, monkeypatch):
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing, because locally concave rows take
-        # Newton steps.  Under mirror steps no binary step here grows past
-        # 1.5, and capping step growth at 1.0 left dsbs at 2,661
-        # evaluations before starts below rho_m^2 retired at the exclusion
-        # ball (75 now).  The 3x3 joint, from the benchmark inputs, was
-        # still rising at round 2,000 under gradient steps alone.
+        # Newton steps.  dsbs took 2,661 evaluations before starts below
+        # rho_m^2 retired at the exclusion ball (75 now).  The 3x3 joint,
+        # from the benchmark inputs, was still rising at round 2,000 under
+        # gradient steps alone.
         rng = np.random.default_rng(2)
         binary = [dsbs, *(random_joint(rng, 2, n) for n in (2, 3, 4))]
         larger = [random_joint(rng, k, n) for n in (2, 3, 4) for k in (3, 4)]
@@ -438,17 +437,19 @@ class TestSstar:
         # than 0.998273040595936, 4.1e-12 relative below its printed value.
         places = len(best.split(".")[1])
         best = float(best)
-        res = sstar(_fuzz_joint(draw), direction)
+        res = sstar(ANSWERS.fuzz_joint(draw), direction)
         assert res.value >= best - max(1e-12 * best, 0.5 * 10.0 ** -places)
 
-    @pytest.mark.parametrize("draw, value", [(296, 0.6952999517655242), (287, 0.5150219810568099)])
+    @pytest.mark.parametrize("draw, value", [(296, 0.6952999517655242), (287, 0.5150231133198838)])
     def test_starts_above_rho2_go_on_past_the_ball(self, draw, value):
         # A start above rho_m^2 whose try enters the exclusion ball goes on
         # halving: retiring it there too dropped these y_to_x values to
-        # 0.6756302772691524 and 0.5150210909885052.  The pins are the
-        # values before any start retired at the ball, bit for bit.
-        res = sstar(_fuzz_joint(draw), "y_to_x")
-        assert res.value == value
+        # 0.6756302772691524 and 0.5150210909885052.  The pins are bit for
+        # bit, and neither falls below its value before any start retired
+        # at the ball, when gradient rows still kept a step of their own.
+        before = {296: 0.6952999517655242, 287: 0.5150219810568099}[draw]
+        res = sstar(ANSWERS.fuzz_joint(draw), "y_to_x")
+        assert res.value == value and res.value >= before
         assert res.value > res.rho_m_squared and res.argmax_q is not None
 
 
@@ -811,12 +812,53 @@ class TestBatchedLineSearch:
     def test_matches_under_round_caps(self, case, max_iterations):
         self.check([self.cases()[case]], max_iterations)
 
-    # Tolerances that end a round's halvings early, only after all 40 tries,
-    # and before its second try.
-    @pytest.mark.parametrize("tolerance", [1e-3, 1e-15, 0.3])
-    def test_matches_at_other_step_tolerances(self, tolerance, monkeypatch):
-        monkeypatch.setattr(sdpi, "_STEP_TOLERANCE", tolerance)
+    # Rounds of one try, of a short second sweep, and of more tries than
+    # the default.
+    @pytest.mark.parametrize("steps", [1, 10, 40])
+    def test_matches_at_other_step_counts(self, steps, monkeypatch):
+        monkeypatch.setattr(sdpi, "_STEPS", steps)
         self.check(self.cases()[::3], self.ROUNDS)
+
+    def test_gradient_rows_take_the_shared_steps(self, monkeypatch):
+        # With every Newton and saddle-free solve failing, every row takes
+        # the gradient.  Each round's first sweep still tries the steps 1
+        # and 1/2, in the first round and in every round after a success,
+        # and its second sweep the halvings after them.
+        failing = lambda H, b: np.full(b.shape, np.nan)
+        monkeypatch.setattr(sdpi, "_solved", failing)
+        monkeypatch.setattr(sdpi, "_saddle_free", failing)
+        sweeps, directions, mirror_rows = [], sdpi._directions, sdpi._mirror_rows
+
+        def spy_directions(*args):
+            out = directions(*args)
+            assert not out[0].any() and not out[1].any()
+            sweeps.append(("round", out[2][0]))
+            return out
+
+        def spy_mirror_rows(Q, V):
+            g = sweeps[-1][1] if sweeps[-1][0] == "round" else sweeps[-2][1]
+            # A power-of-two step times the gradient is exact.
+            m = np.argmax(np.abs(g))
+            sweeps.append(("steps", (V[:, m] / g[m]).tolist()))
+            return mirror_rows(Q, V)
+
+        monkeypatch.setattr(sdpi, "_directions", spy_directions)
+        monkeypatch.setattr(sdpi, "_mirror_rows", spy_mirror_rows)
+        rng = np.random.default_rng(35)
+        first = [1.0, 0.5]
+        rest = [2.0 ** -h for h in range(_FIRST_TRIES, sdpi._STEPS)]
+        rounds = 0
+        for j in [random_joint(rng, k, 3) for k in (2, 3, 4)]:
+            p_in, p_out, T = _oriented(j)
+            for start in _sstar_starts(j, 8):
+                sweeps.clear()
+                _multistart_search(p_in, p_out, T, start[None, :], 50, 0.0)
+                kinds = [kind for kind, _ in sweeps]
+                for u, (kind, tried) in enumerate(sweeps):
+                    if kind == "steps":
+                        assert tried == (first if kinds[u - 1] == "round" else rest)
+                rounds += kinds.count("round")
+        assert rounds > 2 * 3 * 8
 
 
     def test_a_start_below_rho2_retires_inside_the_ball(self, dsbs, monkeypatch):
@@ -1222,28 +1264,6 @@ class TestDirections:
         assert min(seen.values()) >= 10, seen
 
 
-def _fuzz_joint(draw):
-    """Draw number draw of the s* fuzz: 600 draws of 2-4 x 2-6 joints from
-    default_rng(20261019), dense Dirichlet(1), Dirichlet(0.3) with cells
-    zeroed at rate 0.35, or Dirichlet(0.05), by draw mod 3."""
-    rng = np.random.default_rng(20261019)
-    for i in range(draw + 1):
-        nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 7))
-        P = _fuzz_cells(rng, i % 3, nx * ny).reshape(nx, ny)
-    return JointDistribution(P / P.sum())
-
-
-def _fuzz_cells(rng, kind, n):
-    """n cells of one joint of fuzz class kind (_fuzz_joint)."""
-    if kind == 0:
-        return rng.dirichlet(np.ones(n))
-    if kind == 1:
-        P = rng.dirichlet(np.full(n, 0.3))
-        P[rng.random(n) < 0.35] = 0.0
-        return P
-    return rng.dirichlet(np.full(n, 0.05))
-
-
 def _decimal_ratio(q, j, direction):
     """divergence_ratio in 50-digit decimal arithmetic.
 
@@ -1308,15 +1328,15 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations, rho2):
     The batched line search of _multistart_search must accept the same
     points from the same starts; this loop tries each halving only after
     the previous one failed.  A start below rho2 whose try lands inside the
-    exclusion ball retires there, keeping its value and point.  It takes the library's direction per row from
-    _directions, and resets the step to 1.0 on the rows that get a Newton or
-    saddle-free Newton direction.  Its tries are mirror steps q exp(t v)/Z,
-    with v the gradient or, on those rows, the direction d over q, so that
-    the step is q + t d to first order.  Returns the final value and point of every
-    start, and the evaluation count.
+    exclusion ball retires there, keeping its value and point.  It takes the
+    library's direction per row from _directions, and every round tries the
+    steps 1, 1/2, ..., 2**(1 - _STEPS).  Its tries are mirror steps
+    q exp(t v)/Z, with v the gradient or, on Newton and saddle-free Newton
+    rows, the direction d over q, so that the step is q + t d to first
+    order.  Returns the final value and point of every start, and the
+    evaluation count.
     """
     Q = starts.copy()
-    step = np.full(Q.shape[0], 0.1)
     f = _evaluate(Q, p_in, p_out, T)[0]
     evals = Q.shape[0]
     alive = np.ones(Q.shape[0], dtype=bool)
@@ -1324,15 +1344,13 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations, rho2):
         if not alive.any():
             break
         _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-        concave, saddle, G = _directions(Q, Qy, num, den, p_in, p_out, T,
-                                         T.T @ _sum_zero_basis(T.shape[0]))
-        step[concave | saddle] = 1.0
+        G = _directions(Q, Qy, num, den, p_in, p_out, T, T.T @ _sum_zero_basis(T.shape[0]))[2]
         pending = alive.copy()
-        for _ in range(40):
+        for h in range(sdpi._STEPS):
             idx = np.flatnonzero(pending)
             if idx.size == 0:
                 break
-            V = step[idx, None] * G[idx]
+            V = 2.0 ** -h * G[idx]
             trial = _mirror_rows(Q[idx], V)
             ft = _evaluate(trial, p_in, p_out, T)[0]
             evals += idx.size
@@ -1341,15 +1359,9 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations, rho2):
             alive[idx[ball]] = False
             pending[idx[ball]] = False
             good = idx[better]
-            bad = idx[~better & ~ball]
             Q[good] = trial[better]
             f[good] = ft[better]
-            step[good] *= 1.5
             pending[good] = False
-            step[bad] *= 0.5
-            stuck = bad[step[bad] < sdpi._STEP_TOLERANCE]
-            alive[stuck] = False
-            pending[stuck] = False
         alive[pending] = False
     return f, Q, evals
 
@@ -1442,8 +1454,11 @@ class TestTrimmedKernels:
             assert got[2] == want[2]
 
 
-# The kernels of the ascent before their bookkeeping was trimmed, verbatim
-# but for the _reference_ prefix on their names and calls.
+# The ascent's kernels in their untrimmed form, under the _reference_
+# prefix: numpy index arrays where the library keeps per-start lists, and
+# no shortcut for an empty stack.  They follow every rule of the library's
+# kernels, the saddle-free step, the retirement at the exclusion ball and
+# the shared step schedule included.
 
 def _reference_evaluate(Q: np.ndarray, p_in, p_out, T):
     d = Q - p_in
@@ -1520,15 +1535,14 @@ def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
 def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int,
                                  rho2: float):
     Q = starts.copy()
-    step = np.full(Q.shape[0], 0.1)
     f, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
     evals = Q.shape[0]
     G = np.empty_like(Q)
     # Rounds each start has left, 0 once retired.
     left = np.full(Q.shape[0], max_iterations)
     deep = np.zeros(Q.shape[0], dtype=bool)
-    # Try h >= 1 steps by exactly step * 2**-h, and runs if step >= floor[h - 1].
-    floor = np.ldexp(_STEP_TOLERANCE, np.arange(1, _HALVINGS))
+    # Halving h tries the step 2**-h, for h below _STEPS.
+    steps = sdpi._STEPS
     # Starts that begin a round, with Qy, num and den of their points.
     fresh = np.arange(Q.shape[0])
     TB = T.T @ _sum_zero_basis(Q.shape[1])
@@ -1536,19 +1550,15 @@ def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterati
     while (rows := np.flatnonzero(left)).size:
         # A sweep that only goes on with halvings needs no new direction.
         if fresh.size:
-            concave, saddle, G[fresh] = _reference_directions(Q[fresh], Qy, num, den,
-                                                              p_in, p_out, T, TB)
-            step[fresh[concave | saddle]] = 1.0
+            G[fresh] = _reference_directions(Q[fresh], Qy, num, den, p_in, p_out, T, TB)[2]
         late = deep[rows]
         # Row r tries halvings lo[r] to hi[r] - 1, in order.
-        usable = 1 + np.searchsorted(floor, step[rows], side="right")
         lo = late * _FIRST_TRIES
-        hi = np.where(late, usable, np.minimum(usable, _FIRST_TRIES))
+        hi = np.where(late, steps, min(steps, _FIRST_TRIES))
         at = np.repeat(np.arange(rows.size), hi - lo)
         halvings = np.arange(at.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
         idx = rows[at]
-        tried_steps = np.ldexp(step[idx], -halvings)
-        V = tried_steps[:, None] * G[idx]
+        V = np.ldexp(1.0, -halvings)[:, None] * G[idx]
         trial = _reference_mirror_rows(Q[idx], V)
         ft, ty, tn, td = _reference_evaluate(trial, p_in, p_out, T)
         evals += at.size
@@ -1564,12 +1574,11 @@ def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterati
         pick = pick[~ball[pick]]
         acc = idx[pick]
         Q[acc], f[acc] = trial[pick], ft[pick]
-        step[acc] = tried_steps[pick] * 1.5
         left[acc] -= 1
         failed = np.bincount(at[pick], minlength=rows.size) == 0
         # A failed first window goes on to any usable halvings left; any
         # other failure leaves a direction useless at this scale: retire.
-        deep[rows] = failed & ~late & (usable > _FIRST_TRIES)
+        deep[rows] = failed & ~late & (steps > _FIRST_TRIES)
         left[rows[failed & ~deep[rows]]] = 0
         pick = pick[left[acc] > 0]
         fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
@@ -1658,7 +1667,7 @@ class TestDegradationMonotonicity:
     def test_data_processing_property(self, kind, sizes, seed):
         nx, ny, nz = sizes
         rng = np.random.default_rng(seed)
-        P = _fuzz_cells(rng, kind, nx * ny).reshape(nx, ny)
+        P = ANSWERS.fuzz_cells(rng, kind, nx * ny).reshape(nx, ny)
         assume((P.sum(axis=1) > 0).all() and (P.sum(axis=0) > 0).all())
         j = JointDistribution(P / P.sum())
         z = JointDistribution(j.probs @ rng.dirichlet(np.ones(nz), size=ny))

@@ -1,25 +1,17 @@
 """Smoke test of tools/sstar_answers.py on a three-joint corpus."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdpibounds import JointDistribution, quantized_gaussian_joint
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "sstar_answers.py"
+from conftest import load_sstar_answers
 
 
 @pytest.fixture
 def tool(monkeypatch):
-    spec = importlib.util.spec_from_file_location("sstar_answers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses looks its module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
+    module = load_sstar_answers()
     three = [
         ("dsbs", JointDistribution([[0.45, 0.05], [0.05, 0.45]]), "x_to_y"),
         ("3x3", JointDistribution(np.array([[3, 1, 5], [3, 0, 1], [4, 4, 3]]) / 24), "y_to_x"),

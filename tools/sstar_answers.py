@@ -36,6 +36,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -73,26 +74,43 @@ def bench_cases():
                     yield key, quantized_gaussian_joint(op.args["rho"], op.args["levels"]), "x_to_y"
 
 
-def fuzz_cases():
-    from sdpibounds import JointDistribution
+def fuzz_cells(rng, kind, n):
+    """n cells of one fuzz joint of class kind, 0 to 2 (fuzz_joint)."""
+    if kind == 0:
+        return rng.dirichlet(np.ones(n))
+    if kind == 1:
+        P = rng.dirichlet(np.full(n, 0.3))
+        P[rng.random(n) < 0.35] = 0.0
+        return P
+    return rng.dirichlet(np.full(n, 0.05))
 
+
+@lru_cache(maxsize=1)
+def _fuzz_tables():
+    """The unnormalized cells of every fuzz draw, in draw order."""
     rng = np.random.default_rng(FUZZ_SEED)
+    tables = []
     for i in range(FUZZ_DRAWS):
         nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 7))
-        n = nx * ny
-        if i % 3 == 0:
-            P = rng.dirichlet(np.ones(n))
-        elif i % 3 == 1:
-            P = rng.dirichlet(np.full(n, 0.3))
-            P[rng.random(n) < 0.35] = 0.0
-        else:
-            P = rng.dirichlet(np.full(n, 0.05))
-        P = P.reshape(nx, ny)
-        if (P.sum(axis=1) == 0).any() or (P.sum(axis=0) == 0).any():
-            continue
-        j = JointDistribution(P / P.sum())
-        for direction in ("x_to_y", "y_to_x"):
-            yield f"draw{i}", j, direction
+        tables.append(fuzz_cells(rng, i % 3, nx * ny).reshape(nx, ny))
+    return tables
+
+
+def fuzz_joint(i):
+    """Draw i of the fuzz, or None when it has an empty row or column."""
+    from sdpibounds import JointDistribution
+
+    P = _fuzz_tables()[i]
+    if (P.sum(axis=1) == 0).any() or (P.sum(axis=0) == 0).any():
+        return None
+    return JointDistribution(P / P.sum())
+
+
+def fuzz_cases():
+    for i in range(FUZZ_DRAWS):
+        if (j := fuzz_joint(i)) is not None:
+            for direction in ("x_to_y", "y_to_x"):
+                yield f"draw{i}", j, direction
 
 
 def gauss_cases():
