@@ -7,7 +7,10 @@ Conventions used throughout the package:
  - a pmf whose total mass is within 1e-9 of 1 is renormalized silently,
    anything further off is rejected as a real modeling error; one within
    rounding of 1 is kept bit for bit (a JSON round trip, a transpose);
- - joint distributions are (x, y) matrices in row-major order, x indexes rows.
+ - joint distributions are (x, y) matrices in row-major order, x indexes rows;
+ - both marginals of a joint-like matrix come from _marginal_sums, which
+   sums each as the rows of a C-contiguous matrix (the matrix for P_X, its
+   transpose for P_Y), so a transpose swaps the marginals bit for bit.
 
 Joint distributions must have marginals of at least the least normal
 double, np.finfo(float).tiny (about 2.2e-308).  Zero rows or columns would
@@ -139,7 +142,7 @@ class JointDistribution:
 
     def __post_init__(self):
         arr = _clean_pmf(self.probs, 2, "JointDistribution")
-        if min(arr.sum(axis=1).min(), arr.sum(axis=0).min()) < _LEAST_NORMAL:
+        if min(m.min() for m in _marginal_sums(arr)) < _LEAST_NORMAL:
             raise ProbabilityError("JointDistribution: a marginal has a zero or subnormal entry")
         object.__setattr__(self, "probs", arr)
 
@@ -221,12 +224,13 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
 def marginals(j: JointDistribution) -> tuple[Distribution, Distribution]:
     """(P_X, P_Y) of the joint.  Both have full support by construction."""
-    return Distribution(j.probs.sum(axis=1)), Distribution(j.probs.sum(axis=0))
+    px, py = _marginal_sums(j.probs)
+    return Distribution(px), Distribution(py)
 
 
 def conditional(j: JointDistribution) -> Channel:
     """P(Y|X), one row per x; P(X|Y) is conditional(j.swapped())."""
-    return Channel(j.probs / j.probs.sum(axis=1, keepdims=True))
+    return Channel(j.probs / _marginal_sums(j.probs)[0][:, None])
 
 
 def mutual_information(j: JointDistribution) -> float:
@@ -241,6 +245,20 @@ def tensor_product(a: JointDistribution, b: JointDistribution) -> JointDistribut
     both axes, which is exactly the Kronecker product layout.
     """
     return JointDistribution(np.kron(a.probs, b.probs))
+
+
+def _marginal_sums(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row sums, column sums) of a joint-like matrix: the one place a
+    marginal is summed.
+
+    numpy adds the entries of a C-contiguous row pairwise, but sums its
+    columns one row at a time; from 8 terms on the two orders round
+    differently.  Both marginals are therefore summed as rows, the column
+    sums as the rows of the transpose copied contiguous, so the marginals of
+    probs.T are those of probs swapped, bit for bit.
+    """
+    return (np.ascontiguousarray(probs).sum(axis=1),
+            np.ascontiguousarray(probs.T).sum(axis=1))
 
 
 def _kl_rows(A: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -270,8 +288,7 @@ def _mi_from_matrix(pxy: np.ndarray) -> float:
     over the support of px (x) py, so a joint near independence keeps its
     digits instead of cancelling to a few ulps either side of zero.
     """
-    px = pxy.sum(axis=1)
-    py = pxy.sum(axis=0)
+    px, py = _marginal_sums(pxy)
     rows, cols = px > 0.0, py > 0.0
     a = pxy[rows][:, cols]
     p = np.outer(px[rows], py[cols])

@@ -69,6 +69,7 @@ from .probability import (
     Distribution,
     JointDistribution,
     _kl_rows,
+    _marginal_sums,
     _mi_from_matrix,
     _require_integer,
     conditional,
@@ -83,9 +84,18 @@ _TINY = 1e-15
 # Total-variation radius of the ball around the input marginal that every
 # search skips: the ratio is 0/0 at the marginal itself, and its limit there
 # is at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
-# which the SVD bound already supplies, so one fixed small ball loses nothing.
-# For the same reason an ascent start below rho_m^2 retires when a try of it
-# enters the ball (_multistart_search).
+# which the SVD bound already supplies.  So the ball loses nothing where the
+# ratio inside it stays at or below that limit, as it does once the radius
+# is small against every input-marginal entry: the ball is then a
+# neighbourhood of the marginal, where the ratio is its second-order limit
+# up to terms of relative order radius / min p_in.  Where an entry is below
+# the radius, the ball holds a face region instead, and values above
+# rho_m^2: on fuzz draw 14 y_to_x, p_in = (1.68e-5, 0.99998), the ratio at
+# the vertex (0, 1), inside the ball, is 3.1030659e-4 in 50-digit
+# arithmetic, 8.3e-6 relative above rho_m^2 = 3.1030401e-4, which is what
+# sstar returns (ROADMAP item 24).  For the same reason an ascent start
+# below rho_m^2 retires when a try of it enters the ball
+# (_multistart_search).
 EXCLUSION_RADIUS = 1e-4
 
 
@@ -167,7 +177,8 @@ def _posed(j: JointDistribution, direction: str) -> JointDistribution:
 def _oriented(j: JointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(input marginal, output marginal, conditional matrix) of a joint
     already posed as x_to_y (_posed)."""
-    return j.probs.sum(axis=1), j.probs.sum(axis=0), conditional(j).rows
+    p_in, p_out = _marginal_sums(j.probs)
+    return p_in, p_out, conditional(j).rows
 
 
 def divergence_ratio(
@@ -212,8 +223,7 @@ def _correlation_svd(j: JointDistribution):
     powers of two cancel exactly, so every other quotient keeps its bits.
     """
     scale = 2.0 ** 511
-    px = j.probs.sum(axis=1) * scale
-    py = j.probs.sum(axis=0) * scale
+    px, py = (m * scale for m in _marginal_sums(j.probs))
     U, s, _ = np.linalg.svd(j.probs * scale / np.sqrt(np.outer(px, py)), full_matrices=False)
     return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0)
 
@@ -710,7 +720,7 @@ def verify_sdpi_inequality(
         raise DimensionMismatchError(
             f"u_channel input {u_channel.input_size} does not match x alphabet {j.x_size}"
         )
-    px = j.probs.sum(axis=1)
+    px = _marginal_sums(j.probs)[0]
     pxu = px[:, None] * u_channel.rows
     pyu = j.probs.T @ u_channel.rows
     lhs = _mi_from_matrix(pyu)
