@@ -84,18 +84,18 @@ _TINY = 1e-15
 # Total-variation radius of the ball around the input marginal that every
 # search skips: the ratio is 0/0 at the marginal itself, and its limit there
 # is at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
-# which the SVD bound already supplies.  So the ball loses nothing where the
-# ratio inside it stays at or below that limit, as it does once the radius
-# is small against every input-marginal entry: the ball is then a
-# neighbourhood of the marginal, where the ratio is its second-order limit
-# up to terms of relative order radius / min p_in.  Where an entry is below
-# the radius, the ball holds a face region instead, and values above
-# rho_m^2: on fuzz draw 14 y_to_x, p_in = (1.68e-5, 0.99998), the ratio at
-# the vertex (0, 1), inside the ball, is 3.1030659e-4 in 50-digit
-# arithmetic, 8.3e-6 relative above rho_m^2 = 3.1030401e-4, which is what
-# sstar returns (ROADMAP item 24).  For the same reason an ascent start
-# below rho_m^2 retires when a try of it enters the ball
-# (_multistart_search).
+# which the SVD bound already supplies.  So the ball loses nothing exactly
+# where the ratio inside it stays at or below rho_m^2.  Where the radius is
+# small against every input-marginal entry, the ball is a neighbourhood of
+# the marginal, where the ratio is its second-order form, at most rho_m^2,
+# up to terms of relative order radius / min p_in, so it loses little (fuzz
+# draw 191 x_to_y, min p_in = 7.6e-4: 6.3e-9 relative).  Where an entry is
+# below the radius, the ball holds a face region instead: on fuzz draw 14
+# y_to_x, p_in = (1.68e-5, 0.99998), the ratio at the vertex (0, 1), inside
+# the ball, is 3.1030659e-4 in 50-digit arithmetic, 8.3e-6 relative above
+# the rho_m^2 = 3.1030401e-4 that sstar returns.  ROADMAP item 24 removes
+# the ball at two input symbols.  An ascent start below rho_m^2 retires when
+# a try of it enters the ball (_multistart_search), for the reason above.
 EXCLUSION_RADIUS = 1e-4
 
 
@@ -139,8 +139,9 @@ class SdpiResult:
     its try entered the exclusion ball around the marginal, and its gap
     stays above the witnesses' (2.7e-5 on the 33-level Gaussian at
     rho = 0.5, 5.4e-5 on dsbs_p10).  rho_m_squared is computed on the oriented
-    pair, the swapped joint for y_to_x, so the two directions of one joint
-    can differ in it at rounding level.
+    pair, the swapped joint for y_to_x: its marginals are the joint's swapped
+    bit for bit, but the SVD of a transpose can round differently, so the two
+    directions of one joint can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
     plus the ascent from its best points (2 to 4 input symbols),
     "multistart" the ascent from SVD tilt starts alone (5 or more), and

@@ -218,6 +218,19 @@ class TestFullReport:
         assert by_name["coupled-rate-y"].note != ""
         assert by_name["sum-rate"].rhs == pytest.approx(0.5, abs=1e-9)
 
+    def test_a_symmetric_joint_gets_one_rate_on_both_sides(self):
+        # The 9-level Gaussian equals its transpose, so P_X and P_Y are
+        # equal bit for bit, and so are the two rate functions at equal
+        # distortions and costs (they read 1.3912122618451128 and
+        # 1.391212261845113 when the column sums took another order).
+        ham = DistortionMatrix.hamming(9)
+        reports = full_report(quantized_gaussian_joint(0.5, 9), ham, ham,
+                              RateDistortionTuple(1.0, 1.0, 0.1, 0.1))
+        by_name = {r.name: r for r in reports}
+        rx = by_name["coupled-rate-x"].inputs["rate_function"]
+        assert rx == by_name["coupled-rate-y"].inputs["rate_function"]
+        assert rx == by_name["sum-rate"].inputs["rate_function_y"]
+
     def test_inputs_echo_constants(self, dsbs):
         ham = DistortionMatrix.hamming(2)
         t = RateDistortionTuple(1.0, 1.0, 0.1, 0.1)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sdpibounds
 from sdpibounds import DistortionMatrix, quantized_gaussian_joint
@@ -525,3 +527,76 @@ def test_input_contract_fuzz(tmp_path, capsys):
         assert len(errors) == (code != 0), (argv, lines)
         assert all(line.startswith("error: ") or " rows at rho=" in line
                    for line in lines), (argv, lines)
+
+
+# Keys that the JSON readers look up, so that drawn objects hold some of them.
+JSON_KEYS = ["x_size", "y_size", "xhat_size", "probs", "costs"]
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 4) | st.sampled_from([10**400, -(2**80)])
+    | st.floats(0.0, 1.0) | st.sampled_from([1e308, -1e308, float("nan"), float("inf"), 5e-324])
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=2), inner,
+                                     max_size=5)),
+    max_leaves=16,
+)
+# Plausible field values, which get past the type checks to the checks of
+# sizes, lengths and masses.
+JSON_FIELDS = {
+    "x_size": st.integers(1, 3), "y_size": st.integers(1, 3), "xhat_size": st.integers(1, 3),
+    "probs": st.lists(JSON_LEAVES, min_size=1, max_size=9),
+    "costs": st.lists(JSON_LEAVES, min_size=1, max_size=9),
+}
+JSON_KINDS = {"joint": ("x_size", "y_size", "probs"), "source": ("probs",),
+              "costs": ("x_size", "xhat_size", "costs")}
+JSON_VALID = {"joint": DSBS, "source": UNIFORM_BINARY, "costs": HAMMING_2}
+JSON_COMMANDS = {
+    "sstar": (["joint"], []),
+    "rd --target": (["source", "costs"], ["--target", "0.1"]),
+    "rd --curve": (["source", "costs"], ["--curve", "3"]),
+    "bounds": (["joint", "costs", "costs"],
+               ["--rx", "1", "--ry", "1", "--dx", "0.1", "--dy", "0.1"]),
+}
+
+
+def _json_payloads(valid, keys):
+    return st.one_of(
+        st.just(valid),
+        st.sampled_from(keys).map(lambda key: {k: v for k, v in valid.items() if k != key}),
+        st.tuples(st.sampled_from(keys), JSON_VALUES).map(lambda kv: {**valid, kv[0]: kv[1]}),
+        JSON_VALUES,
+        st.fixed_dictionaries({k: JSON_FIELDS[k] | JSON_VALUES for k in keys}),
+    )
+
+
+@st.composite
+def _json_inputs(draw):
+    """A command and the JSON values of the files it reads: each valid,
+    valid but for one key missing or holding any JSON tree, any JSON tree,
+    or an object of the expected keys holding plausible values or any
+    trees."""
+    command = draw(st.sampled_from(sorted(JSON_COMMANDS)))
+    kinds, flags = JSON_COMMANDS[command]
+    payloads = [draw(_json_payloads(JSON_VALID[kind], JSON_KINDS[kind])) for kind in kinds]
+    return command, payloads, flags
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_json_inputs())
+def test_input_contract_on_json_trees(tmp_path, capsys, case):
+    # Whatever JSON the input files hold, main exits 0, 2, 3 or 4 without a
+    # traceback, and a failure prints exactly one line, an error line.
+    command, payloads, flags = case
+    paths = [jfile(tmp_path, f"in{i}.json", payload) for i, payload in enumerate(payloads)]
+    argv = [command.split()[0], *paths, *flags]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3, 4), (argv, payloads, code)
+    assert "Traceback" not in out + err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (payloads, err)
+    else:
+        assert err == "", (payloads, err)

@@ -189,13 +189,13 @@ class TestQuantizedJoint:
         assert isinstance(j, JointDistribution)
         assert j.x_size == j.y_size == 9
         assert np.array_equal(j.probs, j.probs.T)
-        # Correctly rounded sums of equal entries are equal: numpy's axis
-        # sums add them in different orders, so marginals() may not be.
-        px = np.array([math.fsum(row) for row in j.probs])
-        py = np.array([math.fsum(col) for col in j.probs.T])
-        assert np.array_equal(px, px[::-1]) and np.array_equal(px, py)
-        np.testing.assert_allclose(marginals(j)[0].probs, px, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(marginals(j)[1].probs, px, rtol=0, atol=1e-15)
+        # Both marginals are summed in one order, so they are equal bit for
+        # bit, and within rounding of the correctly rounded sums.
+        px, py = marginals(j)
+        assert px.probs.tobytes() == py.probs.tobytes()
+        exact = np.array([math.fsum(row) for row in j.probs])
+        assert np.array_equal(exact, exact[::-1])
+        np.testing.assert_allclose(px.probs, exact, rtol=0, atol=1e-15)
 
     def test_correlation_approaches_rho(self):
         vals = [maximal_correlation(quantized_gaussian_joint(0.5, lv)) for lv in (5, 9, 17)]

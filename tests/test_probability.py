@@ -226,6 +226,17 @@ class TestJointOps:
         assert px.probs == pytest.approx(np.full(4, 0.25), abs=1e-15)
         assert py.probs == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
+    def test_a_transpose_swaps_the_marginals_bit_for_bit(self):
+        # From 8 symbols on, numpy's row and column sums round differently;
+        # both marginals are summed as rows, so they swap exactly.
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            j = random_joint(rng, int(rng.integers(8, 34)), int(rng.integers(8, 34)))
+            px, py = marginals(j)
+            sx, sy = marginals(j.swapped())
+            assert sx.probs.tobytes() == py.probs.tobytes()
+            assert sy.probs.tobytes() == px.probs.tobytes()
+
     def test_conditional_dsbs(self, dsbs):
         ch = conditional(dsbs)
         np.testing.assert_allclose(ch.rows, [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)

@@ -509,6 +509,16 @@ class TestOneCodePath:
         for j in self.joints():
             assert sstar(j, "y_to_x").to_dict() == sstar(j.swapped(), "x_to_y").to_dict()
 
+    def test_oriented_marginals_swap_bit_for_bit(self):
+        # y_to_x's input marginal is x_to_y's output marginal, and the
+        # other way round, at sizes where row and column sums differ.
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            j = random_joint(rng, int(rng.integers(8, 34)), int(rng.integers(8, 34)))
+            p_in, p_out, _ = _oriented(j)
+            s_in, s_out, _ = _oriented(j.swapped())
+            assert s_in.tobytes() == p_out.tobytes() and s_out.tobytes() == p_in.tobytes()
+
     def test_divergence_ratio_is_x_to_y_on_the_swapped_joint(self):
         rng = np.random.default_rng(26)
         for j in self.joints():

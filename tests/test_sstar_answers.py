@@ -1,6 +1,7 @@
 """Smoke test of tools/sstar_answers.py on a three-joint corpus."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ def tool(monkeypatch):
         ("gauss5", quantized_gaussian_joint(0.5, 5), "x_to_y"),
     ]
     monkeypatch.setitem(module.CORPORA, "three", lambda: iter(three))
+    monkeypatch.setitem(module.CORPORA, "one", lambda: iter(three[:1]))
     return module
 
 
@@ -30,18 +32,32 @@ def test_a_dump_diffs_empty_against_itself_and_shows_a_fall(tool, tmp_path, caps
     assert d.matched == d.identical == 3
     assert d.evaluations[0] == d.evaluations[1] > 0
 
-    # Lower the 3x3 joint's value, which has a witness, and drop the witness.
+    # Lower the 3x3 joint's value, which has a witness, drop the witness,
+    # and move its rho_m^2.
     records = [json.loads(line) for line in b.read_text().splitlines()]
     assert records[1]["key"] == "3x3" and records[1]["argmax_q"] is not None
     records[1]["value"] *= 1 - 1e-9
     records[1]["argmax_q"] = None
+    records[1]["rho_m_squared"] *= 1 + 1e-14
     b.write_text("".join(json.dumps(r) + "\n" for r in records))
     [d] = tool.compare(tool.read(a), tool.read(b)).values()
     assert len(d.falls) == 1 and "3x3 y_to_x" in d.falls[0]
     assert len(d.lost) == 1 and "3x3 y_to_x" in d.lost[0]
     assert d.rises == d.gained == d.methods == d.only_in_one == []
     assert d.identical == 2
+    assert d.rho_moved == 1 and d.rho_largest_move == pytest.approx(1e-14, rel=1e-3)
 
     assert tool.main(["diff", str(a), str(b)]) == 0
     printed = capsys.readouterr().out
     assert "0 rises and 1 falls" in printed and "1 lost" in printed
+    assert "1 rho_m^2 values changed bits, largest move 1e-14 relative" in printed
+
+
+def test_dump_takes_several_corpus_names_after_one_flag(tool, tmp_path, monkeypatch):
+    # main loads the tree, which puts its src and bench first on sys.path.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "two.jsonl"
+    # A name given twice is dumped once.
+    assert tool.main(["dump", str(out), "--corpus", "three", "one", "three"]) == 0
+    corpora = [json.loads(line)["corpus"] for line in out.read_text().splitlines()]
+    assert corpora == ["three"] * 3 + ["one"]

@@ -23,7 +23,8 @@ call's seconds.  The corpora (all three by default):
   joint equals its transpose bit for bit, so both directions agree.
 
 ``diff`` reports per corpus: values that rise or fall by more than 1e-12
-relative, witnesses (``argmax_q``) gained or lost with their lead over
+relative, how many ``rho_m_squared`` values changed bits and their largest
+relative move, witnesses (``argmax_q``) gained or lost with their lead over
 rho_m^2, ``method`` changes, cases in one dump only, and the evaluations
 and seconds of each dump.  It adds no gate and always exits 0.
 """
@@ -167,6 +168,8 @@ class CorpusDiff:
     matched: int = 0
     identical: int = 0
     largest_move: float = 0.0
+    rho_moved: int = 0
+    rho_largest_move: float = 0.0
     rises: list = field(default_factory=list)
     falls: list = field(default_factory=list)
     gained: list = field(default_factory=list)
@@ -178,6 +181,11 @@ class CorpusDiff:
 
     def changes(self) -> list:
         return self.rises + self.falls + self.gained + self.lost + self.methods + self.only_in_one
+
+
+def _relative_move(a: float, b: float) -> float:
+    """b - a relative to a, or absolute where a is 0."""
+    return (b - a) / abs(a) if a else b - a
 
 
 def compare(a: dict, b: dict) -> dict:
@@ -197,8 +205,11 @@ def compare(a: dict, b: dict) -> dict:
         d.seconds[1] += rb["seconds"]
         va, vb = ra["value"], rb["value"]
         d.identical += va == vb
-        move = (vb - va) / abs(va) if va else vb - va
+        move = _relative_move(va, vb)
         d.largest_move = max(d.largest_move, abs(move))
+        ma, mb = ra["rho_m_squared"], rb["rho_m_squared"]
+        d.rho_moved += ma != mb
+        d.rho_largest_move = max(d.rho_largest_move, abs(_relative_move(ma, mb)))
         if move > REL_TOL:
             d.rises.append(f"rise {move:.3g}: {name} {va!r} -> {vb!r}")
         elif move < -REL_TOL:
@@ -218,9 +229,10 @@ def report(diffs: dict) -> str:
         (ea, eb), (sa, sb) = d.evaluations, d.seconds
         lines.append(
             f"{corpus}: {d.matched} results, {d.identical} values bit-identical, largest move "
-            f"{d.largest_move:.3g} relative; {len(d.rises)} rises and {len(d.falls)} falls beyond "
-            f"{REL_TOL:g}, {len(d.gained)} witnesses gained and {len(d.lost)} lost, "
-            f"{len(d.methods)} method changes; evaluations {ea:,} -> {eb:,}, "
+            f"{d.largest_move:.3g} relative; {d.rho_moved} rho_m^2 values changed bits, "
+            f"largest move {d.rho_largest_move:.3g} relative; {len(d.rises)} rises and "
+            f"{len(d.falls)} falls beyond {REL_TOL:g}, {len(d.gained)} witnesses gained and "
+            f"{len(d.lost)} lost, {len(d.methods)} method changes; evaluations {ea:,} -> {eb:,}, "
             f"seconds {sa:.3f} -> {sb:.3f}")
         lines += [f"  {line}" for line in d.changes()]
     return "\n".join(lines)
@@ -231,7 +243,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("dump", help="write the answers of one tree")
     p.add_argument("out", type=Path)
-    p.add_argument("--corpus", action="append", choices=sorted(CORPORA))
+    p.add_argument("--corpus", nargs="+", action="extend", choices=sorted(CORPORA))
     p.add_argument("--tree", type=Path, default=ROOT)
     p = sub.add_parser("diff", help="compare two dumps, B against A")
     p.add_argument("a", type=Path)
@@ -239,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "dump":
         _load(args.tree)
-        count = dump(args.out, args.corpus or list(CORPORA))
+        count = dump(args.out, list(dict.fromkeys(args.corpus or CORPORA)))
         print(f"{count} results written to {args.out}")
     else:
         print(report(compare(read(args.a), read(args.b))))
