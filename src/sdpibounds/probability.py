@@ -252,7 +252,7 @@ def _marginal_sums(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     marginal is summed.
 
     numpy adds the entries of a C-contiguous row pairwise, but sums its
-    columns one row at a time; from 8 terms on the two orders round
+    columns one row at a time; from 8 terms on, the two orders can round
     differently.  Both marginals are therefore summed as rows, the column
     sums as the rows of the transpose copied contiguous, so the marginals of
     probs.T are those of probs swapped, bit for bit.
