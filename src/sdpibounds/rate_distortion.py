@@ -285,6 +285,19 @@ def blahut_arimoto(
         if q.shape != (n,) or not (np.all(np.isfinite(q)) and q.min() >= 0.0 and q.sum() > 0.0):
             raise ValueError(f"start must be an output law on {n} symbols")
         q = (1.0 - _START_MIX) * q / q.sum() + _START_MIX / n
+    if A.shape[0] == n and p.min() > 0.0:
+        # An optimum that uses every symbol has c_y = 1 for all y: with
+        # w = p / (A q), that is A^T w = 1, and then A q = p / w (Blahut
+        # 1972; Berger 1971, ch. 2).  If both solves give positive finite
+        # vectors, their q is that optimum, and the loop below certifies it.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            try:
+                w = np.linalg.solve(A.T, np.ones(n))
+                full = np.linalg.solve(A, p / w)
+            except np.linalg.LinAlgError:
+                w = full = np.zeros(n)
+        if np.all(np.isfinite(w) & (w > 0.0)) and np.all(np.isfinite(full) & (full > 0.0)):
+            q = full
     prev_obj = np.inf
     gap = np.inf
     for it in range(1, _BA_MAX_ITERATIONS + 1):

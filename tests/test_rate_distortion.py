@@ -200,11 +200,14 @@ class TestBlahutArimoto:
     def test_objective_increase_raises(self, monkeypatch):
         # Neither the update nor an accepted Newton step raises the
         # objective, so only a faulty step can: here one that jumps to a
-        # near point mass on the wrong symbol.
+        # near point mass on the wrong symbol.  The costs are not square, so
+        # the solve starts at the uniform law, not at the full-support
+        # optimum, and the step runs after iteration 1.
         monkeypatch.setattr(rate_distortion, "_newton_step",
-                            lambda p, A, q: np.array([0.001, 0.001, 0.998]))
+                            lambda p, A, q: np.array([0.001, 0.001, 0.001, 0.997]))
+        costs = DistortionMatrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]])
         with pytest.raises(ConvergenceError, match="objective increased at iteration 2") as exc:
-            blahut_arimoto(Distribution([0.5, 0.3, 0.2]), slope=-5.0)
+            blahut_arimoto(Distribution([0.5, 0.3, 0.2]), costs, slope=-5.0)
         assert np.isfinite(exc.value.gap)
 
     def test_newton_step_on_an_overflowing_system_keeps_q(self):
