@@ -122,7 +122,10 @@ def _cmd_gauss_figures(args) -> None:
             for pair in payload
         )):
             raise InputFormatError(f"{args.grid}: expected a JSON list of [dx, dy] number pairs")
-        grid = [(float(dx), float(dy)) for dx, dy in payload]
+        try:
+            grid = [(float(dx), float(dy)) for dx, dy in payload]
+        except OverflowError as e:
+            raise InputFormatError(f"{args.grid}: grid value out of the float range ({e})") from e
     rows = figure_data(args.rho, grid)
     rows_to_csv(rows, args.out or sys.stdout)
     print(f"{len(rows)} rows at rho={args.rho!r}", file=sys.stderr)

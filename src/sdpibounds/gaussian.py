@@ -116,7 +116,8 @@ def beta(p: GaussianParams) -> float:
 def exact_sum_rate(p: GaussianParams) -> float:
     """Minimal achievable rx + ry meeting both distortion targets."""
     r2 = p.rho * p.rho
-    return 0.5 * float(np.log2((1.0 - r2) * beta(p) / (2.0 * p.dx * p.dy)))
+    # Logs of dx and dy apart: their product can underflow to 0.
+    return 0.5 * float(np.log2((1.0 - r2) * beta(p) / 2.0) - np.log2(p.dx) - np.log2(p.dy))
 
 
 def contour_rx(p: GaussianParams, ry: float) -> float:
@@ -149,7 +150,7 @@ def simple_sum_bound(p: GaussianParams) -> float:
 def cooperative_bound(p: GaussianParams) -> float:
     """Sum rate needed even if the two encoders could fully cooperate."""
     r2 = p.rho * p.rho
-    return max(0.0, 0.5 * float(np.log2((1.0 - r2) / (p.dx * p.dy))))
+    return max(0.0, 0.5 * float(np.log2(1.0 - r2) - np.log2(p.dx) - np.log2(p.dy)))
 
 
 def gaussian_rho_star(rho: float) -> float:

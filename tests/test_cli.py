@@ -378,8 +378,10 @@ class TestParsing:
         ("distortion", '{"x_size": 2, "xhat_size": "b", "costs": [0.0, 1.0, 1.0, 0.0]}'),
         ("grid", '[[true, 0.5]]'),
         ("grid", '[["0.1", "0.2"]]'),
+        ("grid", '[[0.5, 1' + '0' * 400 + ']]'),
     ], ids=["size-str", "size-float", "size-overflow", "probs-nested", "probs-str",
-            "source-str", "source-scalar", "costs-size-str", "grid-bool", "grid-str"])
+            "source-str", "source-scalar", "costs-size-str", "grid-bool", "grid-str",
+            "grid-int-overflow"])
     def test_wrongly_typed_field(self, tmp_path, capsys, kind, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -552,17 +554,27 @@ JSON_FIELDS = {
 }
 JSON_KINDS = {"joint": ("x_size", "y_size", "probs"), "source": ("probs",),
               "costs": ("x_size", "xhat_size", "costs")}
-JSON_VALID = {"joint": DSBS, "source": UNIFORM_BINARY, "costs": HAMMING_2}
+JSON_VALID = {"joint": DSBS, "source": UNIFORM_BINARY, "costs": HAMMING_2,
+              "grid": [[0.1, 0.1], [0.5, 0.25]]}
+# Each command reads its files in this order after its flags; the last
+# flag of gauss-figures takes the grid file as its value.
 JSON_COMMANDS = {
     "sstar": (["joint"], []),
     "rd --target": (["source", "costs"], ["--target", "0.1"]),
     "rd --curve": (["source", "costs"], ["--curve", "3"]),
     "bounds": (["joint", "costs", "costs"],
                ["--rx", "1", "--ry", "1", "--dx", "0.1", "--dy", "0.1"]),
+    "gauss-figures --grid": (["grid"], ["--rho", "0.5", "--grid"]),
 }
 
 
-def _json_payloads(valid, keys):
+def _json_payloads(kind):
+    valid = JSON_VALID[kind]
+    if kind == "grid":
+        # A list of [dx, dy] pairs, each entry any leaf, or any tree.
+        pairs = st.lists(st.lists(JSON_LEAVES, min_size=2, max_size=2), min_size=1, max_size=3)
+        return st.one_of(st.just(valid), pairs, JSON_VALUES)
+    keys = JSON_KINDS[kind]
     return st.one_of(
         st.just(valid),
         st.sampled_from(keys).map(lambda key: {k: v for k, v in valid.items() if k != key}),
@@ -580,7 +592,7 @@ def _json_inputs(draw):
     trees."""
     command = draw(st.sampled_from(sorted(JSON_COMMANDS)))
     kinds, flags = JSON_COMMANDS[command]
-    payloads = [draw(_json_payloads(JSON_VALID[kind], JSON_KINDS[kind])) for kind in kinds]
+    payloads = [draw(_json_payloads(kind)) for kind in kinds]
     return command, payloads, flags
 
 
@@ -592,11 +604,15 @@ def test_input_contract_on_json_trees(tmp_path, capsys, case):
     # traceback, and a failure prints exactly one line, an error line.
     command, payloads, flags = case
     paths = [jfile(tmp_path, f"in{i}.json", payload) for i, payload in enumerate(payloads)]
-    argv = [command.split()[0], *paths, *flags]
+    argv = [command.split()[0], *flags, *paths]
     code, out, err = run(capsys, *argv)
     assert code in (0, 2, 3, 4), (argv, payloads, code)
     assert "Traceback" not in out + err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (payloads, err)
+    elif command.startswith("gauss-figures"):
+        # The CSV goes to stdout, a header and one row per pair.
+        assert err == f"{len(payloads[0])} rows at rho=0.5\n", (payloads, err)
+        assert len(out.splitlines()) == len(payloads[0]) + 1
     else:
         assert err == "", (payloads, err)

@@ -197,6 +197,50 @@ class TestBlahutArimoto:
         assert pt.distortion == pytest.approx(d, rel=1e-8)
         assert pt.rate == pytest.approx(binary_hamming_rd(0.5, d), rel=1e-7)
 
+    @pytest.mark.parametrize("start", [None, [0.9, 0.1]])
+    @pytest.mark.parametrize("p, slope", [(0.3, -3.0), (0.1, -4.0), (0.5, -0.5)])
+    def test_full_support_binary_solve_takes_one_iteration(self, p, slope, start):
+        # The optimum uses both symbols, so the solve starts at it (A^T w =
+        # 1, then A q = p / w), warm start or not, and stops at iteration 1.
+        pt = blahut_arimoto(Distribution([p, 1.0 - p]), slope=slope, start=start)
+        assert pt.iterations == 1
+        assert pt.distortion == pytest.approx(2.0 ** slope / (1.0 + 2.0 ** slope), abs=1e-15)
+        assert abs(pt.rate - binary_hamming_rd(p, pt.distortion)) <= 1e-12
+
+    @pytest.mark.parametrize("k, slope", [(3, -2.0), (4, -3.5), (6, -1.0), (8, -5.0)])
+    def test_full_support_uniform_solve_takes_one_iteration(self, k, slope):
+        # From a warm start far from the optimum, the uniform law: one
+        # iteration, at the closed form log2 k - h(D) - D log2(k - 1) with
+        # D = (k - 1) 2^s / (1 + (k - 1) 2^s).
+        start = np.arange(1.0, k + 1.0) ** 3
+        pt = blahut_arimoto(Distribution.uniform(k), slope=slope, start=start)
+        assert pt.iterations == 1
+        d = (k - 1) * 2.0 ** slope / (1.0 + (k - 1) * 2.0 ** slope)
+        assert pt.distortion == pytest.approx(d, abs=1e-15)
+        h = -(d * np.log2(d) + (1.0 - d) * np.log2(1.0 - d))
+        assert abs(pt.rate - (np.log2(k) - h - d * np.log2(k - 1))) <= 1e-12
+
+    # Inputs the full-support start does not serve, so they start at the
+    # uniform law, with the rate that start reached before the closed form
+    # was tried.  No warning may escape the failed try.
+    @pytest.mark.parametrize("probs, costs, slope, rate", [
+        # Two equal cost columns: A is singular, and its solve raises.
+        ([0.5, 0.3, 0.2], [[0, 1, 1], [1, 0, 0], [1, 0.5, 0.5]], -3.0, 0.42153858529340327),
+        # w = (1, 0), so p / w divides by zero.
+        ([0.5, 0.5], [[0, 0], [1, 0]], -np.inf, 3.906250000001071e-13),
+        # The optimum leaves a symbol unused: A q = p / w gives a q < 0.
+        ([0.1, 0.2, 0.7], None, -2.0, 0.03804877101874369),
+        # Costs that are not square.
+        ([0.5, 0.3, 0.2], [[0, 1, 1, 0.5], [1, 0, 1, 0.5], [1, 1, 0, 0.5]], -3.0, 0.56354720235495),
+        # A source symbol with zero mass.
+        ([0.0, 0.6, 0.4], None, -3.0, 0.4676922596837259),
+    ])
+    def test_inputs_without_the_full_support_start(self, probs, costs, slope, rate):
+        d = None if costs is None else DistortionMatrix(costs)
+        pt = blahut_arimoto(Distribution(probs), d, slope)
+        assert pt.iterations > 1
+        assert abs(pt.rate - rate) <= 1e-10
+
     def test_objective_increase_raises(self, monkeypatch):
         # Neither the update nor an accepted Newton step raises the
         # objective, so only a faulty step can: here one that jumps to a
