@@ -3,13 +3,16 @@
 The workhorse is the classical alternating-minimization iteration for the
 Lagrangian at a fixed slope (Blahut 1972), with the standard per-iteration
 optimality gap (max over reproduction symbols of the log multiplier minus
-its average under the updated output law) as the stopping rule.  Each
-multiplicative update that leaves the gap open is followed by a safeguarded
-projected Newton step on the convex dual over the output law, so solves end
-in a handful of iterations instead of thousands, also near the slopes where
-a reproduction symbol enters or leaves the support.  Points at a target
-distortion come from a safeguarded Newton search on the slope, with the
-slope's derivative from the solver's optimality conditions, inside a
+its average under the updated output law) as the stopping rule.  A solve
+on square costs and a full-support source starts at the closed-form optimum
+that uses every reproduction symbol when that optimum exists, and then ends
+after one iteration.  In every other solve, each multiplicative update that
+leaves the gap open is followed by a safeguarded projected Newton step on
+the convex dual over the output law, so solves end in a handful of
+iterations instead of thousands, also near the slopes where a reproduction
+symbol enters or leaves the support.  Points at a target distortion come
+from a safeguarded Newton search on the slope, with the slope's
+derivative from the solver's optimality conditions, inside a
 bracket closed by the critical slope where the zero-rate point mass stops
 being optimal; it starts at the slope where the uniform output law meets
 the target, and warm-starts each solve from the one before.  A target
@@ -167,6 +170,8 @@ _BA_TOLERANCE = 1e-10
 _BA_MAX_ITERATIONS = 20000
 # Uniform mass mixed into a warm start, so that no reproduction symbol
 # starts at zero, where the multiplicative update could never revive it.
+# A solve that starts at the closed-form full-support optimum uses
+# neither the warm start nor this mix.
 _START_MIX = 1e-3
 # Projected Newton step (_newton_step): the largest mass a leaving symbol
 # can have, the share of the way to zero an entry may move in one step,
@@ -266,6 +271,15 @@ def blahut_arimoto(
     fast local one.  The Lagrangian objective is checked to be
     non-increasing every step.  ``start`` is an output law to begin from
     (uniform by default), mixed with _START_MIX uniform mass.
+
+    Where the source has full support and the kernel A is square, the
+    solve first tries the optimum that uses every reproduction symbol:
+    A^T w = 1, then A q = p / w.  If w and q are positive and finite, q
+    meets the optimality conditions with c = 1 on every symbol, and the
+    iteration starts at q instead of at ``start`` (which is still checked),
+    so the gap test stops it after one iteration.  A singular A, a
+    non-positive entry or a zero-mass source symbol leaves the start as
+    above.
     """
     d = _check_pair(source, d)
     if not slope <= 0.0:
