@@ -162,8 +162,9 @@ class TestFigureData:
         assert rows[0].dx == 0.1 and rows[0].dy == 0.2
 
     def test_distortions_whose_product_underflows(self):
-        # dx * dy rounds to 0, which used to divide by zero.  beta is 2 to
-        # double precision here, so the exact rate meets the cooperative one.
+        # dx * dy rounds to 0, so the rates take logs of dx and dy apart.
+        # beta is 2 to double precision, and the exact rate meets the
+        # cooperative one.
         (row,) = figure_data(0.5, [(1e-200, 1e-200)])
         coop = 0.5 * np.log2(0.75) + 200.0 * np.log2(10.0)
         assert row.cooperative == pytest.approx(coop, rel=1e-12)

@@ -221,8 +221,8 @@ class TestBlahutArimoto:
         assert abs(pt.rate - (np.log2(k) - h - d * np.log2(k - 1))) <= 1e-12
 
     # Inputs the full-support start does not serve, so they start at the
-    # uniform law, with the rate that start reached before the closed form
-    # was tried.  No warning may escape the failed try.
+    # uniform law, with the rate that the uniform-law start reaches without
+    # the closed form.  No warning may escape the failed try.
     @pytest.mark.parametrize("probs, costs, slope, rate", [
         # Two equal cost columns: A is singular, and its solve raises.
         ([0.5, 0.3, 0.2], [[0, 1, 1], [1, 0, 0], [1, 0.5, 0.5]], -3.0, 0.42153858529340327),
