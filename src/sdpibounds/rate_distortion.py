@@ -17,16 +17,18 @@ bracket closed by the critical slope where the zero-rate point mass stops
 being optimal; it starts at the slope where the uniform output law meets
 the target, and warm-starts each solve from the one before.  A target
 within the stop tolerance of the least distortion D_min takes one solve at
-slope -inf, where the kernel is a 0/1 mask (_kernel); so does a target
-that Hamming costs put where every reproduction symbol is active.  Sampled
+slope -inf, where the kernel is a 0/1 mask (_kernel).  Costs that are
+Hamming up to relabeling, row offsets and scale take no search: their
+points come in closed form, from the water-filling solution (Erokhin
+1958), at any target above that tolerance.  Sampled
 curves warm-start each slope from the one before and solve no slope past
 the critical one.  Distortion tolerances and curve slopes are in units of
 the largest excess cost, capped at 1 (_cost_unit), so costs scaled down
 give the same rates at distortions scaled with them.
 
 Each returned point is achievable: the rate is the exact mutual information
-of the test channel the iteration ends with, so a point can sit slightly
-above the true curve but never below it.
+of the test channel the iteration ends with, or of the closed-form one, so
+a point can sit slightly above the true curve but never below it.
 """
 
 from __future__ import annotations
@@ -85,7 +87,12 @@ class DistortionMatrix:
 
 @dataclass(frozen=True)
 class RdPoint:
-    """One achievable (distortion, rate) point and the slope, -inf at D_min, that produced it."""
+    """One achievable (distortion, rate) point and the slope, -inf at D_min, that produced it.
+
+    ``iterations`` counts the Blahut-Arimoto iterations behind the point: 0
+    for a closed-form point (zero rate, or water-filling under Hamming-form
+    costs), and the sum of both solves' for a time-shared one.
+    """
 
     distortion: float
     rate: float
@@ -527,7 +534,9 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
     derivative ln2 times the mean conditional variance of E; no solve is
     needed.  For Hamming costs at a slope where every reproduction symbol
     is active, the optimal distortion (k-1)2^s / (1 + (k-1)2^s) equals this
-    one whatever the source, so the slope returned is exact there.
+    one whatever the source, so the slope returned is exact there; such
+    costs now take the closed form (_water_filling) instead, and costs
+    near them start the search near its answer.
     """
     stop = 1e-3 * _DISTORTION_TOLERANCE * _cost_unit(excess)
     # Costs and slopes in units of the gap, so that no square overflows.
@@ -568,12 +577,91 @@ def _time_share(p: np.ndarray, costs: np.ndarray, excess: np.ndarray,
                    low.iterations + high.iterations, law)
 
 
+# Largest spread, in units of the largest cost, of the excess costs that
+# stand for one value c in _hamming_form.  Costs offset + c [y != sigma(x)]
+# carry one rounding of that sum when stored, and the row minimum's
+# subtraction adds one more: each is at most u = 2^-53 times the largest
+# cost, so each excess is within 2u of c and two of them within 4u.
+_FORM_ROUNDING = 4.0 * 2.0 ** -53
+
+
+def _hamming_form(costs: np.ndarray, excess: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(c, sigma) if the excess costs are c [y != sigma(x)] for one c > 0
+    and a permutation sigma, else None.
+
+    That is Hamming distortion up to relabeling, row offsets and scale:
+    each row and each column of ``excess`` (costs above each row's least)
+    has exactly one zero, and its other entries agree to within
+    _FORM_ROUNDING.  c is their largest, so relabeling leaves it bit for
+    bit unchanged.
+    """
+    # Every row has a zero, so n zeros in all put one in each row, and
+    # then one in each column if no column lacks one.
+    zero = excess == 0.0
+    n = excess.shape[0]
+    if excess.shape[1] != n or np.count_nonzero(zero) != n or not zero.any(axis=0).all():
+        return None
+    off = excess[~zero]
+    if float(off.max() - off.min()) > _FORM_ROUNDING * float(costs.max()):
+        return None
+    return float(off.max()), np.argmax(zero, axis=1)
+
+
+def _water_filling(p: np.ndarray, costs: np.ndarray, excess: np.ndarray, c: float,
+                   sigma: np.ndarray, aim: float) -> RdPoint | None:
+    """Curve point at excess distortion ``aim`` under excess costs c [y != sigma(x)].
+
+    The water-filling solution (Erokhin 1958; Berger, Rate Distortion
+    Theory, 1971, ch. 2): with t = aim / c and p sorted downward, the
+    output law lives on the images of the m largest masses, m the largest
+    support whose smallest mass p_(m) has p_(m) (m - 1) > D' = t - (1 -
+    P_m), P_m the mass of the m largest.  There the kernel is beta off
+    sigma, beta = D' / ((m - 1)(1 - t)), and q_sigma(x) = (p_x / (1 - t) -
+    beta) / (1 - beta), which puts every c_y at 1 on the support and at
+    most 1 off it.  The point returned is the test channel at slope
+    log2(beta) / c, with its own distortion and mutual information, so it
+    is achievable like a solve's; its iteration count is 0.  None if
+    rounding leaves no such m >= 2 or puts beta outside (0, 1), as it can
+    at a target within rounding of D_max.
+    """
+    order = np.argsort(-p, kind="stable")
+    ps = p[order]
+    t = aim / c
+    # 1 - P_m for m = 1..n, summed from the smallest mass up.
+    rest = np.append(np.cumsum(ps[:0:-1])[::-1], 0.0)
+    level = t - rest
+    fits = np.flatnonzero(ps * np.arange(ps.size) > level)
+    m = int(fits[-1]) + 1 if fits.size else 0
+    if m < 2:
+        return None
+    dp = float(level[m - 1])
+    width = (m - 1) * (1.0 - t)
+    if not 0.0 < dp < width:
+        return None
+    q = np.zeros(ps.size)
+    # (p_x / (1 - t) - beta) / (1 - beta), in a form whose sign is that of
+    # p_x (m - 1) - D', positive by the choice of m.
+    q[sigma[order[:m]]] = (ps[:m] * (m - 1) - dp) / (width - dp)
+    slope = float(np.log2(dp / width)) / c
+    pxy = _joint(p, _kernel(slope, excess), q)
+    q.setflags(write=False)
+    return RdPoint(float((pxy * costs).sum()), _mi_from_matrix(pxy), slope, 0, q)
+
+
 def rd_at_distortion(
     source: Distribution,
     d: DistortionMatrix | None = None,
     target: float = 0.0,
 ) -> RdPoint:
-    """Curve point at a target distortion, by a safeguarded Newton search on the slope.
+    """Curve point at a target distortion, in closed form under Hamming-form
+    costs, else by a safeguarded Newton search on the slope.
+
+    Costs that are c [y != sigma(x)] above each row's least, for one c > 0
+    and a permutation sigma (_hamming_form), give the water-filling point
+    (_water_filling): no solve, 0 iterations, a distortion at the target
+    up to rounding, and the rate of its test channel.  Every other cost
+    matrix, and a Hamming-form target within rounding of D_max, takes the
+    search below.
 
     Distortion rises with the slope s, from the least distortion D_min at
     s -> -inf to the zero-rate distortion D_max, which the point mass on
@@ -583,9 +671,7 @@ def rd_at_distortion(
     so no solve lands on the zero-rate plateau; each solve starts from the
     previous one's output law.
     - First slope: where the uniform output law meets the target, found
-      without a solve (_uniform_law_slope).  It is exact for Hamming costs
-      while every reproduction symbol is active, so such targets take one
-      solve.
+      without a solve (_uniform_law_slope).
     - Further slopes: Newton steps, with dD/ds from the solve's optimality
       conditions (_distortion_slope), refined by the slope before
       (_slope_steps).  A step that leaves the bracket, or follows a Newton
@@ -623,15 +709,21 @@ def rd_at_distortion(
     if target >= d_max:
         return RdPoint(float(target), 0.0, 0.0, 0)
     p = source.probs
-    s_c, top = _critical_slope(p, d.costs)
+    excess = d.costs - least[:, None]
+    y_star = int(np.argmin(p @ d.costs))
     # The zero-rate end: its channel sends every x to the best constant.
-    best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[top[0]])
-    if s_c == -np.inf:  # every column ties with the best constant's
+    best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[y_star])
+    if not excess[p > 0.0, y_star].any():  # every column ties with the best constant's
         return best_high
     unit = _cost_unit(d.costs)
     if target - d_min <= _DISTORTION_TOLERANCE * unit:
         return blahut_arimoto(source, d, -np.inf)
-    excess = d.costs - d.costs.min(axis=1, keepdims=True)
+    form = _hamming_form(d.costs, excess)
+    if form is not None:
+        pt = _water_filling(p, d.costs, excess, *form, target - d_min)
+        if pt is not None:
+            return pt
+    s_c, top = _critical_slope(p, d.costs)
     gap = float(excess[excess > 0.0].min(initial=np.inf))
 
     def dg_c():

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,25 @@ def plain_blahut_arimoto(p, costs, slope):
     cells = pxy > 0.0
     rate = float(np.sum(pxy[cells] * np.log2(pxy[cells] / outer[cells])))
     return float((pxy * costs).sum()), max(rate, 0.0)
+
+
+def _decimal_hamming_rd(p, target):
+    """R(target) under Hamming costs, in 40-digit decimal arithmetic of the
+    source given: the water-filling solution (Berger, Rate Distortion
+    Theory, 1971, ch. 2).  With p sorted downward, the support is the largest
+    m whose smallest mass has p_(m) (m - 1) > D' = target - (1 - P_m), P_m
+    the mass of the m largest, and R = -sum_{i <= m} p_i log2 p_i
+    + P_m log2(1 - target) + D' log2(D' / ((m - 1)(1 - target))).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ps = sorted((Decimal(float(v)) for v in p if v > 0.0), reverse=True)
+        t = Decimal(float(target))
+        m = max(m for m in range(1, len(ps) + 1) if ps[m - 1] * (m - 1) > t - sum(ps[m:]))
+        dp = t - sum(ps[m:])
+        nats = (-sum(v * v.ln() for v in ps[:m]) + sum(ps[:m]) * (1 - t).ln()
+                + dp * (dp / ((m - 1) * (1 - t))).ln())
+        return float(nats / Decimal(2).ln())
 
 
 def random_cost_source(rng, n):
@@ -506,17 +527,78 @@ class TestRdAtDistortion:
         support = max(p.rate + p.slope * (target - p.distortion) for p in curve.points)
         assert support - 1e-6 <= pt.rate <= np.interp(target, curve.distortions, curve.rates) + 1e-9
 
-    def test_hamming_target_with_every_symbol_active_takes_one_solve(self, monkeypatch):
-        # The uniform output law's slope is exact there: D(s) =
-        # (k-1)2^s / (1 + (k-1)2^s) whatever the source.
+    def test_hamming_target_with_every_symbol_active_takes_no_solve(self, monkeypatch):
+        # Water-filling with every symbol active puts the slope where D(s) =
+        # (k-1)2^s / (1 + (k-1)2^s), whatever the source.
         solves = count_solves(monkeypatch)
         src = Distribution([0.2, 0.5, 0.3])
         for target in (0.02, 0.1, 0.3):
-            solves.clear()
             pt = rd_at_distortion(src, target=target)
-            assert abs(pt.distortion - target) <= 1e-6
-            assert len(solves) == 1
-            assert pt.slope == pytest.approx(np.log2(target / (2.0 * (1.0 - target))), abs=1e-6)
+            assert abs(pt.distortion - target) <= 1e-15
+            assert pt.iterations == 0
+            assert pt.slope == pytest.approx(np.log2(target / (2.0 * (1.0 - target))), abs=1e-12)
+        assert solves == []
+
+    def test_hamming_targets_match_the_40_digit_water_filling(self):
+        # Dense, Dirichlet(0.05) and zero-mass sources on 2-8 symbols, at
+        # targets from just above the D_min tolerance to 0.999 D_max.  The
+        # slope search left rates off by up to 2e-5 bits here.
+        rng = np.random.default_rng(38)
+        checked = 0
+        while checked < 600:
+            k = int(rng.integers(2, 9))
+            p = rng.dirichlet(np.full(k, 0.05 if checked % 3 == 1 else 1.0))
+            if checked % 3 == 2:
+                p[rng.random(k) < 0.35] = 0.0
+            if np.count_nonzero(p > 1e-300) < 2:
+                continue
+            src = Distribution(p / p.sum())
+            lo, hi = 1.001e-6, 0.999 * (1.0 - src.probs.max())
+            if hi <= lo:
+                continue
+            u = float(rng.random())
+            target = lo * (hi / lo) ** u if checked % 2 else lo + u * (hi - lo)
+            pt = rd_at_distortion(src, target=target)
+            assert pt.iterations == 0
+            assert abs(pt.distortion - target) <= 1e-15
+            assert abs(pt.rate - _decimal_hamming_rd(src.probs, target)) <= 1e-14
+            checked += 1
+
+    @pytest.mark.parametrize("c", [1.0, 1e-2, 1e-7])
+    def test_relabeled_offset_and_scaled_hamming_takes_no_solve(self, monkeypatch, c):
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            k = int(rng.integers(2, 7))
+            src = Distribution(rng.dirichlet(np.ones(k)))
+            rows, cols = rng.permutation(k), rng.permutation(k)
+            offsets = rng.uniform(0.0, 3.0, size=k) * c
+            costs = (c * (1.0 - np.eye(k)))[rows][:, cols] + offsets[:, None]
+            d_min = float(src.probs @ costs.min(axis=1))
+            for frac in (0.01, 0.5, 0.99):
+                target = frac * (1.0 - src.probs[rows].max())
+                pt = rd_at_distortion(src, DistortionMatrix(costs), d_min + c * target)
+                assert pt.iterations == 0
+                assert pt.distortion == pytest.approx(d_min + c * target, abs=1e-12 * c)
+                assert pt.rate == pytest.approx(_decimal_hamming_rd(src.probs, target), abs=1e-12)
+        assert solves == []
+
+    @pytest.mark.parametrize("move, solved", [(2.0 ** -52, False), (2.0 ** -48, True)])
+    def test_an_entry_moved_past_the_rounding_takes_the_search(self, monkeypatch, move, solved):
+        # The excess costs of a Hamming form may spread by 4u of the largest
+        # cost (u = 2^-53): one ulp of 1 is inside, 16 ulps are not.  The
+        # search stops within 1e-6 of the target, so its rate is within
+        # |slope| 1e-6 bits of the closed form's.
+        solves = count_solves(monkeypatch)
+        src = Distribution([0.4, 0.3, 0.2, 0.1])
+        costs = 1.0 - np.eye(4)
+        costs[2, 0] += move
+        for target in (0.05, 0.3, 0.55):
+            solves.clear()
+            exact = rd_at_distortion(src, target=target)
+            pt = rd_at_distortion(src, DistortionMatrix(costs), target)
+            assert bool(solves) is solved
+            assert abs(pt.rate - exact.rate) <= abs(exact.slope) * 1e-6 + 1e-12
 
     def test_integer_costs_with_ties_near_dmax_take_few_solves(self, monkeypatch):
         # Targets 0.999 of the way to D_max under costs in {0, 1, 2, 3},
@@ -583,8 +665,11 @@ class TestRdAtDistortion:
     def test_a_search_with_no_point_below_takes_the_least_distortion_solve(self, monkeypatch):
         # With no slope step left, the search has no solve below the target:
         # the slope -inf solve stands in, time-shared with the zero-rate end.
+        # Hamming costs take the closed form; a dominated third column
+        # keeps binary-Hamming R(D) but takes the search.
         monkeypatch.setattr(rate_distortion, "_SLOPE_STEPS", 0)
-        pt = rd_at_distortion(Distribution.uniform(2), target=0.25)
+        d = DistortionMatrix([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        pt = rd_at_distortion(Distribution.uniform(2), d, target=0.25)
         assert pt.distortion == pytest.approx(0.25, abs=1e-15) and pt.slope == -np.inf
         # Its rate lies between R(0.25) and the chord from (0, 1) to (0.5, 0).
         assert binary_hamming_rd(0.5, 0.25) <= pt.rate <= 0.5 + 1e-12
