@@ -133,11 +133,12 @@ def linearized_bounds(p: GaussianParams) -> tuple[float, float]:
 
     The linear constraint rx + rho^2 * ry >= 0.5*log2(1/dx) supports the
     exact contour: it touches it at ry = 0 (same value, same slope) and
-    stays below it everywhere else.
+    stays below it everywhere else.  It takes -log2(dx), as 1/dx overflows
+    at a subnormal dx; 0 - log2 keeps dx = 1 from giving -0.
     """
     return (
-        0.5 * float(np.log2(1.0 / p.dx)),
-        0.5 * float(np.log2(1.0 / p.dy)),
+        0.5 * float(0.0 - np.log2(p.dx)),
+        0.5 * float(0.0 - np.log2(p.dy)),
     )
 
 

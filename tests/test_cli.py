@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -292,6 +293,14 @@ class TestGaussFigures:
         code, out, _ = run(capsys, "gauss-figures", "--rho", "0.4", "--grid", grid)
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_grid_with_a_subnormal_distortion(self, tmp_path, capsys):
+        # 5e-324 lies in (0, 1]; 1/dx would overflow to inf.
+        grid = jfile(tmp_path, "grid.json", [[5e-324, 0.5]])
+        code, out, err = run(capsys, "gauss-figures", "--rho", "0.5", "--grid", grid)
+        assert (code, err) == (0, "1 rows at rho=0.5\n")
+        row = [float(v) for v in out.splitlines()[1].split(",")]
+        assert row[0] == 5e-324 and row[3] == 430.0 and all(map(math.isfinite, row))
 
     def test_malformed_grid(self, tmp_path, capsys):
         grid = jfile(tmp_path, "grid.json", {"dx": 0.1})

@@ -171,6 +171,14 @@ class TestFigureData:
         assert row.exact == pytest.approx(coop, rel=1e-12)
         assert row.simple == pytest.approx(200.0 * np.log2(10.0) / 1.25, rel=1e-12)
 
+    def test_subnormal_distortion(self):
+        # 1/dx overflows at dx = 5e-324, so the linear bound takes -log2(dx).
+        (row,) = figure_data(0.5, [(5e-324, 0.5)])
+        assert row.simple == (0.5 * 1074.0 + 0.5) / 1.25
+        assert np.all(np.isfinite(row.as_csv_row()))
+        bx, by = linearized_bounds(GaussianParams(0.5, 1.0, 1.0))
+        assert (bx, by) == (0.0, 0.0) and not (np.signbit(bx) or np.signbit(by))
+
 
 class TestCsv:
     def test_header_and_format(self):
