@@ -534,9 +534,9 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
     derivative ln2 times the mean conditional variance of E; no solve is
     needed.  For Hamming costs at a slope where every reproduction symbol
     is active, the optimal distortion (k-1)2^s / (1 + (k-1)2^s) equals this
-    one whatever the source, so the slope returned is exact there; such
-    costs now take the closed form (_water_filling) instead, and costs
-    near them start the search near its answer.
+    one whatever the source, so the slope returned is exact there.  Such
+    costs take the closed form (_water_filling) and reach this search only
+    within rounding of D_max; costs near them start it near its answer.
     """
     stop = 1e-3 * _DISTORTION_TOLERANCE * _cost_unit(excess)
     # Costs and slopes in units of the gap, so that no square overflows.

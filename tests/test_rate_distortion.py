@@ -583,6 +583,18 @@ class TestRdAtDistortion:
                 assert pt.rate == pytest.approx(_decimal_hamming_rd(src.probs, target), abs=1e-12)
         assert solves == []
 
+    def test_hamming_target_within_rounding_of_dmax_takes_the_search(self, monkeypatch):
+        # D_max sums 0.035 + 0.393 one way and the water-filling tail the
+        # other: at the float just below D_max, t reaches 1 - p_max and no
+        # support of two or more symbols fits, so the slope search answers.
+        solves = count_solves(monkeypatch)
+        src = Distribution([0.035, 0.393, 0.572])
+        d_max = float((src.probs @ (1.0 - np.eye(3))).min())
+        target = float(np.nextafter(d_max, 0.0))
+        pt = rd_at_distortion(src, target=target)
+        assert solves and pt.iterations > 0
+        assert abs(pt.distortion - target) <= 1e-6 and pt.rate <= 1e-6
+
     @pytest.mark.parametrize("move, solved", [(2.0 ** -52, False), (2.0 ** -48, True)])
     def test_an_entry_moved_past_the_rounding_takes_the_search(self, monkeypatch, move, solved):
         # The excess costs of a Hamming form may spread by 4u of the largest
