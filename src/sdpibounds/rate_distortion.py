@@ -713,7 +713,9 @@ def rd_at_distortion(
     y_star = int(np.argmin(p @ d.costs))
     # The zero-rate end: its channel sends every x to the best constant.
     best_high = RdPoint(d_max, 0.0, 0.0, 0, np.eye(d.xhat_size)[y_star])
-    if not excess[p > 0.0, y_star].any():  # every column ties with the best constant's
+    # Every column ties with the best constant's where y* is least on each
+    # row with mass: then D_min = D_max, and _critical_slope would give -inf.
+    if not excess[p > 0.0, y_star].any():
         return best_high
     unit = _cost_unit(d.costs)
     if target - d_min <= _DISTORTION_TOLERANCE * unit:
