@@ -576,7 +576,7 @@ class TestRdAtDistortion:
             costs = (c * (1.0 - np.eye(k)))[rows][:, cols] + offsets[:, None]
             d_min = float(src.probs @ costs.min(axis=1))
             for frac in (0.01, 0.5, 0.99):
-                target = frac * (1.0 - src.probs[rows].max())
+                target = frac * (1.0 - src.probs.max())
                 pt = rd_at_distortion(src, DistortionMatrix(costs), d_min + c * target)
                 assert pt.iterations == 0
                 assert pt.distortion == pytest.approx(d_min + c * target, abs=1e-12 * c)
