@@ -1,30 +1,29 @@
 """Rate-distortion functions for finite sources, in bits.
 
-The workhorse is the classical alternating-minimization iteration for the
-Lagrangian at a fixed slope (Blahut 1972), with the standard per-iteration
-optimality gap (max over reproduction symbols of the log multiplier minus
-its average under the updated output law) as the stopping rule.  A solve
-on square costs and a full-support source starts at the closed-form optimum
-that uses every reproduction symbol when that optimum exists, and then ends
-after one iteration.  In every other solve, each multiplicative update that
-leaves the gap open is followed by a safeguarded projected Newton step on
-the convex dual over the output law, so solves end in a handful of
-iterations instead of thousands, also near the slopes where a reproduction
-symbol enters or leaves the support.  Points at a target distortion come
-from a safeguarded Newton search on the slope, with the slope's
-derivative from the solver's optimality conditions, inside a
-bracket closed by the critical slope where the zero-rate point mass stops
-being optimal; it starts at the slope where the uniform output law meets
-the target, and warm-starts each solve from the one before.  A target
-within the stop tolerance of the least distortion D_min takes one solve at
-slope -inf, where the kernel is a 0/1 mask (_kernel).  Costs that are
-Hamming up to relabeling, row offsets and scale take no search: their
-points come in closed form, from the water-filling solution (Erokhin
-1958), at any target above that tolerance.  Sampled
-curves warm-start each slope from the one before and solve no slope past
-the critical one.  Distortion tolerances and curve slopes are in units of
-the largest excess cost, capped at 1 (_cost_unit), so costs scaled down
-give the same rates at distortions scaled with them.
+Costs that are Hamming up to relabeling, row offsets and scale take no
+solve: every point, at a target distortion or at a slope of a sampled
+curve, D_min and the slope -inf included, comes in closed form from the
+water-filling solution (Erokhin 1958).  Every other cost matrix goes
+through one iterative solver, the classical alternating-minimization
+iteration for the Lagrangian at a fixed slope (Blahut 1972), with the
+standard per-iteration optimality gap (max over reproduction symbols of
+the log multiplier minus its average under the updated output law) as the
+stopping rule.  Each multiplicative update that leaves the gap open is
+followed by a safeguarded projected Newton step on the convex dual over
+the output law, so solves end in a handful of iterations instead of
+thousands, also near the slopes where a reproduction symbol enters or
+leaves the support.  Points at a target distortion come from a
+safeguarded Newton search on the slope, with the slope's derivative from
+the solver's optimality conditions, inside a bracket closed by the
+critical slope where the zero-rate point mass stops being optimal; it
+starts at the slope where the uniform output law meets the target, and
+warm-starts each solve from the one before.  A target within the stop
+tolerance of the least distortion D_min takes one solve at slope -inf,
+where the kernel is a 0/1 mask (_kernel).  Sampled curves warm-start each
+slope from the one before and solve no slope past the critical one.
+Distortion tolerances and curve slopes are in units of the largest excess
+cost, capped at 1 (_cost_unit), so costs scaled down give the same rates
+at distortions scaled with them.
 
 Each returned point is achievable: the rate is the exact mutual information
 of the test channel the iteration ends with, or of the closed-form one, so
@@ -177,8 +176,6 @@ _BA_TOLERANCE = 1e-10
 _BA_MAX_ITERATIONS = 20000
 # Uniform mass mixed into a warm start, so that no reproduction symbol
 # starts at zero, where the multiplicative update could never revive it.
-# A solve that starts at the closed-form full-support optimum uses
-# neither the warm start nor this mix.
 _START_MIX = 1e-3
 # Projected Newton step (_newton_step): the largest mass a leaving symbol
 # can have, the share of the way to zero an entry may move in one step,
@@ -277,16 +274,10 @@ def blahut_arimoto(
     (_newton_step), which turns the update's linear convergence into a
     fast local one.  The Lagrangian objective is checked to be
     non-increasing every step.  ``start`` is an output law to begin from
-    (uniform by default), mixed with _START_MIX uniform mass.
-
-    Where the source has full support and the kernel A is square, the
-    solve first tries the optimum that uses every reproduction symbol:
-    A^T w = 1, then A q = p / w.  If w and q are positive and finite, q
-    meets the optimality conditions with c = 1 on every symbol, and the
-    iteration starts at q instead of at ``start`` (which is still checked),
-    so the gap test stops it after one iteration.  A singular A, a
-    non-positive entry or a zero-mass source symbol leaves the start as
-    above.
+    (uniform by default), mixed with _START_MIX uniform mass.  Every cost
+    matrix takes this one iteration from that start; rd_at_distortion and
+    rd_curve call it only for costs that are not Hamming in form
+    (_hamming_form), whose points have a closed form (_water_filling).
     """
     d = _check_pair(source, d)
     if not slope <= 0.0:
@@ -306,19 +297,6 @@ def blahut_arimoto(
         if q.shape != (n,) or not (np.all(np.isfinite(q)) and q.min() >= 0.0 and q.sum() > 0.0):
             raise ValueError(f"start must be an output law on {n} symbols")
         q = (1.0 - _START_MIX) * q / q.sum() + _START_MIX / n
-    if A.shape[0] == n and p.min() > 0.0:
-        # An optimum that uses every symbol has c_y = 1 for all y: with
-        # w = p / (A q), that is A^T w = 1, and then A q = p / w (Blahut
-        # 1972; Berger 1971, ch. 2).  If both solves give positive finite
-        # vectors, their q is that optimum, and the loop below certifies it.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            try:
-                w = np.linalg.solve(A.T, np.ones(n))
-                full = np.linalg.solve(A, p / w)
-            except np.linalg.LinAlgError:
-                w = full = np.zeros(n)
-        if np.all(np.isfinite(w) & (w > 0.0)) and np.all(np.isfinite(full) & (full > 0.0)):
-            q = full
     prev_obj = np.inf
     gap = np.inf
     for it in range(1, _BA_MAX_ITERATIONS + 1):
@@ -535,8 +513,8 @@ def _uniform_law_slope(p: np.ndarray, excess: np.ndarray, gap: float, aim: float
     needed.  For Hamming costs at a slope where every reproduction symbol
     is active, the optimal distortion (k-1)2^s / (1 + (k-1)2^s) equals this
     one whatever the source, so the slope returned is exact there.  Such
-    costs take the closed form (_water_filling) and reach this search only
-    within rounding of D_max; costs near them start it near its answer.
+    costs take the closed form (_water_filling) and never reach this
+    search; costs near them start it near its answer.
     """
     stop = 1e-3 * _DISTORTION_TOLERANCE * _cost_unit(excess)
     # Costs and slopes in units of the gap, so that no square overflows.
@@ -593,13 +571,13 @@ def _hamming_form(costs: np.ndarray, excess: np.ndarray) -> tuple[float, np.ndar
     each row and each column of ``excess`` (costs above each row's least)
     has exactly one zero, and its other entries agree to within
     _FORM_ROUNDING.  c is their largest, so relabeling leaves it bit for
-    bit unchanged.
+    bit unchanged.  A 1x1 matrix has no such entry, hence no c: None.
     """
     # Every row has a zero, so n zeros in all put one in each row, and
     # then one in each column if no column lacks one.
     zero = excess == 0.0
     n = excess.shape[0]
-    if excess.shape[1] != n or np.count_nonzero(zero) != n or not zero.any(axis=0).all():
+    if excess.shape[1] != n or n < 2 or np.count_nonzero(zero) != n or not zero.any(axis=0).all():
         return None
     off = excess[~zero]
     if float(off.max() - off.min()) > _FORM_ROUNDING * float(costs.max()):
@@ -608,44 +586,57 @@ def _hamming_form(costs: np.ndarray, excess: np.ndarray) -> tuple[float, np.ndar
 
 
 def _water_filling(p: np.ndarray, costs: np.ndarray, excess: np.ndarray, c: float,
-                   sigma: np.ndarray, aim: float) -> RdPoint | None:
-    """Curve point at excess distortion ``aim`` under excess costs c [y != sigma(x)].
+                   sigma: np.ndarray, slope: float) -> RdPoint:
+    """Curve point at ``slope`` < 0 under excess costs c [y != sigma(x)].
 
     The water-filling solution (Erokhin 1958; Berger, Rate Distortion
-    Theory, 1971, ch. 2): with t = aim / c and p sorted downward, the
-    output law lives on the images of the m largest masses, m the largest
-    support whose smallest mass p_(m) has p_(m) (m - 1) > D' = t - (1 -
-    P_m), P_m the mass of the m largest.  There the kernel is beta off
-    sigma, beta = D' / ((m - 1)(1 - t)), and q_sigma(x) = (p_x / (1 - t) -
-    beta) / (1 - beta), which puts every c_y at 1 on the support and at
-    most 1 off it.  The point returned is the test channel at slope
-    log2(beta) / c, with its own distortion and mutual information, so it
-    is achievable like a solve's; its iteration count is 0.  None if
-    rounding leaves no such m >= 2 or puts beta outside (0, 1), as it can
-    at a target within rounding of D_max.
+    Theory, 1971, ch. 2): the kernel is beta = 2^(slope c) off sigma, and
+    with p sorted downward and P_m the mass of the m largest, the output
+    law lives on the images of the m largest masses, m the largest index
+    with p_(m) (1 + beta (m - 1)) > beta P_m.  There q_sigma(x) = (p_x (1 +
+    beta (m - 1)) - beta P_m) / (P_m (1 - beta)), which puts every c_y at 1
+    on the support and at most 1 off it.  At slope -inf, beta = 0: m counts
+    the symbols with mass, and q is the source law itself, the point (D_min,
+    H(X)).  The point returned is the test channel at ``slope``, with its
+    own distortion and mutual information, so it is achievable like a
+    solve's; its iteration count is 0.
     """
+    beta = float(np.exp2(slope * c))
     order = np.argsort(-p, kind="stable")
     ps = p[order]
-    t = aim / c
+    top = np.cumsum(ps)
+    m = int(np.flatnonzero(ps * (1.0 + beta * np.arange(ps.size)) > beta * top)[-1]) + 1
+    q = np.zeros(ps.size)
+    q[sigma[order[:m]]] = ((ps[:m] * (1.0 + beta * (m - 1)) - beta * top[m - 1])
+                           / (top[m - 1] * (1.0 - beta)))
+    pxy = _joint(p, _kernel(slope, excess), q)
+    q.setflags(write=False)
+    return RdPoint(float((pxy * costs).sum()), _mi_from_matrix(pxy), slope, 0, q)
+
+
+def _water_filling_slope(p: np.ndarray, c: float, aim: float) -> float | None:
+    """Slope at which the water-filling point (_water_filling) under excess
+    costs c [y != sigma(x)] has excess distortion ``aim``.
+
+    With t = aim / c, floored at 0, and p sorted downward, m is the largest
+    support whose smallest mass has p_(m) (m - 1) > D' = t - (1 - P_m), and
+    then beta = D' / ((m - 1)(1 - t)).  At t = 0, m counts the symbols with
+    mass, and D' and beta are 0: slope -inf.  None if rounding leaves no
+    beta = 2^(slope c) in [0, 1), as it can at a target within rounding of
+    D_max.
+    """
+    t = max(aim, 0.0) / c
+    ps = np.sort(p)[::-1]
     # 1 - P_m for m = 1..n, summed from the smallest mass up.
-    rest = np.append(np.cumsum(ps[:0:-1])[::-1], 0.0)
-    level = t - rest
+    level = t - np.append(np.cumsum(ps[:0:-1])[::-1], 0.0)
     fits = np.flatnonzero(ps * np.arange(ps.size) > level)
     m = int(fits[-1]) + 1 if fits.size else 0
     if m < 2:
         return None
-    dp = float(level[m - 1])
-    width = (m - 1) * (1.0 - t)
-    if not 0.0 < dp < width:
-        return None
-    q = np.zeros(ps.size)
-    # (p_x / (1 - t) - beta) / (1 - beta), in a form whose sign is that of
-    # p_x (m - 1) - D', positive by the choice of m.
-    q[sigma[order[:m]]] = (ps[:m] * (m - 1) - dp) / (width - dp)
-    slope = float(np.log2(dp / width)) / c
-    pxy = _joint(p, _kernel(slope, excess), q)
-    q.setflags(write=False)
-    return RdPoint(float((pxy * costs).sum()), _mi_from_matrix(pxy), slope, 0, q)
+    # D' = level[m - 1] is 0 at t = 0, and below 0 by rounding alone.
+    with np.errstate(divide="ignore"):
+        slope = float(np.log2(max(float(level[m - 1]), 0.0) / ((m - 1) * (1.0 - t)))) / c
+    return slope if np.exp2(slope * c) < 1.0 else None
 
 
 def rd_at_distortion(
@@ -658,10 +649,12 @@ def rd_at_distortion(
 
     Costs that are c [y != sigma(x)] above each row's least, for one c > 0
     and a permutation sigma (_hamming_form), give the water-filling point
-    (_water_filling): no solve, 0 iterations, a distortion at the target
-    up to rounding, and the rate of its test channel.  Every other cost
-    matrix, and a Hamming-form target within rounding of D_max, takes the
-    search below.
+    (_water_filling) at the slope that meets the target
+    (_water_filling_slope): no solve, 0 iterations, a distortion at the
+    target up to rounding, and the rate of its test channel.  That holds at
+    every target, D_min included, where the slope is -inf; a target that
+    rounding leaves with no slope, within rounding of D_max, returns the
+    zero-rate point.  Every other cost matrix takes the search below.
 
     Distortion rises with the slope s, from the least distortion D_min at
     s -> -inf to the zero-rate distortion D_max, which the point mass on
@@ -717,14 +710,13 @@ def rd_at_distortion(
     # row with mass: then D_min = D_max, and _critical_slope would give -inf.
     if not excess[p > 0.0, y_star].any():
         return best_high
+    form = _hamming_form(d.costs, excess)
+    if form is not None:
+        slope = _water_filling_slope(p, form[0], target - d_min)
+        return best_high if slope is None else _water_filling(p, d.costs, excess, *form, slope)
     unit = _cost_unit(d.costs)
     if target - d_min <= _DISTORTION_TOLERANCE * unit:
         return blahut_arimoto(source, d, -np.inf)
-    form = _hamming_form(d.costs, excess)
-    if form is not None:
-        pt = _water_filling(p, d.costs, excess, *form, target - d_min)
-        if pt is not None:
-            return pt
     s_c, top = _critical_slope(p, d.costs)
     gap = float(excess[excess > 0.0].min(initial=np.inf))
 
@@ -767,7 +759,9 @@ def rd_curve(
     """Sampled curve from near-lossless down to the zero-rate end.
 
     Slopes sweep a geometric range upward, -2^6 to -2^-6 per cost unit
-    (_cost_unit), so points cluster where the curve bends; each solve
+    (_cost_unit), so points cluster where the curve bends.  Under
+    Hamming-form costs (_hamming_form) each point is the closed-form
+    water-filling one at its slope (_water_filling); otherwise each solve
     starts from the output law of the one before.
     Slopes at or above the critical slope (_critical_slope), where the
     point mass of the zero-rate end is optimal, are not solved, and the
@@ -781,12 +775,15 @@ def rd_curve(
     unit = _cost_unit(d.costs)
     slopes = -np.exp2(np.linspace(6.0, -6.0, n_points - 1)) / unit
     s_c, _ = _critical_slope(source.probs, d.costs)
+    excess = d.costs - d.costs.min(axis=1, keepdims=True)
+    form = _hamming_form(d.costs, excess)
     pts = []
     law = None
     for s in slopes[slopes < s_c]:
-        pts.append(blahut_arimoto(source, d, float(s), start=law))
+        pts.append(blahut_arimoto(source, d, float(s), start=law) if form is None
+                   else _water_filling(source.probs, d.costs, excess, *form, float(s)))
         law = pts[-1].output_law
-    pts.append(blahut_arimoto(source, d, 0.0))
+    pts.append(RdPoint(_zero_rate_distortion(source, d), 0.0, 0.0, 0))
     pts.sort(key=lambda p: (p.distortion, p.rate))
     kept: list[RdPoint] = []
     for p in pts:

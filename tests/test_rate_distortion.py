@@ -59,8 +59,9 @@ def _decimal_hamming_rd(p, target):
         t = Decimal(float(target))
         m = max(m for m in range(1, len(ps) + 1) if ps[m - 1] * (m - 1) > t - sum(ps[m:]))
         dp = t - sum(ps[m:])
-        nats = (-sum(v * v.ln() for v in ps[:m]) + sum(ps[:m]) * (1 - t).ln()
-                + dp * (dp / ((m - 1) * (1 - t))).ln())
+        nats = -sum(v * v.ln() for v in ps[:m]) + sum(ps[:m]) * (1 - t).ln()
+        if dp:
+            nats += dp * (dp / ((m - 1) * (1 - t))).ln()
         return float(nats / Decimal(2).ln())
 
 
@@ -221,29 +222,30 @@ class TestBlahutArimoto:
     @pytest.mark.parametrize("start", [None, [0.9, 0.1]])
     @pytest.mark.parametrize("p, slope", [(0.3, -3.0), (0.1, -4.0), (0.5, -0.5)])
     def test_full_support_binary_solve_takes_one_iteration(self, p, slope, start):
-        # The optimum uses both symbols, so the solve starts at it (A^T w =
-        # 1, then A q = p / w), warm start or not, and stops at iteration 1.
+        # The optimum uses both symbols, so D(s) = 2^s / (1 + 2^s) whatever
+        # the source; the solve reaches it from a warm start or not.  It
+        # stops once the gap is below 1e-10 bits: at p = 0.1, slope -4 from
+        # the uniform law, the gap left is 1.1e-13 bits and the distortion
+        # is 2.8e-15 off; the other cases are within 1.1e-16.
         pt = blahut_arimoto(Distribution([p, 1.0 - p]), slope=slope, start=start)
-        assert pt.iterations == 1
-        assert pt.distortion == pytest.approx(2.0 ** slope / (1.0 + 2.0 ** slope), abs=1e-15)
+        assert pt.distortion == pytest.approx(2.0 ** slope / (1.0 + 2.0 ** slope), abs=1e-14)
         assert abs(pt.rate - binary_hamming_rd(p, pt.distortion)) <= 1e-12
 
     @pytest.mark.parametrize("k, slope", [(3, -2.0), (4, -3.5), (6, -1.0), (8, -5.0)])
     def test_full_support_uniform_solve_takes_one_iteration(self, k, slope):
-        # From a warm start far from the optimum, the uniform law: one
-        # iteration, at the closed form log2 k - h(D) - D log2(k - 1) with
+        # From a warm start far from the optimum, the uniform law, at the
+        # closed form log2 k - h(D) - D log2(k - 1) with
         # D = (k - 1) 2^s / (1 + (k - 1) 2^s).
         start = np.arange(1.0, k + 1.0) ** 3
         pt = blahut_arimoto(Distribution.uniform(k), slope=slope, start=start)
-        assert pt.iterations == 1
         d = (k - 1) * 2.0 ** slope / (1.0 + (k - 1) * 2.0 ** slope)
         assert pt.distortion == pytest.approx(d, abs=1e-15)
         h = -(d * np.log2(d) + (1.0 - d) * np.log2(1.0 - d))
         assert abs(pt.rate - (np.log2(k) - h - d * np.log2(k - 1))) <= 1e-12
 
-    # Inputs the full-support start does not serve, so they start at the
-    # uniform law, with the rate that the uniform-law start reaches without
-    # the closed form.  No warning may escape the failed try.
+    # Inputs on which the optimum that uses every symbol has no closed form
+    # from A^T w = 1 and A q = p / w: each solve starts at the uniform law,
+    # as every solve does, and reaches this rate.  No warning may escape.
     @pytest.mark.parametrize("probs, costs, slope, rate", [
         # Two equal cost columns: A is singular, and its solve raises.
         ([0.5, 0.3, 0.2], [[0, 1, 1], [1, 0, 0], [1, 0.5, 0.5]], -3.0, 0.42153858529340327),
@@ -265,9 +267,8 @@ class TestBlahutArimoto:
     def test_objective_increase_raises(self, monkeypatch):
         # Neither the update nor an accepted Newton step raises the
         # objective, so only a faulty step can: here one that jumps to a
-        # near point mass on the wrong symbol.  The costs are not square, so
-        # the solve starts at the uniform law, not at the full-support
-        # optimum, and the step runs after iteration 1.
+        # near point mass on the wrong symbol.  The solve starts at the
+        # uniform law, and the step runs after iteration 1.
         monkeypatch.setattr(rate_distortion, "_newton_step",
                             lambda p, A, q: np.array([0.001, 0.001, 0.001, 0.997]))
         costs = DistortionMatrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]])
@@ -583,17 +584,18 @@ class TestRdAtDistortion:
                 assert pt.rate == pytest.approx(_decimal_hamming_rd(src.probs, target), abs=1e-12)
         assert solves == []
 
-    def test_hamming_target_within_rounding_of_dmax_takes_the_search(self, monkeypatch):
+    def test_hamming_target_within_rounding_of_dmax_takes_no_solve(self, monkeypatch):
         # D_max sums 0.035 + 0.393 one way and the water-filling tail the
         # other: at the float just below D_max, t reaches 1 - p_max and no
-        # support of two or more symbols fits, so the slope search answers.
+        # support of two or more symbols fits, so the zero-rate point
+        # answers, one float above the target.
         solves = count_solves(monkeypatch)
         src = Distribution([0.035, 0.393, 0.572])
         d_max = float((src.probs @ (1.0 - np.eye(3))).min())
         target = float(np.nextafter(d_max, 0.0))
         pt = rd_at_distortion(src, target=target)
-        assert solves and pt.iterations > 0
-        assert abs(pt.distortion - target) <= 1e-6 and pt.rate <= 1e-6
+        assert solves == [] and pt.iterations == 0
+        assert pt.distortion == d_max == np.nextafter(target, 1.0) and pt.rate == 0.0
 
     @pytest.mark.parametrize("move, solved", [(2.0 ** -52, False), (2.0 ** -48, True)])
     def test_an_entry_moved_past_the_rounding_takes_the_search(self, monkeypatch, move, solved):
@@ -634,9 +636,11 @@ class TestRdAtDistortion:
             checked += 1
 
     def test_targets_at_the_least_distortion_take_the_one_search(self, monkeypatch):
-        # A target within the tolerance of D_min (1e-6 cost units; every
-        # cost unit here is above 0.6) takes one solve, at slope -inf,
-        # whose distortion is D_min up to rounding.
+        # Off Hamming form, a target within the tolerance of D_min (1e-6
+        # cost units; every cost unit here is above 0.6) takes one solve,
+        # at slope -inf, whose distortion is D_min up to rounding.  Under
+        # Hamming costs the target D_min is the closed-form point at slope
+        # -inf, with no solve: (D_min, H(X)), the point that solve gives.
         solves = count_solves(monkeypatch)
         rng = np.random.default_rng(11)
         for trial in range(40):
@@ -648,14 +652,45 @@ class TestRdAtDistortion:
             d_min = float(src.probs @ costs.min(axis=1))
             if float((src.probs @ costs).min()) - d_min < 1e-6:
                 continue
+            if trial % 4 == 0:
+                solves.clear()
+                pt = rd_at_distortion(src, DistortionMatrix(costs), target=d_min)
+                assert solves == [] and (pt.slope, pt.iterations) == (-np.inf, 0)
+                solved = blahut_arimoto(src, DistortionMatrix(costs), -np.inf)
+                assert pt.distortion == solved.distortion == 0.0
+                assert pt.rate == pytest.approx(solved.rate, abs=1e-15)
+                assert pt.rate == pytest.approx(entropy(src), abs=1e-12)
+                continue
             for target in (d_min, d_min + 1e-7, d_min + 5e-7):
                 solves.clear()
                 pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
                 assert solves == [-np.inf] and pt.slope == -np.inf
                 assert pt.distortion == pytest.approx(d_min, rel=1e-15, abs=1e-15)
-                if trial % 4 == 0:
-                    # Hamming: R(0) is the entropy.
-                    assert pt.rate == pytest.approx(entropy(src), abs=1e-9)
+
+    def test_hamming_targets_near_the_least_distortion_match_the_40_digit_water_filling(
+            self, monkeypatch):
+        # At and just above D_min, inside the 1e-6 tolerance within which
+        # other costs take the slope -inf solve and its rate R(D_min), a
+        # Hamming target takes the closed form like any other: R(target),
+        # with no solve.
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(39)
+        checked = 0
+        while checked < 60:
+            k = int(rng.integers(2, 9))
+            p = rng.dirichlet(np.full(k, 0.05 if checked % 3 == 1 else 1.0))
+            if checked % 3 == 2:
+                p[rng.random(k) < 0.35] = 0.0
+            if np.count_nonzero(p > 1e-300) < 2 or 1.0 - p.max() / p.sum() < 1e-5:
+                continue
+            src = Distribution(p / p.sum())
+            for target in (0.0, 1e-7, 5e-7):
+                pt = rd_at_distortion(src, target=target)
+                assert pt.iterations == 0
+                assert abs(pt.distortion - target) <= 1e-15
+                assert abs(pt.rate - _decimal_hamming_rd(src.probs, target)) <= 1e-14
+            checked += 1
+        assert solves == []
 
     @pytest.mark.parametrize("probs, costs, target", [
         # The least positive excess cost is far above the cost unit of 1.
@@ -666,13 +701,19 @@ class TestRdAtDistortion:
         ([1e-20, 1.0 - 1e-20], [[0.0, 1.0], [1.0, 0.0]], 0.0),
     ], ids=["huge-gap", "offset", "thin-span"])
     def test_least_distortion_targets_on_extreme_costs(self, monkeypatch, probs, costs, target):
-        # Each is the one solve at slope -inf: (D_min, H(X)) under these costs.
+        # Each is (D_min, H(X)) under these costs.  The costs as given are
+        # Hamming in form: the closed-form point at slope -inf, no solve.  A
+        # third column at each row's largest cost leaves D_min, D_max and
+        # R(D) as they are, but not the form: the one solve at slope -inf.
         solves = count_solves(monkeypatch)
         src = Distribution(probs)
-        pt = rd_at_distortion(src, DistortionMatrix(costs), target=target)
-        assert solves == [-np.inf] and pt.slope == -np.inf
-        assert pt.distortion == pytest.approx(target, rel=1e-15)
-        assert pt.rate == pytest.approx(entropy(src), abs=1e-12)
+        costs = np.array(costs, dtype=float)
+        for d, want in ((costs, []), (np.column_stack([costs, costs.max(axis=1)]), [-np.inf])):
+            solves.clear()
+            pt = rd_at_distortion(src, DistortionMatrix(d), target=target)
+            assert solves == want and pt.slope == -np.inf
+            assert pt.distortion == pytest.approx(target, rel=1e-15)
+            assert pt.rate == pytest.approx(entropy(src), abs=1e-12)
 
     def test_a_search_with_no_point_below_takes_the_least_distortion_solve(self, monkeypatch):
         # With no slope step left, the search has no solve below the target:
@@ -735,7 +776,7 @@ class TestRdAtDistortion:
         # R(D) does not see the order of the source or reproduction symbols,
         # and adding c to the costs of row x shifts every distortion by
         # p_x c.  Each change moves the rate by rounding alone: at most
-        # 8.5e-15 bits over these 531 cases.
+        # 8.6e-15 bits over these 531 cases.
         rng = np.random.default_rng(7)
         checked = 0
         for trial in range(64):
@@ -899,14 +940,17 @@ class TestRdCurve:
             c = rd_curve(src, d, 33)
             assert c.rates[-1] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.15, 0.6, 0.25]], ids=["binary", "ternary"])
-    def test_stops_at_the_critical_slope(self, probs):
-        # Slopes at or above s_c give the point mass; none is solved, the
-        # last point is exactly (D_max, 0), and every other point is the
-        # warm-started solve at its slope.
-        src = Distribution(probs)
-        d = DistortionMatrix.hamming(len(probs))
-        c = rd_curve(src, n_points=33)
+    @pytest.mark.parametrize("probs, costs", [
+        ([0.3, 0.7], [[0.0, 1.0], [0.5, 0.0]]),
+        ([0.15, 0.6, 0.25], [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.5, 0.0]]),
+    ], ids=["binary", "ternary"])
+    def test_stops_at_the_critical_slope(self, probs, costs):
+        # Square costs that are not Hamming in form.  Slopes at or above s_c
+        # give the point mass; none is solved, the last point is exactly
+        # (D_max, 0), and every other point is the warm-started solve at its
+        # slope.
+        src, d = Distribution(probs), DistortionMatrix(costs)
+        c = rd_curve(src, d, n_points=33)
         d_max = float((src.probs @ d.costs).min())
         assert (c.points[-1].distortion, c.points[-1].rate) == (d_max, 0.0)
         assert all(p.distortion < d_max and p.rate > 0.0 for p in c.points[:-1])
@@ -917,8 +961,67 @@ class TestRdCurve:
         for s in slopes[slopes < s_c]:
             sweep.append(blahut_arimoto(src, d, float(s), start=law))
             law = sweep[-1].output_law
+        assert len(c.points) > 10
         assert {p.slope for p in c.points[:-1]} <= {p.slope for p in sweep}
         assert all(p in sweep for p in c.points[:-1])
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.15, 0.6, 0.25]], ids=["binary", "ternary"])
+    def test_hamming_curve_takes_no_solve(self, monkeypatch, probs):
+        # Every point below D_max is the closed-form one at a slope of the
+        # sweep below s_c, and the last point is exactly (D_max, 0).
+        solves = count_solves(monkeypatch)
+        src = Distribution(probs)
+        d = DistortionMatrix.hamming(len(probs))
+        c = rd_curve(src, n_points=33)
+        assert solves == []
+        d_max = float((src.probs @ d.costs).min())
+        assert (c.points[-1].distortion, c.points[-1].rate) == (d_max, 0.0)
+        assert all(p.distortion < d_max and p.rate > 0.0 for p in c.points[:-1])
+        assert all(p.iterations == 0 for p in c.points)
+        s_c, _ = rate_distortion._critical_slope(src.probs, d.costs)
+        slopes = -np.exp2(np.linspace(6.0, -6.0, 32))
+        assert len(c.points) > 10
+        assert {p.slope for p in c.points[:-1]} <= set(slopes[slopes < s_c])
+
+    @pytest.mark.parametrize("c", [1.0, 1e-2, 1e-7])
+    def test_relabeled_offset_and_scaled_hamming_curves_match_the_40_digit_water_filling(
+            self, monkeypatch, c):
+        # Each point's rate against R at its own distortion.  That distortion
+        # is a float sum of costs up to 4c, with rounding of about an ulp of
+        # the largest cost, which moves R by |slope| times as much: up to
+        # 1e-14 bits plus 4 such ulps is allowed; the worst case here reads
+        # 3.0e-14 bits, at 1.05 ulps.
+        solves = count_solves(monkeypatch)
+        rng = np.random.default_rng(39)
+        for i in range(30):
+            k = int(rng.integers(2, 9))
+            p = rng.dirichlet(np.full(k, 0.3 if i % 2 else 1.0))
+            if i % 4 == 3:
+                p[rng.random(k) < 0.3] = 0.0
+            if np.count_nonzero(p) < 2:
+                continue
+            src = Distribution(p / p.sum())
+            rows, cols = rng.permutation(k), rng.permutation(k)
+            offsets = rng.uniform(0.0, 3.0, size=k) * c
+            costs = (c * (1.0 - np.eye(k)))[rows][:, cols] + offsets[:, None]
+            d_min = float(src.probs @ costs.min(axis=1))
+            curve = rd_curve(src, DistortionMatrix(costs), 33)
+            for pt in curve.points[:-1]:
+                want = _decimal_hamming_rd(src.probs, (pt.distortion - d_min) / c)
+                ulps = 4.0 * np.spacing(costs.max())
+                assert abs(pt.rate - want) <= 1e-14 + abs(pt.slope) * ulps
+        assert solves == []
+
+    @pytest.mark.parametrize("costs", [None, [[0.5]]], ids=["hamming", "offset"])
+    def test_one_symbol_source_takes_no_solve(self, monkeypatch, costs):
+        # A 1x1 matrix has no cost off the zero, so no Hamming scale c.
+        solves = count_solves(monkeypatch)
+        d = None if costs is None else DistortionMatrix(costs)
+        c = rd_curve(Distribution([1.0]), d, 9)
+        dist = 0.0 if costs is None else 0.5
+        assert [(p.distortion, p.rate) for p in c.points] == [(dist, 0.0)]
+        assert solves == []
+        assert rate_distortion._hamming_form(np.array([[0.5]]), np.zeros((1, 1))) is None
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
