@@ -32,6 +32,7 @@ a point can sit slightly above the true curve but never below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -601,7 +602,7 @@ def _water_filling(p: np.ndarray, costs: np.ndarray, excess: np.ndarray, c: floa
     own distortion and mutual information, so it is achievable like a
     solve's; its iteration count is 0.
     """
-    beta = float(np.exp2(slope * c))
+    beta = 2.0 ** (slope * c)
     order = np.argsort(-p, kind="stable")
     ps = p[order]
     top = np.cumsum(ps)
@@ -634,9 +635,9 @@ def _water_filling_slope(p: np.ndarray, c: float, aim: float) -> float | None:
     if m < 2:
         return None
     # D' = level[m - 1] is 0 at t = 0, and below 0 by rounding alone.
-    with np.errstate(divide="ignore"):
-        slope = float(np.log2(max(float(level[m - 1]), 0.0) / ((m - 1) * (1.0 - t)))) / c
-    return slope if np.exp2(slope * c) < 1.0 else None
+    beta = max(float(level[m - 1]), 0.0) / ((m - 1) * (1.0 - t))
+    slope = math.log2(beta) / c if beta > 0.0 else -math.inf
+    return slope if 2.0 ** (slope * c) < 1.0 else None
 
 
 def rd_at_distortion(
