@@ -781,8 +781,10 @@ def rd_curve(
     pts = []
     law = None
     for s in slopes[slopes < s_c]:
-        pts.append(blahut_arimoto(source, d, float(s), start=law) if form is None
-                   else _water_filling(source.probs, d.costs, excess, *form, float(s)))
+        if form is not None:
+            pts.append(_water_filling(source.probs, d.costs, excess, *form, float(s)))
+            continue
+        pts.append(blahut_arimoto(source, d, float(s), start=law))
         law = pts[-1].output_law
     pts.append(RdPoint(_zero_rate_distortion(source, d), 0.0, 0.0, 0))
     pts.sort(key=lambda p: (p.distortion, p.rate))
