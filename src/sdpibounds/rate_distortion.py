@@ -275,10 +275,10 @@ def blahut_arimoto(
     (_newton_step), which turns the update's linear convergence into a
     fast local one.  The Lagrangian objective is checked to be
     non-increasing every step.  ``start`` is an output law to begin from
-    (uniform by default), mixed with _START_MIX uniform mass.  Every cost
-    matrix takes this one iteration from that start; rd_at_distortion and
-    rd_curve call it only for costs that are not Hamming in form
-    (_hamming_form), whose points have a closed form (_water_filling).
+    (uniform by default), mixed with _START_MIX uniform mass; every solve
+    starts there, whatever the costs.  rd_at_distortion and rd_curve call
+    it only for costs that are not Hamming in form (_hamming_form), whose
+    points have a closed form (_water_filling).
     """
     d = _check_pair(source, d)
     if not slope <= 0.0:
