@@ -8,11 +8,13 @@ through one iterative solver, the classical alternating-minimization
 iteration for the Lagrangian at a fixed slope (Blahut 1972), with the
 standard per-iteration optimality gap (max over reproduction symbols of
 the log multiplier minus its average under the updated output law) as the
-stopping rule.  Each multiplicative update that leaves the gap open is
-followed by a safeguarded projected Newton step on the convex dual over
-the output law, so solves end in a handful of iterations instead of
-thousands, also near the slopes where a reproduction symbol enters or
-leaves the support.  Points at a target distortion come from a
+stopping rule.  A solve on square costs and a full-support source starts
+at the closed-form optimum that uses every reproduction symbol when that
+optimum exists, and then ends after one iteration.  In every other solve,
+each multiplicative update that leaves the gap open is followed by a
+safeguarded projected Newton step on the convex dual over the output law,
+so solves end in a handful of iterations instead of thousands, also near
+the slopes where a reproduction symbol enters or leaves the support.  Points at a target distortion come from a
 safeguarded Newton search on the slope, with the slope's derivative from
 the solver's optimality conditions, inside a bracket closed by the
 critical slope where the zero-rate point mass stops being optimal; it
@@ -177,6 +179,8 @@ _BA_TOLERANCE = 1e-10
 _BA_MAX_ITERATIONS = 20000
 # Uniform mass mixed into a warm start, so that no reproduction symbol
 # starts at zero, where the multiplicative update could never revive it.
+# A solve that starts at the closed-form full-support optimum uses
+# neither the warm start nor this mix.
 _START_MIX = 1e-3
 # Projected Newton step (_newton_step): the largest mass a leaving symbol
 # can have, the share of the way to zero an entry may move in one step,
@@ -275,10 +279,19 @@ def blahut_arimoto(
     (_newton_step), which turns the update's linear convergence into a
     fast local one.  The Lagrangian objective is checked to be
     non-increasing every step.  ``start`` is an output law to begin from
-    (uniform by default), mixed with _START_MIX uniform mass; every solve
-    starts there, whatever the costs.  rd_at_distortion and rd_curve call
-    it only for costs that are not Hamming in form (_hamming_form), whose
-    points have a closed form (_water_filling).
+    (uniform by default), mixed with _START_MIX uniform mass.
+    rd_at_distortion and rd_curve call it only for costs that are not
+    Hamming in form (_hamming_form), whose points have a closed form
+    (_water_filling).
+
+    Where the source has full support and the kernel A is square, the
+    solve first tries the optimum that uses every reproduction symbol:
+    A^T w = 1, then A q = p / w.  If w and q are positive and finite, q
+    meets the optimality conditions with c = 1 on every symbol, and the
+    iteration starts at q instead of at ``start`` (which is still checked),
+    so the gap test stops it after one iteration.  A singular A, a
+    non-positive entry or a zero-mass source symbol leaves the start as
+    above.
     """
     d = _check_pair(source, d)
     if not slope <= 0.0:
@@ -298,6 +311,19 @@ def blahut_arimoto(
         if q.shape != (n,) or not (np.all(np.isfinite(q)) and q.min() >= 0.0 and q.sum() > 0.0):
             raise ValueError(f"start must be an output law on {n} symbols")
         q = (1.0 - _START_MIX) * q / q.sum() + _START_MIX / n
+    if A.shape[0] == n and p.min() > 0.0:
+        # An optimum that uses every symbol has c_y = 1 for all y: with
+        # w = p / (A q), that is A^T w = 1, and then A q = p / w (Blahut
+        # 1972; Berger 1971, ch. 2).  If both solves give positive finite
+        # vectors, their q is that optimum, and the loop below certifies it.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            try:
+                w = np.linalg.solve(A.T, np.ones(n))
+                full = np.linalg.solve(A, p / w)
+            except np.linalg.LinAlgError:
+                w = full = np.zeros(n)
+        if np.all(np.isfinite(w) & (w > 0.0)) and np.all(np.isfinite(full) & (full > 0.0)):
+            q = full
     prev_obj = np.inf
     gap = np.inf
     for it in range(1, _BA_MAX_ITERATIONS + 1):

@@ -56,13 +56,37 @@ def _decimal_hamming_rd(p, target):
     with localcontext() as ctx:
         ctx.prec = 40
         ps = sorted((Decimal(float(v)) for v in p if v > 0.0), reverse=True)
-        t = Decimal(float(target))
-        m = max(m for m in range(1, len(ps) + 1) if ps[m - 1] * (m - 1) > t - sum(ps[m:]))
-        dp = t - sum(ps[m:])
-        nats = -sum(v * v.ln() for v in ps[:m]) + sum(ps[:m]) * (1 - t).ln()
-        if dp:
-            nats += dp * (dp / ((m - 1) * (1 - t))).ln()
-        return float(nats / Decimal(2).ln())
+        return _decimal_water_filling_rate(ps, Decimal(float(target)))
+
+
+def _decimal_water_filling_rate(ps, t):
+    """The rate of _decimal_hamming_rd for Decimal masses ps, sorted
+    downward, at the Decimal target t."""
+    m = max(m for m in range(1, len(ps) + 1) if ps[m - 1] * (m - 1) > t - sum(ps[m:]))
+    dp = t - sum(ps[m:])
+    nats = -sum(v * v.ln() for v in ps[:m]) + sum(ps[:m]) * (1 - t).ln()
+    if dp:
+        nats += dp * (dp / ((m - 1) * (1 - t))).ln()
+    return float(nats / Decimal(2).ln())
+
+
+def _decimal_hamming_rd_at_slope(p, slope, c):
+    """R at the curve point of slope ``slope`` under costs c [y != x], in
+    40-digit decimal arithmetic of the source, the slope and c given: with
+    beta = 2^(slope c), p sorted downward and P_m the mass of the m largest,
+    m is the largest index with p_(m) (1 + beta (m - 1)) > beta P_m, and the
+    point's distortion is c t with t = (T_m + beta (m - 1)) / (1 + beta (m -
+    1)), T_m the mass of the rest; R is _decimal_hamming_rd's at that t,
+    taken unrounded.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ps = sorted((Decimal(float(v)) for v in p if v > 0.0), reverse=True)
+        beta = (Decimal(float(slope)) * Decimal(float(c)) * Decimal(2).ln()).exp()
+        m = max(m for m in range(1, len(ps) + 1)
+                if ps[m - 1] * (1 + beta * (m - 1)) > beta * sum(ps[:m]))
+        t = (sum(ps[m:]) + beta * (m - 1)) / (1 + beta * (m - 1))
+        return _decimal_water_filling_rate(ps, t)
 
 
 def random_cost_source(rng, n):
@@ -222,30 +246,29 @@ class TestBlahutArimoto:
     @pytest.mark.parametrize("start", [None, [0.9, 0.1]])
     @pytest.mark.parametrize("p, slope", [(0.3, -3.0), (0.1, -4.0), (0.5, -0.5)])
     def test_full_support_binary_solve_takes_one_iteration(self, p, slope, start):
-        # The optimum uses both symbols, so D(s) = 2^s / (1 + 2^s) whatever
-        # the source; the solve reaches it from a warm start or not.  It
-        # stops once the gap is below 1e-10 bits: at p = 0.1, slope -4 from
-        # the uniform law, the gap left is 1.1e-13 bits and the distortion
-        # is 2.8e-15 off; the other cases are within 1.1e-16.
+        # The optimum uses both symbols, so the solve starts at it (A^T w =
+        # 1, then A q = p / w), warm start or not, and stops at iteration 1.
         pt = blahut_arimoto(Distribution([p, 1.0 - p]), slope=slope, start=start)
-        assert pt.distortion == pytest.approx(2.0 ** slope / (1.0 + 2.0 ** slope), abs=1e-14)
+        assert pt.iterations == 1
+        assert pt.distortion == pytest.approx(2.0 ** slope / (1.0 + 2.0 ** slope), abs=1e-15)
         assert abs(pt.rate - binary_hamming_rd(p, pt.distortion)) <= 1e-12
 
     @pytest.mark.parametrize("k, slope", [(3, -2.0), (4, -3.5), (6, -1.0), (8, -5.0)])
     def test_full_support_uniform_solve_takes_one_iteration(self, k, slope):
-        # From a warm start far from the optimum, which is the uniform law,
-        # to the closed form log2 k - h(D) - D log2(k - 1) with
+        # From a warm start far from the optimum, the uniform law: one
+        # iteration, at the closed form log2 k - h(D) - D log2(k - 1) with
         # D = (k - 1) 2^s / (1 + (k - 1) 2^s).
         start = np.arange(1.0, k + 1.0) ** 3
         pt = blahut_arimoto(Distribution.uniform(k), slope=slope, start=start)
+        assert pt.iterations == 1
         d = (k - 1) * 2.0 ** slope / (1.0 + (k - 1) * 2.0 ** slope)
         assert pt.distortion == pytest.approx(d, abs=1e-15)
         h = -(d * np.log2(d) + (1.0 - d) * np.log2(1.0 - d))
         assert abs(pt.rate - (np.log2(k) - h - d * np.log2(k - 1))) <= 1e-12
 
-    # Inputs on which the optimum that uses every symbol has no closed form
-    # from A^T w = 1 and A q = p / w: each solve starts at the uniform law,
-    # as every solve does, and reaches this rate.  No warning may escape.
+    # Inputs the full-support start does not serve, so they start at the
+    # uniform law, with the rate that the uniform-law start reaches without
+    # the closed form.  No warning may escape the failed try.
     @pytest.mark.parametrize("probs, costs, slope, rate", [
         # Two equal cost columns: A is singular, and its solve raises.
         ([0.5, 0.3, 0.2], [[0, 1, 1], [1, 0, 0], [1, 0.5, 0.5]], -3.0, 0.42153858529340327),
@@ -267,8 +290,9 @@ class TestBlahutArimoto:
     def test_objective_increase_raises(self, monkeypatch):
         # Neither the update nor an accepted Newton step raises the
         # objective, so only a faulty step can: here one that jumps to a
-        # near point mass on the wrong symbol.  The solve starts at the
-        # uniform law, and the step runs after iteration 1.
+        # near point mass on the wrong symbol.  The costs are not square, so
+        # the solve starts at the uniform law, not at the full-support
+        # optimum, and the step runs after iteration 1.
         monkeypatch.setattr(rate_distortion, "_newton_step",
                             lambda p, A, q: np.array([0.001, 0.001, 0.001, 0.997]))
         costs = DistortionMatrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]])
@@ -987,11 +1011,9 @@ class TestRdCurve:
     @pytest.mark.parametrize("c", [1.0, 1e-2, 1e-7])
     def test_relabeled_offset_and_scaled_hamming_curves_match_the_40_digit_water_filling(
             self, monkeypatch, c):
-        # Each point's rate against R at its own distortion.  That distortion
-        # is a float sum of costs up to 4c, with rounding of about an ulp of
-        # the largest cost, which moves R by |slope| times as much: up to
-        # 1e-14 bits plus 4 such ulps is allowed.  The worst case here reads
-        # 4.6e-14 bits, 1.8 ulps past 1e-14 (c = 1e-7).
+        # Each point's rate against R at its own slope, where no rounding of
+        # the point's float distortion enters.  The worst case here reads
+        # 8.9e-16 bits.
         solves = count_solves(monkeypatch)
         rng = np.random.default_rng(39)
         for i in range(30):
@@ -1005,12 +1027,10 @@ class TestRdCurve:
             rows, cols = rng.permutation(k), rng.permutation(k)
             offsets = rng.uniform(0.0, 3.0, size=k) * c
             costs = (c * (1.0 - np.eye(k)))[rows][:, cols] + offsets[:, None]
-            d_min = float(src.probs @ costs.min(axis=1))
             curve = rd_curve(src, DistortionMatrix(costs), 33)
             for pt in curve.points[:-1]:
-                want = _decimal_hamming_rd(src.probs, (pt.distortion - d_min) / c)
-                ulps = 4.0 * np.spacing(costs.max())
-                assert abs(pt.rate - want) <= 1e-14 + abs(pt.slope) * ulps
+                want = _decimal_hamming_rd_at_slope(src.probs, pt.slope, c)
+                assert abs(pt.rate - want) <= 1e-14
         assert solves == []
 
     @pytest.mark.parametrize("costs", [None, [[0.5]]], ids=["hamming", "offset"])
