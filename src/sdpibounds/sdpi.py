@@ -24,7 +24,11 @@ this module estimates it from below and takes the best of:
    failed matrix fails alone.  Every step is a mirror step, q exp(t v)/Z,
    in the KL geometry, where projected gradient steps crawl (a 9-level
    Gaussian stopped 1.2e-5 short after 2,000 rounds) or park on a simplex
-   face.
+   face.  A grid start retires once a better start is within reach of it
+   (_multistart_search).
+
+An independent joint, where the rows of P(Y|X) or of P(X|Y) are
+bit-identical, takes none of these: its constants are exactly 0.
 
 y_to_x is x_to_y on the swapped joint (_posed, the one reader of a
 direction): a joint equal to its transpose gets identical results both ways.
@@ -42,8 +46,9 @@ within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
 Every round of every ascent start tries the same steps, 1 and its
 halvings, whatever its direction; _multistart_search has the schedule.  The
 evaluation count includes the tries that halving one try at a time would
-skip (2,095 on the bundled quaternary joint, 75 on dsbs_p10, where every
-start below rho_m^2 steps into the exclusion ball).
+skip (1,951 on the bundled quaternary joint, 73 on dsbs_p10, where every
+start below rho_m^2 steps into the exclusion ball, and none on
+independent_binary).
 
 A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
@@ -129,8 +134,10 @@ class SdpiResult:
     None when that SVD bound beat every search point, i.e. the witness is a
     local perturbation rather than a simplex point.  first_order_gap is the
     first-order (KKT) gap of the log ratio (_first_order_gap) at the best
-    search point, argmax_q or not; None when there is none, on one input
-    symbol.  It is 0 at a local maximum, and inf at a point that leaves a
+    search point, argmax_q or not; None when there is none, on an
+    independent joint.  Where grid starts merged (_multistart_search), the
+    best point is the start that stayed, so the gap is that start's.  It
+    is 0 at a local maximum, and inf at a point that leaves a
     symbol unused when the ratio rises into that symbol with infinite
     slope, as at every vertex of a channel with rows of full support.  So
     it shows how far the search was from converging there, not how far
@@ -145,9 +152,12 @@ class SdpiResult:
     method names the stages that ran: "combined" is the pitch-1/20 grid
     plus the ascent from its best points (2 to 4 input symbols),
     "multistart" the ascent from SVD tilt starts alone (5 or more), and
-    "vertex" no search (one input symbol).  An SdpiConfig that switches
-    a stage off can give "multistart" or "vertex" at any size, and "grid"
-    when the ascent is off.
+    "independent" no search: the joint is independent (_independent, one
+    input or output symbol included), value and rho_m_squared are 0.0,
+    evaluations 0, and argmax_q and first_order_gap None.  An SdpiConfig
+    that switches a stage off can give "multistart" at any size, "grid"
+    when the ascent is off, and "vertex" (the vertices alone) when both
+    are.
     """
 
     value: float
@@ -211,9 +221,27 @@ def maximal_correlation(j: JointDistribution) -> float:
 
     Zero iff X and Y are independent, one iff they share a common nontrivial
     deterministic function.  Its square lower bounds both contraction
-    constants.
+    constants.  Exactly 0.0 where the rows of P(Y|X) or of P(X|Y) are
+    bit-identical (_independent), where the SVD leaves rounding noise.
     """
-    return _correlation_svd(j)[1]
+    return 0.0 if _independent(j) else _correlation_svd(j)[1]
+
+
+def _independent(j: JointDistribution) -> bool:
+    """Are the rows of P(Y|X), or those of P(X|Y), bit-identical?
+
+    Then X and Y are independent up to the rounding of one division per
+    cell, and both contraction constants are 0: every ratio the search
+    would take is rounding noise (2.8e-34 on independent_binary.json).
+    One input or one output symbol leaves a single row, so it counts.  The
+    rows are conditional's of j and of j.swapped(), formed without building
+    either.
+    """
+    for P, m in zip((j.probs, j.probs.T), _marginal_sums(j.probs)):
+        rows = P / m[:, None]
+        if (rows == rows[0]).all():
+            return True
+    return False
 
 
 def _correlation_svd(j: JointDistribution):
@@ -473,23 +501,26 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     benchmark's quantized Gaussians).  A row with an entry near 0, where
     1/q puts entries up to 1e300 into H, can pass the factorization and
     still be singular to solve; it takes the gradient, as does a row whose
-    eigendecomposition fails.
+    eigendecomposition fails.  The gradient is formed only when some row
+    takes it, and a path that every row takes factors and solves the whole
+    stack, with no copy of it; neither changes a bit of any direction.
     """
     k = Q.shape[1]
     N = np.maximum(num, _TINY)[:, None]
     D = np.maximum(den, _TINY)[:, None]
     q_out = np.maximum(Qy, _LOG_FLOOR)
     q = np.maximum(Q, _LOG_FLOOR)
-    G, log_out, log_in = _gradient(q, q_out, N, D, p_in, p_out, T)
+    log_out, log_in = np.log(q_out / p_out), np.log(q / p_in)
     # num < _TINY or den < _TINY: fmin, unlike minimum, skips a NaN.
     vanishing = np.fmin(num, den) < _TINY
-    G[vanishing] = 0.0
 
     B = _sum_zero_basis(k)
     bN = log_out @ T.T @ B
     bD = log_in @ B
     gN, gD = bN / N, bD / D
+    b = gD - gN
     inv_q = 1.0 / q
+    steps = []
     # One errstate for the whole stack: H overflows on rows near a face, and
     # the factorization, solve and eigendecomposition flag their failed
     # matrices.
@@ -500,18 +531,33 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
         concave[vanishing] = False
         saddle = concave.copy()
         # No factorization, solve or assignment for an empty stack.
-        if concave.any():
+        if concave.all():
+            concave = _negative_definite(H)
+        elif concave.any():
             concave[concave] = _negative_definite(H[concave])
         saddle &= ~concave
         for flags, solve in ((concave, _solved), (saddle, _saddle_free)):
             rows = flags.nonzero()[0]
-            if rows.size:
-                v = (solve(H[rows], (gD - gN)[rows]) @ B.T) * inv_q[rows]
-                # A row whose solve or eigendecomposition failed, or whose
-                # d/q overflows, takes the gradient.
-                ok = np.isfinite(v).all(axis=1)
-                flags[rows] = ok
-                G[rows[ok]] = v[ok]
+            if rows.size == flags.size:
+                v = (solve(H, b) @ B.T) * inv_q
+            elif rows.size:
+                v = (solve(H[rows], b[rows]) @ B.T) * inv_q[rows]
+            else:
+                continue
+            # A row whose solve or eigendecomposition failed, or whose d/q
+            # overflows, takes the gradient.
+            ok = np.isfinite(v).all(axis=1)
+            flags[rows] = ok
+            steps.append((rows[ok], v[ok]))
+    if len(steps) == 1 and steps[0][0].size == Q.shape[0]:
+        return concave, saddle, steps[0][1]
+    if (concave | saddle).all():
+        G = np.empty_like(Q)
+    else:
+        G = _gradient(q, q_out, N, D, p_in, p_out, T)[0]
+        G[vanishing] = 0.0
+    for rows, v in steps:
+        G[rows] = v
     return concave, saddle, G
 
 
@@ -546,9 +592,14 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
 _STEPS = 34
 _FIRST_TRIES = 2
 _MAX_ROUNDS = 2000
+# A grid-started ascent start merges into a better start within this
+# distance, max_x |ln q_a(x) - ln q_b(x)| with logs floored at _LOG_FLOOR
+# (_multistart_search).
+_MERGE_RADIUS = 1e-3
 
 
-def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, rho2: float):
+def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, rho2: float,
+                       merge: bool):
     """Ascent on the log ratio from each row of starts.
 
     A try is the mirror step q exp(t v)/Z along the direction v from
@@ -567,6 +618,21 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     to the ball in ever smaller steps.  Every sweep scores all tries in one
     mirror step and one evaluation.  Returns the final value and point of
     every start, and the evaluation count.
+
+    With merge, a live start also retires after a sweep's acceptances, with
+    its value and point, when another start, live or retired, has a higher
+    value within _MERGE_RADIUS of it in the log geometry of the mirror
+    steps; of two equal values the lower index stays.  It would end where
+    that start does: the clustering rule of multi-level single linkage
+    (Rinnooy Kan & Timmer, Math. Programming 39, 1987).  The 8 grid starts
+    of 2 to 4 symbols nearly always end at one point, and the slowest of
+    those duplicates set the sweep count: on the benchmark's bounds-small
+    joints (seeds 1 and 9001) merging cuts direction calls from 614 to 448
+    and sweeps from 692 to 490, and moves no s* by more than 7.1e-14
+    relative.  sstar merges only grid starts.  A tilt start can stall on a
+    simplex face near a better start's path, where merging lost answers
+    (fuzz draw 23 y_to_x fell 0.1480354896847176 -> 0.1480344266612553), and
+    a radius in total variation lost up to 7.2e-6 on the fuzz.
     """
     Q = starts.copy()
     n = Q.shape[0]
@@ -629,6 +695,14 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
             u = end
         if won:
             Q[at[won]] = trial[won]
+        if merge and (live := [r for r in live if left[r]]):
+            L = np.log(np.maximum(Q, _LOG_FLOOR))
+            near = np.abs(L[live, None, :] - L[None, :, :]).max(axis=2) <= _MERGE_RADIUS
+            for i, s in zip(*(a.tolist() for a in near.nonzero())):
+                r = live[i]
+                if f[s] > f[r] or f[s] == f[r] and s < r:
+                    left[r] = 0
+            again = [u for u in again if left[idx[u]]]
         fresh = [idx[u] for u in again]
         if again:
             Qy, num, den = ty[again], tn[again], td[again]
@@ -644,15 +718,19 @@ def sstar(
     """Best available lower bound on the contraction constant of one direction.
 
     Takes the max over the squared maximal correlation, the vertices, the
-    simplex grid (input alphabets of 2 to cfg.grid_max_alphabet symbols),
-    and multi-start ascent (2 symbols or more; one input symbol leaves no
-    law but the marginal, and the value is rho_m^2 = 0), and the
-    first-order gap at the best of those points.  At the default cfg, a
-    function of the joint and the direction alone.
+    simplex grid (input alphabets of up to cfg.grid_max_alphabet symbols),
+    and multi-start ascent, and the first-order gap at the best of those
+    points.  At the default cfg, a function of the joint and the direction
+    alone.  An independent joint (_independent), one input or output
+    symbol included, takes no search: value and rho_m^2 are 0.0, with
+    method "independent", no evaluation, no witness and no gap.
     """
     if cfg is None:
         cfg = SdpiConfig()
     j = _posed(j, direction)
+    if _independent(j):
+        return SdpiResult(value=0.0, argmax_q=None, rho_m_squared=0.0, method="independent",
+                          evaluations=0, first_order_gap=None)
     p_in, p_out, T = _oriented(j)
     k = p_in.shape[0]
     U, rho = _correlation_svd(j)
@@ -664,7 +742,7 @@ def sstar(
     evals = k
 
     ran = []
-    if 2 <= k <= cfg.grid_max_alphabet:
+    if k <= cfg.grid_max_alphabet:
         grid = _composition_grid(k, _GRID_PITCH)
         vals = _evaluate(grid, p_in, p_out, T)[0]
         evals += grid.shape[0]
@@ -675,12 +753,13 @@ def sstar(
         cand_vals.append(vals[top])
         cand_rows.append(grid[top])
         starts = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)]
-    if k >= 2 and cfg.multistart_count > 0:
+    if cfg.multistart_count > 0:
         if not ran:
             starts, n = _tilt_starts(p_in, p_out, T, U.T[1:3], cfg.multistart_count)
             evals += n
-        starts = np.vstack(starts) if starts else np.empty((0, k))
-        f, Q, n = _multistart_search(p_in, p_out, T, starts, _MAX_ROUNDS, rho2)
+        # Grid starts merge; tilt starts do not (_multistart_search).
+        f, Q, n = _multistart_search(p_in, p_out, T, np.vstack(starts), _MAX_ROUNDS, rho2,
+                                     merge=bool(ran))
         evals += n
         ran.append("multistart")
         cand_vals.append(f)

@@ -27,7 +27,7 @@ from sdpibounds import (
     tensor_product,
     verify_sdpi_inequality,
 )
-from sdpibounds.probability import _kl_rows
+from sdpibounds.probability import _kl_rows, conditional
 from sdpibounds.sdpi import (
     _FIRST_TRIES,
     _LOG_FLOOR,
@@ -177,6 +177,37 @@ class TestSstar:
     def test_independent_is_zero(self, independent_binary):
         assert sstar(independent_binary).value == pytest.approx(0.0, abs=1e-9)
 
+    @staticmethod
+    def independent_joints():
+        """independent_binary, a joint of dyadic masses for each size of 2 to
+        5 symbols a side (every product, sum and quotient exact, so both
+        conditionals have bit-identical rows), and an outer product whose
+        P(Y|X) rows are bit-identical but whose P(X|Y) rows are not."""
+        rng = np.random.default_rng(23)
+        joints = [JointDistribution.from_dict(json.loads((DATA / "independent_binary.json").read_text()))]
+        for nx in range(2, 6):
+            for ny in range(2, 6):
+                px, py = (1 + rng.multinomial(32 - n, np.ones(n) / n) for n in (nx, ny))
+                joints.append(JointDistribution(np.outer(px / 32, py / 32)))
+        for _ in range(100):
+            j = JointDistribution(np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))))
+            rows = [conditional(j).rows, conditional(j.swapped()).rows]
+            if (rows[0] == rows[0][0]).all() and not (rows[1] == rows[1][0]).all():
+                return joints + [j]
+        raise AssertionError("no one-sided outer product in 100 draws")
+
+    def test_independent_joints_are_exactly_zero(self):
+        # Every ratio is rounding noise on an independent joint: the search
+        # returned 2.8135104890695086e-34 on independent_binary after 303
+        # evaluations.  No search runs now.
+        for j in self.independent_joints():
+            assert maximal_correlation(j) == 0.0 and rho_star(j) == 0.0
+            for direction in ("x_to_y", "y_to_x"):
+                res = sstar(j, direction)
+                assert res.value == res.rho_m_squared == 0.0
+                assert res.method == "independent" and res.evaluations == 0
+                assert res.argmax_q is None and res.first_order_gap is None
+
     def test_diagonal_is_one(self, diagonal_binary):
         res = sstar(diagonal_binary)
         assert res.value == 1.0
@@ -205,18 +236,18 @@ class TestSstar:
         assert rho_star(j) == 0.0
 
     def test_one_output_symbol_on_many_inputs(self):
-        # Six inputs get no tilt starts when the output has one symbol, so
-        # the ascent runs from no start at all.
+        # Every row of P(Y|X) is [1.0], so the joint is independent and no
+        # search runs; the ascent would have had no tilt start.
         j = JointDistribution(np.arange(1.0, 7.0)[:, None] / 21.0)
         for direction in ("x_to_y", "y_to_x"):
             res = sstar(j, direction)
-            assert 0.0 <= res.value <= 1e-12 and res.rho_m_squared == 0.0
+            assert res.value == res.rho_m_squared == 0.0 and res.method == "independent"
 
     def test_binary_inputs_retire_early(self, dsbs, monkeypatch):
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing, because locally concave rows take
         # Newton steps.  dsbs took 2,661 evaluations before starts below
-        # rho_m^2 retired at the exclusion ball (75 now).  The 3x3 joint,
+        # rho_m^2 retired at the exclusion ball (73 now).  The 3x3 joint,
         # from the benchmark inputs, was still rising at round 2,000 under
         # gradient steps alone.
         rng = np.random.default_rng(2)
@@ -424,13 +455,16 @@ class TestSstar:
         (458, "x_to_y", "0.003404825793"),
         (236, "y_to_x", "0.9982730406"),
         (395, "x_to_y", "0.9997500266"),
+        (23, "y_to_x", "0.148035489685"),
     ])
     def test_sparse_fuzz_draws_reach_their_best_known_values(self, draw, direction, best):
         # Draws of the sparse fuzz classes whose maxima lie near a simplex
         # face, where earlier searches fell short: draw 445 returned rho_m^2
         # = 0.836542517837, 458 0.003401244275 (the pitch-1/100 grid's
         # value is the floor here), 236 0.998257914774 and 395
-        # 0.9997480093.  The floors are the best values known, printed to
+        # 0.9997480093.  Draw 23 (6 inputs, tilt starts) fell to
+        # 0.1480344266612553 when tilt starts merged (TestMerge): the start
+        # that stayed stalled on a face.  The floors are the best values known, printed to
         # 12 or 10 places; the slack is 1e-12 relative or half a unit in
         # the last place printed, whichever is larger.  Nelder-Mead polished
         # from the witness and 30 random starts finds nothing higher on 236
@@ -790,6 +824,14 @@ class TestBatchedLineSearch:
     # Eight grid or tilt starts, as sstar takes, and a short round budget.
     STARTS, ROUNDS = 8, 200
 
+    @pytest.fixture(autouse=True)
+    def no_merge(self, monkeypatch):
+        # _sequential_multistart moves every start one round at a time, so
+        # it cannot retire a start at the sweep where the batched search
+        # merges it; radius 0 leaves the merge nothing to take.  The merge
+        # itself is checked in TestTrimmedKernels and TestMerge.
+        monkeypatch.setattr(sdpi, "_MERGE_RADIUS", 0.0)
+
     @staticmethod
     def cases():
         rng = np.random.default_rng(20261018)
@@ -802,7 +844,8 @@ class TestBatchedLineSearch:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, cls.STARTS)
             rho2 = maximal_correlation(j) ** 2
-            got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds, rho2)
+            got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds, rho2,
+                                                         merge=p_in.size <= 4)
             want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds,
                                                                 rho2)
             # Every start, not only the best, ends at the same value.
@@ -862,7 +905,7 @@ class TestBatchedLineSearch:
             p_in, p_out, T = _oriented(j)
             for start in _sstar_starts(j, 8):
                 sweeps.clear()
-                _multistart_search(p_in, p_out, T, start[None, :], 50, 0.0)
+                _multistart_search(p_in, p_out, T, start[None, :], 50, 0.0, merge=False)
                 kinds = [kind for kind, _ in sweeps]
                 for u, (kind, tried) in enumerate(sweeps):
                     if kind == "steps":
@@ -887,14 +930,14 @@ class TestBatchedLineSearch:
 
         monkeypatch.setattr(sdpi, "_evaluate", spy)
         rho2 = maximal_correlation(dsbs) ** 2
-        f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, rho2)
+        f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, rho2, merge=False)
         [[f0], [ball, halved]] = scores
         assert f0 < rho2 and ball == -np.inf and halved > f0
         assert f.tolist() == [f0] and Q.tobytes() == start.tobytes()
         assert evals == 1 + _FIRST_TRIES
         for under in (f0, 0.0):
             scores.clear()
-            f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, under)
+            f, Q, evals = _multistart_search(p_in, p_out, T, start, 2000, under, merge=False)
             assert len(scores) > 2 and f[0] > halved and evals > 1 + _FIRST_TRIES
 
     def test_no_direction_call_without_a_start(self, monkeypatch):
@@ -915,6 +958,77 @@ class TestBatchedLineSearch:
             sstar(j, direction)
             assert len(rows) > before
         assert min(rows) > 0
+
+
+class TestMerge:
+    """Grid-started ascent starts retire at a better start's point."""
+
+    @staticmethod
+    def sweeps(monkeypatch, *args, merge):
+        """(values, points, sweeps) of _multistart_search(*args, merge)."""
+        calls, evaluate = [], sdpi._evaluate
+
+        def counted(Q, *rest):
+            calls.append(Q.shape[0])
+            return evaluate(Q, *rest)
+
+        monkeypatch.setattr(sdpi, "_evaluate", counted)
+        f, Q, _ = _multistart_search(*args, merge=merge)
+        monkeypatch.setattr(sdpi, "_evaluate", evaluate)
+        # The first evaluation scores the starts.
+        return f, Q, len(calls) - 1
+
+    def test_a_start_near_a_better_retired_start_retires(self, monkeypatch):
+        # Start 0 is sstar's witness, a local maximum: its first round
+        # fails, and it retires after two sweeps.  Start 1, a mirror step
+        # of 0.05 away, heads for the same maximum and is still outside the
+        # radius then.  With the merge it retires in the sweep that brings
+        # it within the radius of start 0, below start 0's value; without
+        # it, it goes on to start 0's value.
+        j = random_joint(np.random.default_rng(40), 3, 3)
+        p_in, p_out, T = _oriented(j)
+        best = sstar(j).argmax_q.probs
+        starts = np.vstack([best, _mirror_rows(best[None, :], np.array([[0.05, -0.05, 0.0]]))])
+        args = (p_in, p_out, T, starts, 2000, maximal_correlation(j) ** 2)
+        alone = self.sweeps(monkeypatch, p_in, p_out, T, starts[:1], *args[4:], merge=True)
+        assert alone[2] == 2 and alone[1].tobytes() == starts[:1].tobytes()
+        f, Q, merged = self.sweeps(monkeypatch, *args, merge=True)
+        f0, Q0, unmerged = self.sweeps(monkeypatch, *args, merge=False)
+        assert 2 < merged < unmerged
+        assert Q[0].tobytes() == Q0[0].tobytes() == best.tobytes() and f[0] == f0[0]
+        assert np.abs(np.log(Q[1]) - np.log(Q[0])).max() <= sdpi._MERGE_RADIUS
+        assert f[1] < f[0] and f0[1] >= f[0] * (1 - 1e-15)
+
+    def test_equal_values_keep_the_lower_index(self, monkeypatch):
+        # Two copies of one start climb in step, to the same value after the
+        # first sweep: the second merges there, and the first goes on alone.
+        rows, directions = [], sdpi._directions
+
+        def counted(Q, *rest):
+            rows.append(Q.shape[0])
+            return directions(Q, *rest)
+
+        monkeypatch.setattr(sdpi, "_directions", counted)
+        j = random_joint(np.random.default_rng(40), 3, 3)
+        p_in, p_out, T = _oriented(j)
+        start = _sstar_starts(j, 1)
+        f, Q, _ = _multistart_search(p_in, p_out, T, np.vstack([start, start]), 2000,
+                                     maximal_correlation(j) ** 2, merge=True)
+        assert rows[0] == 2 and rows[1:] == [1] * (len(rows) - 1) and len(rows) > 2
+        assert f[1] < f[0]
+
+    def test_tilt_starts_never_merge(self, monkeypatch):
+        # With every start in reach of every other, the tilt-started
+        # searches run as before; a grid-started one does not.
+        tilted = [(quantized_gaussian_joint(0.5, 9), None),
+                  (random_joint(np.random.default_rng(41), 3, 4), SdpiConfig(grid_max_alphabet=0))]
+        grid = random_joint(np.random.default_rng(41), 3, 4)
+        want = [sstar(j, "x_to_y", cfg).to_dict() for j, cfg in tilted]
+        before = sstar(grid).evaluations
+        monkeypatch.setattr(sdpi, "_MERGE_RADIUS", np.inf)
+        assert [sstar(j, "x_to_y", cfg).to_dict() for j, cfg in tilted] == want
+        assert [res["method"] for res in want] == ["multistart", "multistart"]
+        assert sstar(grid).evaluations < before
 
 
 class TestDirections:
@@ -1125,7 +1239,7 @@ class TestDirections:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
             Q = np.vstack([starts, _multistart_search(p_in, p_out, T, starts, 1,
-                                                      maximal_correlation(j) ** 2)[1]])
+                                                      maximal_correlation(j) ** 2, merge=False)[1]])
             cases.append((p_in, p_out, T, Q[Q.min(axis=1) > 1e-150], _sum_zero_basis(levels)))
         concave, saddle = self.check_newton(cases, conditioned=False)
         assert concave >= least and saddle >= least
@@ -1457,8 +1571,10 @@ class TestTrimmedKernels:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, 8)
             rho2 = maximal_correlation(j) ** 2
-            got = _multistart_search(p_in, p_out, T, starts, rounds, rho2)
-            want = _reference_multistart_search(p_in, p_out, T, starts, rounds, rho2)
+            # Grid starts merge, as sstar has them; tilt starts do not.
+            merge = p_in.size <= 4
+            got = _multistart_search(p_in, p_out, T, starts, rounds, rho2, merge)
+            want = _reference_multistart_search(p_in, p_out, T, starts, rounds, rho2, merge)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2] == want[2]
@@ -1467,8 +1583,8 @@ class TestTrimmedKernels:
 # The ascent's kernels in their untrimmed form, under the _reference_
 # prefix: numpy index arrays where the library keeps per-start lists, and
 # no shortcut for an empty stack.  They follow every rule of the library's
-# kernels, the saddle-free step, the retirement at the exclusion ball and
-# the shared step schedule included.
+# kernels, the saddle-free step, the retirement at the exclusion ball, the
+# shared step schedule and the merge included.
 
 def _reference_evaluate(Q: np.ndarray, p_in, p_out, T):
     d = Q - p_in
@@ -1543,7 +1659,7 @@ def _reference_directions(Q, Qy, num, den, p_in, p_out, T, TB):
 
 
 def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int,
-                                 rho2: float):
+                                 rho2: float, merge: bool):
     Q = starts.copy()
     f, Qy, num, den = _reference_evaluate(Q, p_in, p_out, T)
     evals = Q.shape[0]
@@ -1590,6 +1706,15 @@ def _reference_multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterati
         # other failure leaves a direction useless at this scale: retire.
         deep[rows] = failed & ~late & (steps > _FIRST_TRIES)
         left[rows[failed & ~deep[rows]]] = 0
+        if merge:
+            # A live start near a better one, or an equal one of lower
+            # index, live or retired, retires.
+            L = np.log(np.maximum(Q, _LOG_FLOOR))
+            near = np.abs(L[:, None, :] - L[None, :, :]).max(axis=2) <= sdpi._MERGE_RADIUS
+            order = np.arange(Q.shape[0])
+            better = (f[None, :] > f[:, None]) | ((f[None, :] == f[:, None])
+                                                  & (order[None, :] < order[:, None]))
+            left[(near & better).any(axis=1)] = 0
         pick = pick[left[acc] > 0]
         fresh, Qy, num, den = idx[pick], ty[pick], tn[pick], td[pick]
 

@@ -61,3 +61,27 @@ def test_dump_takes_several_corpus_names_after_one_flag(tool, tmp_path, monkeypa
     assert tool.main(["dump", str(out), "--corpus", "three", "one", "three"]) == 0
     corpora = [json.loads(line)["corpus"] for line in out.read_text().splitlines()]
     assert corpora == ["three"] * 3 + ["one"]
+
+
+def test_diff_shows_witness_gaps_that_cross_1e_6_either_way(tool, tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    tool.dump(a, ["three"])
+    records = [json.loads(line) for line in a.read_text().splitlines()]
+    # dsbs has no witness (rho_m^2 wins); the 3x3 joint has one.
+    assert records[0]["argmax_q"] is None and records[1]["argmax_q"] is not None
+    assert records[1]["first_order_gap"] <= 1e-6
+    was, value = records[1]["first_order_gap"], records[1]["value"]
+    records[0]["first_order_gap"] = 1.0
+    records[1]["first_order_gap"] = 3e-6
+    records[1]["value"] *= 1 + 1e-14
+    b.write_text("".join(json.dumps(r) + "\n" for r in records))
+    [up] = tool.compare(tool.read(a), tool.read(b)).values()
+    [down] = tool.compare(tool.read(b), tool.read(a)).values()
+    up_move, down_move = (tool._relative_move(*pair) for pair in
+                          ((value, records[1]["value"]), (records[1]["value"], value)))
+    assert up.gaps == [f"gap up: 3x3 y_to_x {was:.3g} -> 3e-06, value move {up_move:.3g}"]
+    assert down.gaps == [f"gap down: 3x3 y_to_x 3e-06 -> {was:.3g}, value move {down_move:.3g}"]
+    assert up.changes() == up.gaps and down.changes() == down.gaps
+
+    assert tool.main(["diff", str(a), str(b)]) == 0
+    assert "1 witness gaps across 1e-06" in capsys.readouterr().out

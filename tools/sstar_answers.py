@@ -25,8 +25,9 @@ call's seconds.  The corpora (all three by default):
 ``diff`` reports per corpus: values that rise or fall by more than 1e-12
 relative, how many ``rho_m_squared`` values changed bits and their largest
 relative move, witnesses (``argmax_q``) gained or lost with their lead over
-rho_m^2, ``method`` changes, cases in one dump only, and the evaluations
-and seconds of each dump.  It adds no gate and always exits 0.
+rho_m^2, witnesses whose ``first_order_gap`` crosses 1e-6 either way with
+their value move, ``method`` changes, cases in one dump only, and the
+evaluations and seconds of each dump.  It adds no gate and always exits 0.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REL_TOL = 1e-12
+GAP_TOL = 1e-6
 BENCH_SEEDS = (1, 9001)
 BENCH_SECONDS = 40
 FUZZ_SEED, FUZZ_DRAWS = 20261019, 600
@@ -174,13 +176,15 @@ class CorpusDiff:
     falls: list = field(default_factory=list)
     gained: list = field(default_factory=list)
     lost: list = field(default_factory=list)
+    gaps: list = field(default_factory=list)
     methods: list = field(default_factory=list)
     only_in_one: list = field(default_factory=list)
     evaluations: list = field(default_factory=lambda: [0, 0])
     seconds: list = field(default_factory=lambda: [0.0, 0.0])
 
     def changes(self) -> list:
-        return self.rises + self.falls + self.gained + self.lost + self.methods + self.only_in_one
+        return (self.rises + self.falls + self.gained + self.lost + self.gaps + self.methods
+                + self.only_in_one)
 
 
 def _relative_move(a: float, b: float) -> float:
@@ -218,6 +222,11 @@ def compare(a: dict, b: dict) -> dict:
             lists, r = (d.lost, ra) if rb["argmax_q"] is None else (d.gained, rb)
             lists.append(f"witness {'lost' if lists is d.lost else 'gained'}: {name}, "
                          f"leads rho_m^2 by {_lead(r):.3g} relative ({r['value']!r})")
+        elif ra["argmax_q"] is not None and (ra["first_order_gap"] > GAP_TOL) != (
+                rb["first_order_gap"] > GAP_TOL):
+            d.gaps.append(f"gap {'up' if rb['first_order_gap'] > GAP_TOL else 'down'}: {name} "
+                          f"{ra['first_order_gap']:.3g} -> {rb['first_order_gap']:.3g}, "
+                          f"value move {move:.3g}")
         if ra["method"] != rb["method"]:
             d.methods.append(f"method: {name} {ra['method']} -> {rb['method']}")
     return out
@@ -232,7 +241,8 @@ def report(diffs: dict) -> str:
             f"{d.largest_move:.3g} relative; {d.rho_moved} rho_m^2 values changed bits, "
             f"largest move {d.rho_largest_move:.3g} relative; {len(d.rises)} rises and "
             f"{len(d.falls)} falls beyond {REL_TOL:g}, {len(d.gained)} witnesses gained and "
-            f"{len(d.lost)} lost, {len(d.methods)} method changes; evaluations {ea:,} -> {eb:,}, "
+            f"{len(d.lost)} lost, {len(d.gaps)} witness gaps across {GAP_TOL:g}, "
+            f"{len(d.methods)} method changes; evaluations {ea:,} -> {eb:,}, "
             f"seconds {sa:.3f} -> {sb:.3f}")
         lines += [f"  {line}" for line in d.changes()]
     return "\n".join(lines)
