@@ -549,8 +549,6 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
             ok = np.isfinite(v).all(axis=1)
             flags[rows] = ok
             steps.append((rows[ok], v[ok]))
-    if len(steps) == 1 and steps[0][0].size == Q.shape[0]:
-        return concave, saddle, steps[0][1]
     if (concave | saddle).all():
         G = np.empty_like(Q)
     else:
