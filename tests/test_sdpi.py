@@ -179,12 +179,12 @@ class TestSstar:
 
     @staticmethod
     def independent_joints():
-        """independent_binary, a joint of dyadic masses for each size of 2 to
-        5 symbols a side (every product, sum and quotient exact, so both
-        conditionals have bit-identical rows), and an outer product whose
-        P(Y|X) rows are bit-identical but whose P(X|Y) rows are not."""
+        """A joint of dyadic masses for each size of 2 to 5 symbols a side
+        (every product, sum and quotient exact, so both conditionals have
+        bit-identical rows), and an outer product whose P(Y|X) rows are
+        bit-identical but whose P(X|Y) rows are not."""
         rng = np.random.default_rng(23)
-        joints = [JointDistribution.from_dict(json.loads((DATA / "independent_binary.json").read_text()))]
+        joints = []
         for nx in range(2, 6):
             for ny in range(2, 6):
                 px, py = (1 + rng.multinomial(32 - n, np.ones(n) / n) for n in (nx, ny))
@@ -196,11 +196,11 @@ class TestSstar:
                 return joints + [j]
         raise AssertionError("no one-sided outer product in 100 draws")
 
-    def test_independent_joints_are_exactly_zero(self):
+    def test_independent_joints_are_exactly_zero(self, independent_binary):
         # Every ratio is rounding noise on an independent joint: the search
         # returned 2.8135104890695086e-34 on independent_binary after 303
         # evaluations.  No search runs now.
-        for j in self.independent_joints():
+        for j in [independent_binary, *self.independent_joints()]:
             assert maximal_correlation(j) == 0.0 and rho_star(j) == 0.0
             for direction in ("x_to_y", "y_to_x"):
                 res = sstar(j, direction)
@@ -463,10 +463,11 @@ class TestSstar:
         # = 0.836542517837, 458 0.003401244275 (the pitch-1/100 grid's
         # value is the floor here), 236 0.998257914774 and 395
         # 0.9997480093.  Draw 23 (6 inputs, tilt starts) fell to
-        # 0.1480344266612553 when tilt starts merged (TestMerge): the start
-        # that stayed stalled on a face.  The floors are the best values known, printed to
-        # 12 or 10 places; the slack is 1e-12 relative or half a unit in
-        # the last place printed, whichever is larger.  Nelder-Mead polished
+        # 0.1480344266612553 when tilt starts were made to merge as grid
+        # starts do (TestMerge): the start that stayed stalled on a face.
+        # The floors are the best values known, printed to 12 or 10 places;
+        # the slack is 1e-12 relative or half a unit in the last place
+        # printed, whichever is larger.  Nelder-Mead polished
         # from the witness and 30 random starts finds nothing higher on 236
         # than 0.998273040595936, 4.1e-12 relative below its printed value.
         places = len(best.split(".")[1])
