@@ -20,7 +20,12 @@ class DimensionMismatchError(ProbabilityError):
 
 
 class DegenerateRatioError(ProbabilityError):
-    """Divergence ratio queried inside the exclusion ball around the input law."""
+    """Divergence ratio queried inside the ball around the input marginal.
+
+    The ball holds the laws q with max_x |ln q(x) - ln p(x)| <= 1e-3 for
+    the input marginal p: the ratio is 0/0 at p, and every s* search skips
+    the ball.
+    """
 
 
 class InfeasibleDistortionError(ValueError):

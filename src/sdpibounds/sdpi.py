@@ -25,7 +25,8 @@ this module estimates it from below and takes the best of:
    in the KL geometry, where projected gradient steps crawl (a 9-level
    Gaussian stopped 1.2e-5 short after 2,000 rounds) or park on a simplex
    face.  A grid start retires once a better start is within reach of it
-   (_multistart_search).
+   (_multistart_search), and every search skips the laws within the same
+   reach of the input marginal, where the ratio is 0/0 (_evaluate).
 
 An independent joint, where the rows of P(Y|X) or of P(X|Y) are
 bit-identical, takes none of these: its constants are exactly 0.
@@ -39,15 +40,16 @@ first-order gap at the best search point.
 
 Both divergences are sums of a non-negative term per symbol (see
 probability._kl_rows), so a ratio near the input marginal, where the
-supremum is often approached, keeps about 11 significant digits (measured
-within 2.1e-11 relative of 50-digit arithmetic at total-variation distance
-1e-4 to 1e-2).
+supremum is often approached, keeps about 11 significant digits: against
+50-digit arithmetic at log distance 1e-3 to 1e-1 from the marginal (total
+variation 2.2e-5 to 4.8e-2), it was within 1.4e-11 relative where the
+ratio is above 1e-3, and within 3.0e-10 at a ratio of 9.1e-7.
 
 Every round of every ascent start tries the same steps, 1 and its
 halvings, whatever its direction; _multistart_search has the schedule.  The
 evaluation count includes the tries that halving one try at a time would
-skip (1,951 on the bundled quaternary joint, 73 on dsbs_p10, where every
-start below rho_m^2 steps into the exclusion ball, and none on
+skip (1,951 on the bundled quaternary joint, 71 on dsbs_p10, where every
+start below rho_m^2 steps into the ball around the marginal, and none on
 independent_binary).
 
 A row's ratio, output law and direction can move in the last bits with the
@@ -86,22 +88,15 @@ _LOG_FLOOR = 1e-300
 # Numerator/denominator below this are treated as zero when forming ascent
 # directions (the ratio itself is still computed exactly).
 _TINY = 1e-15
-# Total-variation radius of the ball around the input marginal that every
-# search skips: the ratio is 0/0 at the marginal itself, and its limit there
-# is at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
-# which the SVD bound already supplies.  So the ball loses nothing exactly
-# where the ratio inside it stays at or below rho_m^2.  Where the radius is
-# small against every input-marginal entry, the ball is a neighbourhood of
-# the marginal, where the ratio is its second-order form, at most rho_m^2,
-# up to terms of relative order radius / min p_in, so it loses little (fuzz
-# draw 191 x_to_y, min p_in = 7.6e-4: 6.3e-9 relative).  Where an entry is
-# below the radius, the ball holds a face region instead: on fuzz draw 14
-# y_to_x, p_in = (1.68e-5, 0.99998), the ratio at the vertex (0, 1), inside
-# the ball, is 3.1030659e-4 in 50-digit arithmetic, 8.3e-6 relative above
-# the rho_m^2 = 3.1030401e-4 that sstar returns.  ROADMAP item 24 removes
-# the ball at two input symbols.  An ascent start below rho_m^2 retires when
-# a try of it enters the ball (_multistart_search), for the reason above.
-EXCLUSION_RADIUS = 1e-4
+# Two laws are near when max_x |ln q_a(x) - ln q_b(x)| <= _MERGE_RADIUS,
+# the log geometry of the mirror steps.  A grid start merges into a better
+# start near it (_multistart_search), and every search skips the laws near
+# the input marginal (_evaluate), where the ratio is 0/0 and its limit is
+# at most rho_m^2 (Anantharam, Gohari, Kamath & Nair, arXiv:1304.6133),
+# which the SVD bound supplies: the marginal acts as a retired start of
+# value rho_m^2.  However small p_in(x), a law near a vertex is not near
+# p_in, so unlike a total-variation ball this one holds no face region.
+_MERGE_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,9 @@ class SdpiResult:
     it shows how far the search was from converging there, not how far
     value is from the supremum.
     Where rho_m^2 wins, the best point is often a start that retired when
-    its try entered the exclusion ball around the marginal, and its gap
+    its try entered the ball around the marginal (_evaluate), and its gap
     stays above the witnesses' (2.7e-5 on the 33-level Gaussian at
-    rho = 0.5, 5.4e-5 on dsbs_p10).  rho_m_squared is computed on the oriented
+    rho = 0.5, 3.4e-4 on dsbs_p10).  rho_m_squared is computed on the oriented
     pair, the swapped joint for y_to_x: its marginals are the joint's swapped
     bit for bit, but the SVD of a transpose can round differently, so the two
     directions of one joint can differ in it at rounding level.
@@ -199,21 +194,22 @@ def divergence_ratio(
 ) -> float:
     """D(q_out || P_out) / D(q || P_in) for one candidate input law.
 
-    q must stay at total-variation distance > EXCLUSION_RADIUS from the
-    true input marginal; at the marginal itself the ratio is 0/0.
+    Raises DegenerateRatioError where _evaluate masks q: within the ball
+    max_x |ln q(x) - ln p_in(x)| <= _MERGE_RADIUS around the input marginal
+    p_in, where the ratio is 0/0 at p_in itself.
     """
     p_in, p_out, T = _oriented(_posed(j, direction))
     if q.alphabet_size != p_in.shape[0]:
         raise DimensionMismatchError(
             f"divergence_ratio: q has {q.alphabet_size} symbols, joint input has {p_in.shape[0]}"
         )
-    tv = 0.5 * float(np.abs(q.probs - p_in).sum())
-    if tv <= EXCLUSION_RADIUS:
+    ratio = float(_evaluate(q.probs[None, :], p_in, p_out, T)[0][0])
+    if ratio == -math.inf:
         raise DegenerateRatioError(
-            f"q is within total variation {tv:.2e} of the input marginal "
-            f"(exclusion radius {EXCLUSION_RADIUS:g}); the ratio is 0/0 there"
+            f"q is within log distance {_MERGE_RADIUS:g} of the input marginal in every "
+            "symbol; the ratio is 0/0 at the marginal"
         )
-    return float(_evaluate(q.probs[None, :], p_in, p_out, T)[0][0])
+    return ratio
 
 
 def maximal_correlation(j: JointDistribution) -> float:
@@ -260,8 +256,10 @@ def _correlation_svd(j: JointDistribution):
 def _evaluate(Q: np.ndarray, p_in, p_out, T):
     """(ratio, output law, numerator, denominator) per row of Q.
 
-    The ratio is -inf inside the exclusion ball.  Computed in nats; the
-    ratio is base-independent.  The output law is p_out plus the input's
+    The ratio is -inf on the rows near the input marginal, where every
+    |ln q(x) - ln p_in(x)| = |log1p(d(x) / p_in(x))| <= _MERGE_RADIUS, for
+    the offset d = q - p_in.  Computed in nats; the ratio is
+    base-independent.  The output law is p_out plus the input's
     offset pushed through T, which keeps the digits that Q @ T - p_out
     would cancel near the marginal, clipped at 0 where rounding leaves it a
     hair below.  Both laws reach the kernel as marginal plus offset, the
@@ -272,9 +270,10 @@ def _evaluate(Q: np.ndarray, p_in, p_out, T):
     Qy = np.maximum(dy + p_out, 0.0)
     num = _kl_rows(Qy, dy, p_out)
     den = _kl_rows(d + p_in, d, p_in)
-    # Twice the total variation against twice the radius.
-    out = np.where(np.abs(d).sum(axis=1) > 2 * EXCLUSION_RADIUS,
-                   num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    # Far from the marginal: some offset outside p_in (e^-r - 1, e^r - 1).
+    r = _MERGE_RADIUS
+    far = ((d < p_in * math.expm1(-r)) | (d > p_in * math.expm1(r))).any(axis=1)
+    out = np.where(far, num / np.maximum(den, _LOG_FLOOR), -np.inf)
     return out, Qy, num, den
 
 
@@ -475,9 +474,8 @@ def _saddle_free(H, b):
 
 
 def _gradient(q, q_out, N, D, p_in, p_out, T):
-    """Gradient of log(N/D) at q, output law q_out (both floored), and its two logs."""
-    log_out, log_in = np.log(q_out / p_out), np.log(q / p_in)
-    return ((log_out + 1.0) @ T.T) / N - (log_in + 1.0) / D, log_out, log_in
+    """Gradient of log(N/D) at q, output law q_out (both floored)."""
+    return ((np.log(q_out / p_out) + 1.0) @ T.T) / N - (np.log(q / p_in) + 1.0) / D
 
 
 def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
@@ -552,7 +550,7 @@ def _directions(Q, Qy, num, den, p_in, p_out, T, TB):
     if (concave | saddle).all():
         G = np.empty_like(Q)
     else:
-        G = _gradient(q, q_out, N, D, p_in, p_out, T)[0]
+        G = _gradient(q, q_out, N, D, p_in, p_out, T)
         G[vanishing] = 0.0
     for rows, v in steps:
         G[rows] = v
@@ -579,7 +577,7 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
     if (T[~on][:, qy <= 0].sum(axis=1) * den < num).any():
         return np.inf
     g = _gradient(np.maximum(q, _LOG_FLOOR), np.maximum(qy, _LOG_FLOOR), num, den,
-                  p_in, p_out, T)[0][on]
+                  p_in, p_out, T)[on]
     return float(g.max() - g.min())
 
 
@@ -590,10 +588,6 @@ def _first_order_gap(q, qy, num, den, p_in, p_out, T) -> float:
 _STEPS = 34
 _FIRST_TRIES = 2
 _MAX_ROUNDS = 2000
-# A grid-started ascent start merges into a better start within this
-# distance, max_x |ln q_a(x) - ln q_b(x)| with logs floored at _LOG_FLOOR
-# (_multistart_search).
-_MERGE_RADIUS = 1e-3
 
 
 def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, rho2: float,
@@ -610,12 +604,14 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     and, if those fail, the rest in the next.  A start accepts its first
     improving try, as halving one at a time would.  It retires when a whole
     round fails, after max_iterations rounds, or when a try from below rho2
-    (rho_m^2) enters the ball: read in halving order, a try inside the ball
-    that comes before the first improving one.  Such a start heads for the
-    marginal, where the ratio tends to at most rho_m^2, and would creep up
-    to the ball in ever smaller steps.  Every sweep scores all tries in one
-    mirror step and one evaluation.  Returns the final value and point of
-    every start, and the evaluation count.
+    (rho_m^2) enters the ball around the marginal (_evaluate): read in
+    halving order, a try inside the ball that comes before the first
+    improving one.  Such a start heads for the marginal, where the ratio
+    tends to at most rho_m^2, and would creep up to the ball in ever
+    smaller steps.  That is the merge rule below with the marginal as a
+    retired start of value rho_m^2, applied to a try.  Every sweep scores
+    all tries in one mirror step and one evaluation.  Returns the final
+    value and point of every start, and the evaluation count.
 
     With merge, a live start also retires after a sweep's acceptances, with
     its value and point, when another start, live or retired, has a higher

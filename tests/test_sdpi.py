@@ -1,4 +1,5 @@
 import json
+import math
 from decimal import Decimal, localcontext
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +34,6 @@ from sdpibounds.sdpi import (
     _LOG_FLOOR,
     _EIGEN_FLOOR,
     _TINY,
-    EXCLUSION_RADIUS,
     _composition_grid,
     _directions,
     _evaluate,
@@ -59,7 +59,7 @@ DATA = Path(sdpibounds.__file__).parent / "data"
 
 class TestConfig:
     def test_defaults(self, dsbs, quaternary):
-        assert sdpi.EXCLUSION_RADIUS == 1e-4
+        assert sdpi._MERGE_RADIUS == 1e-3
         # Grid-only evaluations are the k vertices plus the grid at pitch
         # 1/20: 21 points on binary inputs, C(23, 3) = 1,771 on four symbols.
         assert sstar(dsbs, "x_to_y", GRID_ONLY).evaluations == 23
@@ -102,21 +102,62 @@ class TestDivergenceRatio:
         # just outside the default radius is fine
         divergence_ratio(Distribution([0.502, 0.498]), dsbs)
 
+    @staticmethod
+    def at_log_distance(p, t, s):
+        """p (1 + c t), with c > 0 such that max_x |log1p(c t(x))| = s, for
+        a t with sum_x p(x) t(x) = 0, so the law sums to 1."""
+        t0 = t[t != 0]
+        return p * (1.0 + (np.where(t0 > 0, np.expm1(s), np.expm1(-s)) / t0).min() * t)
+
+    def test_ball_is_the_merge_radius_around_the_marginal(self):
+        # The ball is max_x |ln q(x) - ln p_in(x)| <= _MERGE_RADIUS in both
+        # directions, whatever the marginal's smallest entry: a law at log
+        # distance 2 r is outside it even where its total variation is
+        # 1e-11, and one at r / 2 inside it even where its total variation
+        # is 2.4e-4.
+        rng = np.random.default_rng(42)
+        joints = [random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+                  for _ in range(6)]
+        for _ in range(6):
+            m = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6))).probs.copy()
+            m[0] *= 1e-5
+            m[:, -1] *= 1e-5
+            joints.append(JointDistribution(m / m.sum()))
+        joints.append(ANSWERS.fuzz_joint(14))
+        r = sdpi._MERGE_RADIUS
+        tiny = 0
+        for j in joints:
+            for direction in ("x_to_y", "y_to_x"):
+                p_in = _oriented(_posed(j, direction))[0]
+                tiny += p_in.min() < 1e-4
+                v = rng.standard_normal((3, p_in.size))
+                # Random moves, and moves of one entry against all others.
+                ts = [*(v - (v @ p_in)[:, None]), *(np.eye(p_in.size) / p_in - 1.0)]
+                for t in ts:
+                    with pytest.raises(DegenerateRatioError):
+                        divergence_ratio(Distribution(self.at_log_distance(p_in, t, r / 2)),
+                                         j, direction)
+                    got = divergence_ratio(Distribution(self.at_log_distance(p_in, t, 2 * r)),
+                                           j, direction)
+                    assert np.isfinite(got)
+        assert tiny >= 12
+
     def test_dimension_mismatch(self, dsbs):
         with pytest.raises(DimensionMismatchError):
             divergence_ratio(Distribution.uniform(3), dsbs)
 
     def test_matches_decimal_reference_near_the_marginal(self, dsbs):
         # The supremum is often approached at the marginal, where summing
-        # q log(q/p) lost 7.3e-8 relative on these cases (now 2.3e-12).
+        # q log(q/p) lost 7.3e-8 relative at total variation 1e-4 to 1e-2.
+        # Here the laws are at log distance just above the ball's radius to
+        # 1e-1.
         rng = np.random.default_rng(1304)
         for j in (dsbs, random_joint(rng, 4, 4)):
             for direction in ("x_to_y", "y_to_x"):
                 p_in = _oriented(_posed(j, direction))[0]
-                for tv in np.geomspace(1.0001e-4, 1e-2, 7):
+                for s in np.geomspace(1.0001 * sdpi._MERGE_RADIUS, 1e-1, 7):
                     u = rng.standard_normal(p_in.size)
-                    u -= u.mean()
-                    q = Distribution(p_in + tv * 2.0 * u / np.abs(u).sum())
+                    q = Distribution(self.at_log_distance(p_in, u - u @ p_in, s))
                     want = _decimal_ratio(q, j, direction)
                     assert divergence_ratio(q, j, direction) == pytest.approx(want, rel=1e-11)
 
@@ -247,9 +288,9 @@ class TestSstar:
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing, because locally concave rows take
         # Newton steps.  dsbs took 2,661 evaluations before starts below
-        # rho_m^2 retired at the exclusion ball (73 now).  The 3x3 joint,
-        # from the benchmark inputs, was still rising at round 2,000 under
-        # gradient steps alone.
+        # rho_m^2 retired at the ball around the marginal (71 now).  The
+        # 3x3 joint, from the benchmark inputs, was still rising at round
+        # 2,000 under gradient steps alone.
         rng = np.random.default_rng(2)
         binary = [dsbs, *(random_joint(rng, 2, n) for n in (2, 3, 4))]
         larger = [random_joint(rng, k, n) for n in (2, 3, 4) for k in (3, 4)]
@@ -456,6 +497,8 @@ class TestSstar:
         (236, "y_to_x", "0.9982730406"),
         (395, "x_to_y", "0.9997500266"),
         (23, "y_to_x", "0.148035489685"),
+        (14, "y_to_x", "0.0003103066049"),
+        (191, "x_to_y", "0.99080580148"),
     ])
     def test_sparse_fuzz_draws_reach_their_best_known_values(self, draw, direction, best):
         # Draws of the sparse fuzz classes whose maxima lie near a simplex
@@ -465,23 +508,32 @@ class TestSstar:
         # 0.9997480093.  Draw 23 (6 inputs, tilt starts) fell to
         # 0.1480344266612553 when tilt starts were made to merge as grid
         # starts do (TestMerge): the start that stayed stalled on a face.
-        # The floors are the best values known, printed to 12 or 10 places;
+        # Draws 14 and 191 returned rho_m^2 = 3.1030400959669493e-4 and
+        # 0.9908057952105332 while every search skipped a total-variation
+        # ball of radius 1e-4 around the marginal: on draw 14, p_in =
+        # (1.68e-5, 0.99998), that ball held the maximum near the vertex
+        # (0, 1).
+        # The floors are the best values known, printed to 10 to 13 places;
         # the slack is 1e-12 relative or half a unit in the last place
         # printed, whichever is larger.  Nelder-Mead polished
         # from the witness and 30 random starts finds nothing higher on 236
         # than 0.998273040595936, 4.1e-12 relative below its printed value.
+        # Every value is the ratio at its witness, in 50-digit arithmetic.
         places = len(best.split(".")[1])
         best = float(best)
-        res = sstar(ANSWERS.fuzz_joint(draw), direction)
+        j = ANSWERS.fuzz_joint(draw)
+        res = sstar(j, direction)
         assert res.value >= best - max(1e-12 * best, 0.5 * 10.0 ** -places)
+        assert res.value == pytest.approx(_decimal_ratio(res.argmax_q, j, direction), rel=1e-12)
 
     @pytest.mark.parametrize("draw, value", [(296, 0.6952999517655242), (287, 0.5150231133198838)])
     def test_starts_above_rho2_go_on_past_the_ball(self, draw, value):
-        # A start above rho_m^2 whose try enters the exclusion ball goes on
-        # halving: retiring it there too dropped these y_to_x values to
-        # 0.6756302772691524 and 0.5150210909885052.  The pins are bit for
-        # bit, and neither falls below its value before any start retired
-        # at the ball, when gradient rows still kept a step of their own.
+        # A start above rho_m^2 whose try enters the ball around the
+        # marginal goes on halving: retiring it there too dropped these
+        # y_to_x values to 0.6756302772691524 and 0.5150210909885052.  The
+        # pins are bit for bit, and neither falls below its value before
+        # any start retired at the ball, when gradient rows still kept a
+        # step of their own.
         before = {296: 0.6952999517655242, 287: 0.5150219810568099}[draw]
         res = sstar(ANSWERS.fuzz_joint(draw), "y_to_x")
         assert res.value == value and res.value >= before
@@ -555,12 +607,22 @@ class TestOneCodePath:
             assert s_in.tobytes() == p_out.tobytes() and s_out.tobytes() == p_in.tobytes()
 
     def test_divergence_ratio_is_x_to_y_on_the_swapped_joint(self):
+        # One draw lies in the ball around the marginal (total variation
+        # 1.06e-4, log distance 3.1e-4): both directions raise there.
         rng = np.random.default_rng(26)
+        inside = 0
         for j in self.joints():
             for _ in range(5):
                 q = Distribution(rng.dirichlet(np.ones(j.y_size)))
-                want = divergence_ratio(q, j.swapped(), "x_to_y")
+                try:
+                    want = divergence_ratio(q, j.swapped(), "x_to_y")
+                except DegenerateRatioError:
+                    with pytest.raises(DegenerateRatioError):
+                        divergence_ratio(q, j, "y_to_x")
+                    inside += 1
+                    continue
                 assert divergence_ratio(q, j, "y_to_x") == want
+        assert inside == 1
 
     @staticmethod
     def symmetric_joints():
@@ -781,7 +843,7 @@ class TestTiltStarts:
     def test_no_finite_coarse_value(self, monkeypatch):
         # A zero vector leaves every tilt at the marginal of the six-input,
         # one-output joint of test_one_output_symbol_on_many_inputs, inside
-        # the exclusion ball: no peak, no fine point, no start.
+        # the ball around the marginal: no peak, no fine point, no start.
         p_in = np.arange(1.0, 7.0) / 21.0
         thetas = self.scanned(monkeypatch)
         starts, evals = _tilt_starts(p_in, np.ones(1), np.ones((6, 1)), np.zeros((2, 6)), 8)
@@ -807,8 +869,8 @@ class TestTiltStarts:
         assert (starts[1] == end).all(axis=1).any()
 
     def test_adjacent_peaks_share_their_fine_points(self, monkeypatch):
-        # Y = X makes the ratio exactly 1 off the exclusion ball, so every
-        # coarse point there is a peak; the ties keep the four lowest, one
+        # Y = X makes the ratio exactly 1 off the ball around the marginal,
+        # so every coarse point there is a peak; the ties keep the four lowest, one
         # coarse step apart, and their windows merge into the 41 fine points
         # on [-60, -58], each evaluated once.
         p_in = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
@@ -825,14 +887,6 @@ class TestBatchedLineSearch:
     # Eight grid or tilt starts, as sstar takes, and a short round budget.
     STARTS, ROUNDS = 8, 200
 
-    @pytest.fixture(autouse=True)
-    def no_merge(self, monkeypatch):
-        # _sequential_multistart moves every start one round at a time, so
-        # it cannot retire a start at the sweep where the batched search
-        # merges it; radius 0 leaves the merge nothing to take.  The merge
-        # itself is checked in TestTrimmedKernels and TestMerge.
-        monkeypatch.setattr(sdpi, "_MERGE_RADIUS", 0.0)
-
     @staticmethod
     def cases():
         rng = np.random.default_rng(20261018)
@@ -841,12 +895,16 @@ class TestBatchedLineSearch:
 
     @classmethod
     def check(cls, joints, rounds):
+        # _sequential_multistart moves every start one round at a time, so
+        # it cannot retire a start at the sweep where the batched search
+        # merges it: the search runs without the merge here.  The merge
+        # itself is checked in TestTrimmedKernels and TestMerge.
         for j in joints:
             p_in, p_out, T = _oriented(j)
             starts = _sstar_starts(j, cls.STARTS)
             rho2 = maximal_correlation(j) ** 2
             got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds, rho2,
-                                                         merge=p_in.size <= 4)
+                                                         merge=False)
             want_f, want_Q, want_evals = _sequential_multistart(p_in, p_out, T, starts, rounds,
                                                                 rho2)
             # Every start, not only the best, ends at the same value.
@@ -916,12 +974,14 @@ class TestBatchedLineSearch:
 
 
     def test_a_start_below_rho2_retires_inside_the_ball(self, dsbs, monkeypatch):
-        # From 0.01 off the dsbs marginal the Newton step 1.0 lands inside
-        # the exclusion ball and its halving improves.  Below rho_m^2 the
-        # start retires in that sweep, with its value and point; with rho2
-        # at or under its value it takes the halving and goes on.
+        # From 0.03 off the dsbs marginal the Newton step 1.0 lands at log
+        # distance 3.0e-4 from it, inside the ball (and at total variation
+        # 1.5e-4, outside the ball of total-variation radius 1e-4 that came
+        # before), and its halving improves.  Below rho_m^2 the start
+        # retires in that sweep, with its value and point; with rho2 at or
+        # under its value it takes the halving and goes on.
         p_in, p_out, T = _oriented(dsbs)
-        start = np.array([[0.51, 0.49]])
+        start = np.array([[0.53, 0.47]])
         scores, evaluate = [], sdpi._evaluate
 
         def spy(Q, *args):
@@ -1019,17 +1079,19 @@ class TestMerge:
         assert f[1] < f[0]
 
     def test_tilt_starts_never_merge(self, monkeypatch):
-        # With every start in reach of every other, the tilt-started
-        # searches run as before; a grid-started one does not.
-        tilted = [(quantized_gaussian_joint(0.5, 9), None),
-                  (random_joint(np.random.default_rng(41), 3, 4), SdpiConfig(grid_max_alphabet=0))]
-        grid = random_joint(np.random.default_rng(41), 3, 4)
-        want = [sstar(j, "x_to_y", cfg).to_dict() for j, cfg in tilted]
-        before = sstar(grid).evaluations
-        monkeypatch.setattr(sdpi, "_MERGE_RADIUS", np.inf)
-        assert [sstar(j, "x_to_y", cfg).to_dict() for j, cfg in tilted] == want
-        assert [res["method"] for res in want] == ["multistart", "multistart"]
-        assert sstar(grid).evaluations < before
+        # sstar hands tilt starts merge=False and grid starts merge=True.
+        merges, search = [], sdpi._multistart_search
+
+        def spy(*args, merge):
+            merges.append(merge)
+            return search(*args, merge=merge)
+
+        monkeypatch.setattr(sdpi, "_multistart_search", spy)
+        j = random_joint(np.random.default_rng(41), 3, 4)
+        for cfg in (None, SdpiConfig(grid_max_alphabet=0)):
+            assert sstar(j, "x_to_y", cfg).method in ("combined", "multistart")
+        assert sstar(quantized_gaussian_joint(0.5, 9)).method == "multistart"
+        assert merges == [True, False, False]
 
 
 class TestDirections:
@@ -1095,7 +1157,7 @@ class TestDirections:
         checked = 0
         for p_in, p_out, T, Q, B in self.interior_rows(11):
             _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
-            G = _gradient(Q, Qy, num[:, None], den[:, None], p_in, p_out, T)[0]
+            G = _gradient(Q, Qy, num[:, None], den[:, None], p_in, p_out, T)
             for q, g in zip(Q, G):
                 pts = np.vstack([q + self.H * B.T, q - self.H * B.T])
                 diffs = self.central_differences(self.log_ratio(pts, p_in, p_out, T), B.shape[1])
@@ -1376,7 +1438,7 @@ class TestDirections:
             _, Qy, num, den = _evaluate(Q, p_in, p_out, T)
             gradient = _gradient(np.maximum(Q, _LOG_FLOOR), np.maximum(Qy, _LOG_FLOOR),
                                  np.maximum(num, _TINY)[:, None], np.maximum(den, _TINY)[:, None],
-                                 p_in, p_out, T)[0]
+                                 p_in, p_out, T)
             for name, hit, kept in (("_solved", concave, saddle), ("_saddle_free", saddle, concave)):
                 monkeypatch.setattr(sdpi, name, failing)
                 got = self.directions(Q, p_in, p_out, T)
@@ -1453,13 +1515,13 @@ def _sequential_multistart(p_in, p_out, T, starts, max_iterations, rho2):
     The batched line search of _multistart_search must accept the same
     points from the same starts; this loop tries each halving only after
     the previous one failed.  A start below rho2 whose try lands inside the
-    exclusion ball retires there, keeping its value and point.  It takes the
-    library's direction per row from _directions, and every round tries the
-    steps 1, 1/2, ..., 2**(1 - _STEPS).  Its tries are mirror steps
-    q exp(t v)/Z, with v the gradient or, on Newton and saddle-free Newton
-    rows, the direction d over q, so that the step is q + t d to first
-    order.  Returns the final value and point of every start, and the
-    evaluation count.
+    ball around the marginal retires there, keeping its value and point.
+    It takes the library's direction per row from _directions, and every
+    round tries the steps 1, 1/2, ..., 2**(1 - _STEPS).  Its tries are
+    mirror steps q exp(t v)/Z, with v the gradient or, on Newton and
+    saddle-free Newton rows, the direction d over q, so that the step is
+    q + t d to first order.  Returns the final value and point of every
+    start, and the evaluation count.
     """
     Q = starts.copy()
     f = _evaluate(Q, p_in, p_out, T)[0]
@@ -1504,9 +1566,10 @@ class TestTrimmedKernels:
 
         A random joint with full support and one whose first two inputs
         share their conditional row.  The rows: dense draws, face rows with
-        entries at 0 and 1e-300, the marginal itself (num = den = 0), and
-        the marginal moved 1e-9 between the shared inputs (num and den below
-        _TINY).
+        entries at 0 and 1e-300, the marginal itself (num = den = 0), the
+        marginal moved 1e-9 between the shared inputs (num and den below
+        _TINY), and moved between them to log distance r / 2 and 2 r, for
+        the radius r of the ball around it.
         """
         rng = np.random.default_rng(33)
         for k in range(2, 34):
@@ -1520,8 +1583,9 @@ class TestTrimmedKernels:
                 face[:, 0] = 0.0
                 face[::2, -1] = 1e-300
                 face /= face.sum(axis=1, keepdims=True)
-                nudged = p_in.copy()
-                nudged[:2] += [1e-9, -1e-9]
+                nudged = np.repeat(p_in[None, :], 3, axis=0)
+                nudged[:, :2] += np.array([[1e-9], [0.5 * sdpi._MERGE_RADIUS * p_in[:2].min()],
+                                           [2.0 * sdpi._MERGE_RADIUS * p_in[:2].min()]]) * [1, -1]
                 yield p_in, p_out, T, np.vstack([dense, face, p_in, nudged])
 
     @classmethod
@@ -1584,7 +1648,7 @@ class TestTrimmedKernels:
 # The ascent's kernels in their untrimmed form, under the _reference_
 # prefix: numpy index arrays where the library keeps per-start lists, and
 # no shortcut for an empty stack.  They follow every rule of the library's
-# kernels, the saddle-free step, the retirement at the exclusion ball, the
+# kernels, the saddle-free step, the ball around the marginal, the
 # shared step schedule and the merge included.
 
 def _reference_evaluate(Q: np.ndarray, p_in, p_out, T):
@@ -1593,8 +1657,9 @@ def _reference_evaluate(Q: np.ndarray, p_in, p_out, T):
     Qy = np.maximum(dy + p_out, 0.0)
     num = _kl_rows(Qy, dy, p_out)
     den = _kl_rows(d + p_in, d, p_in)
-    tv = 0.5 * np.abs(d).sum(axis=1)
-    out = np.where(tv > EXCLUSION_RADIUS, num / np.maximum(den, _LOG_FLOOR), -np.inf)
+    r = sdpi._MERGE_RADIUS
+    far = ((d < p_in * math.expm1(-r)) | (d > p_in * math.expm1(r))).any(axis=1)
+    out = np.where(far, num / np.maximum(den, _LOG_FLOOR), -np.inf)
     return out, Qy, num, den
 
 
