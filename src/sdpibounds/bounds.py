@@ -209,9 +209,10 @@ def cr_ratio_bound(q: CommonRandomnessQuery) -> BoundReport:
 
 
 def _both_directions(j: JointDistribution) -> tuple[SdpiResult, SdpiResult, float]:
-    """(x_to_y result, y_to_x result, rho*) through this module's sstar.  A
-    joint equal to its transpose bit for bit poses y_to_x as the same x_to_y
-    problem (sdpi._posed), so it is solved once and reported both ways."""
+    """(x_to_y result, y_to_x result, rho*) through this module's sstar.
+    sdpi._posed poses y_to_x as x_to_y on the transpose of j.probs, so a
+    joint equal to its transpose bit for bit poses the same arrays both
+    ways: it is solved once and reported both ways."""
     xy = sstar(j, "x_to_y")
     symmetric = j.x_size == j.y_size and j.probs.tobytes() == j.probs.T.tobytes()
     yx = xy if symmetric else sstar(j, "y_to_x")

@@ -31,8 +31,9 @@ this module estimates it from below and takes the best of:
 An independent joint, where the rows of P(Y|X) or of P(X|Y) are
 bit-identical, takes none of these: its constants are exactly 0.
 
-y_to_x is x_to_y on the swapped joint (_posed, the one reader of a
-direction): a joint equal to its transpose gets identical results both ways.
+y_to_x is x_to_y on the transpose (_posed, the one reader of a direction
+and of the joint): a joint equal to its transpose gets identical results
+both ways.
 
 Nothing here certifies the supremum from above.  A result's method names
 the stages that ran (see SdpiResult), and every result carries the
@@ -79,7 +80,6 @@ from .probability import (
     _marginal_sums,
     _mi_from_matrix,
     _require_integer,
-    conditional,
 )
 
 # Floor for log arguments inside the ascent; keeps gradients finite on the
@@ -140,10 +140,10 @@ class SdpiResult:
     Where rho_m^2 wins, the best point is often a start that retired when
     its try entered the ball around the marginal (_evaluate), and its gap
     stays above the witnesses' (2.7e-5 on the 33-level Gaussian at
-    rho = 0.5, 3.4e-4 on dsbs_p10).  rho_m_squared is computed on the oriented
-    pair, the swapped joint for y_to_x: its marginals are the joint's swapped
-    bit for bit, but the SVD of a transpose can round differently, so the two
-    directions of one joint can differ in it at rounding level.
+    rho = 0.5, 3.4e-4 on dsbs_p10).  rho_m_squared is computed on the posed
+    pair, the transpose for y_to_x (_posed): its marginals are the joint's
+    swapped bit for bit, but the SVD of a transpose can round differently,
+    so the two directions of one joint can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
     plus the ascent from its best points (2 to 4 input symbols),
     "multistart" the ascent from SVD tilt starts alone (5 or more), and
@@ -173,18 +173,19 @@ class SdpiResult:
         }
 
 
-def _posed(j: JointDistribution, direction: str) -> JointDistribution:
-    """j posed as x_to_y: itself, or j.swapped() for y_to_x; the one direction check."""
+def _posed(j: JointDistribution, direction: str):
+    """(P, p_in, p_out, T): j posed as x_to_y, the one direction check.
+
+    P is j.probs, or for y_to_x its transpose copied C-contiguous: the bits
+    and layout of j.swapped().probs, not validated again.  p_in and p_out
+    are P's marginals (_marginal_sums), and T = P / p_in is P(Y|X) as
+    conditional forms it.
+    """
     if direction not in ("x_to_y", "y_to_x"):
         raise ProbabilityError(f"unknown direction {direction!r}, expected 'x_to_y' or 'y_to_x'")
-    return j if direction == "x_to_y" else j.swapped()
-
-
-def _oriented(j: JointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(input marginal, output marginal, conditional matrix) of a joint
-    already posed as x_to_y (_posed)."""
-    p_in, p_out = _marginal_sums(j.probs)
-    return p_in, p_out, conditional(j).rows
+    P = j.probs if direction == "x_to_y" else np.ascontiguousarray(j.probs.T)
+    p_in, p_out = _marginal_sums(P)
+    return P, p_in, p_out, P / p_in[:, None]
 
 
 def divergence_ratio(
@@ -198,7 +199,7 @@ def divergence_ratio(
     max_x |ln q(x) - ln p_in(x)| <= _MERGE_RADIUS around the input marginal
     p_in, where the ratio is 0/0 at p_in itself.
     """
-    p_in, p_out, T = _oriented(_posed(j, direction))
+    _, p_in, p_out, T = _posed(j, direction)
     if q.alphabet_size != p_in.shape[0]:
         raise DimensionMismatchError(
             f"divergence_ratio: q has {q.alphabet_size} symbols, joint input has {p_in.shape[0]}"
@@ -220,27 +221,26 @@ def maximal_correlation(j: JointDistribution) -> float:
     constants.  Exactly 0.0 where the rows of P(Y|X) or of P(X|Y) are
     bit-identical (_independent), where the SVD leaves rounding noise.
     """
-    return 0.0 if _independent(j) else _correlation_svd(j)[1]
+    P, p_in, p_out, T = _posed(j, "x_to_y")
+    return 0.0 if _independent(P, p_out, T) else _correlation_svd(P, p_in, p_out)[1]
 
 
-def _independent(j: JointDistribution) -> bool:
-    """Are the rows of P(Y|X), or those of P(X|Y), bit-identical?
+def _independent(P, p_out, T) -> bool:
+    """Are the rows of T = P(Y|X), or those of P(X|Y), bit-identical?
 
     Then X and Y are independent up to the rounding of one division per
     cell, and both contraction constants are 0: every ratio the search
     would take is rounding noise (2.8e-34 on independent_binary.json).
-    One input or one output symbol leaves a single row, so it counts.  The
-    rows are conditional's of j and of j.swapped(), formed without building
-    either.
+    One input or one output symbol leaves a single row, so it counts.
+    P(X|Y) is P' / p_out, the rows conditional forms on the swapped joint.
     """
-    for P, m in zip((j.probs, j.probs.T), _marginal_sums(j.probs)):
-        rows = P / m[:, None]
-        if (rows == rows[0]).all():
-            return True
-    return False
+    if (T == T[0]).all():
+        return True
+    rows = P.T / p_out[:, None]
+    return bool((rows == rows[0]).all())
 
 
-def _correlation_svd(j: JointDistribution):
+def _correlation_svd(P, p_in, p_out):
     """(U, maximal correlation) from the reduced SVD of p(x,y)/sqrt(p(x)p(y)).
 
     Both marginals are scaled by 2^511, so a product of two masses of at
@@ -248,8 +248,8 @@ def _correlation_svd(j: JointDistribution):
     powers of two cancel exactly, so every other quotient keeps its bits.
     """
     scale = 2.0 ** 511
-    px, py = (m * scale for m in _marginal_sums(j.probs))
-    U, s, _ = np.linalg.svd(j.probs * scale / np.sqrt(np.outer(px, py)), full_matrices=False)
+    U, s, _ = np.linalg.svd(P * scale / np.sqrt(np.outer(p_in * scale, p_out * scale)),
+                            full_matrices=False)
     return U, (float(np.clip(s[1], 0.0, 1.0)) if s.size > 1 else 0.0)
 
 
@@ -721,13 +721,12 @@ def sstar(
     """
     if cfg is None:
         cfg = SdpiConfig()
-    j = _posed(j, direction)
-    if _independent(j):
+    P, p_in, p_out, T = _posed(j, direction)
+    if _independent(P, p_out, T):
         return SdpiResult(value=0.0, argmax_q=None, rho_m_squared=0.0, method="independent",
                           evaluations=0, first_order_gap=None)
-    p_in, p_out, T = _oriented(j)
     k = p_in.shape[0]
-    U, rho = _correlation_svd(j)
+    U, rho = _correlation_svd(P, p_in, p_out)
     rho2 = rho ** 2
 
     corners = np.eye(k)
@@ -761,14 +760,12 @@ def sstar(
     best = _top_rows(np.concatenate(cand_vals), np.vstack(cand_rows), 1, 0.0)
     method = "combined" if len(ran) == 2 else (ran[0] if ran else "vertex")
 
-    value, argmax, gap = rho2, None, None
-    if best.size:
-        # Report the ratio at the pmf handed back, not at the unnormalized search row.
-        q = Distribution(best[0])
-        at_q, qy, num, den = (a[0] for a in _evaluate(q.probs[None, :], p_in, p_out, T))
-        gap = _first_order_gap(q.probs, qy, num, den, p_in, p_out, T)
-        if at_q >= rho2:
-            value, argmax = float(at_q), q
+    # Past the screen k >= 2, so no vertex is in the ball and best holds a row.
+    # Report the ratio at the pmf handed back, not at the unnormalized search row.
+    q = Distribution(best[0])
+    at_q, qy, num, den = (a[0] for a in _evaluate(q.probs[None, :], p_in, p_out, T))
+    gap = _first_order_gap(q.probs, qy, num, den, p_in, p_out, T)
+    value, argmax = (float(at_q), q) if at_q >= rho2 else (rho2, None)
     value = float(np.clip(value, 0.0, 1.0))
     return SdpiResult(value=value, argmax_q=argmax, rho_m_squared=rho2,
                       method=method, evaluations=evals, first_order_gap=gap)

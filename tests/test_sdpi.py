@@ -42,7 +42,6 @@ from sdpibounds.sdpi import (
     _mirror_rows,
     _multistart_search,
     _negative_definite,
-    _oriented,
     _posed,
     _solved,
     _sum_zero_basis,
@@ -128,7 +127,7 @@ class TestDivergenceRatio:
         tiny = 0
         for j in joints:
             for direction in ("x_to_y", "y_to_x"):
-                p_in = _oriented(_posed(j, direction))[0]
+                p_in = _posed(j, direction)[1]
                 tiny += p_in.min() < 1e-4
                 v = rng.standard_normal((3, p_in.size))
                 # Random moves, and moves of one entry against all others.
@@ -154,7 +153,7 @@ class TestDivergenceRatio:
         rng = np.random.default_rng(1304)
         for j in (dsbs, random_joint(rng, 4, 4)):
             for direction in ("x_to_y", "y_to_x"):
-                p_in = _oriented(_posed(j, direction))[0]
+                p_in = _posed(j, direction)[1]
                 for s in np.geomspace(1.0001 * sdpi._MERGE_RADIUS, 1e-1, 7):
                     u = rng.standard_normal(p_in.size)
                     q = Distribution(self.at_log_distance(p_in, u - u @ p_in, s))
@@ -249,6 +248,27 @@ class TestSstar:
                 assert res.method == "independent" and res.evaluations == 0
                 assert res.argmax_q is None and res.first_order_gap is None
 
+    def test_every_vertex_ratio_is_finite_past_the_independence_screen(self, monkeypatch):
+        # sstar's candidate pool holds the k vertices, so it always has a
+        # finite row to report: past the screen k >= 2, and vertex e_i has
+        # offset -p_in(x) < p_in(x) expm1(-r) at each x != i, outside the
+        # ball.  Checked on the answer corpora and on joints with masses
+        # near the least normal double.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpora = (ANSWERS.bench_cases(), ANSWERS.fuzz_cases(), ANSWERS.gauss_cases())
+        cases = [(j, d) for corpus in corpora for _, j, d in corpus]
+        for probs in ([[1e-200, 0.0], [0.0, 1.0]], [[1e-300, 1e-300], [1e-300, 1.0]]):
+            cases += [(JointDistribution(probs), d) for d in ("x_to_y", "y_to_x")]
+        assert len(cases) == 2404
+        screened = 0
+        for j, direction in cases:
+            P, p_in, p_out, T = _posed(j, direction)
+            if sdpi._independent(P, p_out, T):
+                screened += 1
+                continue
+            assert np.isfinite(_evaluate(np.eye(p_in.size), p_in, p_out, T)[0]).all()
+        assert screened < len(cases) // 10
+
     def test_diagonal_is_one(self, diagonal_binary):
         res = sstar(diagonal_binary)
         assert res.value == 1.0
@@ -306,7 +326,7 @@ class TestSstar:
             short = sstar(j, direction)
             assert res.evaluations == short.evaluations
             assert res.value == short.value
-            if _oriented(_posed(j, direction))[0].size == 2:
+            if _posed(j, direction)[1].size == 2:
                 assert res.evaluations < 30_000
 
     def test_quaternary(self, quaternary):
@@ -377,7 +397,7 @@ class TestSstar:
         # steps left gaps of 4.7e-2 and 3.7e-2 here.
         j = quantized_gaussian_joint(rho, 9)
         res = sstar(j)
-        p_in, p_out, T = _oriented(j)
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
         assert res.first_order_gap == _gap_at(res.argmax_q.probs, p_in, p_out, T)
         assert res.first_order_gap <= 1e-7
 
@@ -403,7 +423,7 @@ class TestSstar:
         h = 1e-6
         for k, ny in ((3, 4), (6, 5)):
             j = random_joint(rng, k, ny)
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             for q in rng.dirichlet(np.full(k, 3.0), size=5):
                 E = np.eye(k)
                 steps = np.array([E[a] - E[b] for a in range(k) for b in range(k) if a != b])
@@ -421,7 +441,7 @@ class TestSstar:
         # At a vertex of a full-support channel the denominator's slope into
         # any other symbol is -inf: the ratio rises with infinite slope.
         j = random_joint(np.random.default_rng(5), 4, 3)
-        p_in, p_out, T = _oriented(j)
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
         E = np.eye(4)
         assert _gap_at(E[1], p_in, p_out, T) == np.inf
         for h in (1e-3, 1e-6, 1e-9):
@@ -430,7 +450,7 @@ class TestSstar:
         # A symbol whose row lies on outputs that q leaves at 0 lowers the
         # ratio with infinite slope, so the gap is the spread on the support.
         block = JointDistribution([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
-        p_in, p_out, T = _oriented(block)
+        p_in, p_out, T = _posed(block, "x_to_y")[1:]
         E, h = np.eye(3), 1e-6
         q = np.array([0.9, 0.1, 0.0])
         _, _, num, den = _evaluate(np.array([q + h * (E[0] - E[1]), q - h * (E[0] - E[1])]),
@@ -598,13 +618,36 @@ class TestOneCodePath:
 
     def test_oriented_marginals_swap_bit_for_bit(self):
         # y_to_x's input marginal is x_to_y's output marginal, and the
-        # other way round, at sizes where row and column sums differ.
+        # other way round, at sizes where row and column sums differ.  The
+        # posed arrays are those of the swapped joint, built without it: P
+        # and T are C-contiguous, and T is P(Y|X) as conditional forms it,
+        # Channel's row renormalization changing no bit.
         rng = np.random.default_rng(36)
         for _ in range(40):
             j = random_joint(rng, int(rng.integers(8, 34)), int(rng.integers(8, 34)))
-            p_in, p_out, _ = _oriented(j)
-            s_in, s_out, _ = _oriented(j.swapped())
+            P, p_in, p_out, T = _posed(j, "x_to_y")
+            S, s_in, s_out, R = _posed(j, "y_to_x")
             assert s_in.tobytes() == p_out.tobytes() and s_out.tobytes() == p_in.tobytes()
+            assert S.tobytes() == j.swapped().probs.tobytes()
+            assert T.tobytes() == conditional(j).rows.tobytes()
+            assert R.tobytes() == conditional(j.swapped()).rows.tobytes()
+            for a in (P, T, S, R):
+                assert a.flags.c_contiguous
+
+    def test_each_call_sums_the_marginals_once(self, dsbs, monkeypatch):
+        calls, sums = [], sdpi._marginal_sums
+
+        def spy(P):
+            calls.append(P.shape)
+            return sums(P)
+
+        monkeypatch.setattr(sdpi, "_marginal_sums", spy)
+        j = JointDistribution(np.array([[3, 1, 5], [3, 0, 1]]) / 13)
+        for direction in ("x_to_y", "y_to_x"):
+            sstar(j, direction)
+            divergence_ratio(Distribution([0.9, 0.1]), dsbs, direction)
+        maximal_correlation(j)
+        assert calls == [(2, 3), (2, 2), (3, 2), (2, 2), (2, 3)]
 
     def test_divergence_ratio_is_x_to_y_on_the_swapped_joint(self):
         # One draw lies in the ball around the marginal (total variation
@@ -654,7 +697,7 @@ class TestGridAndMultistartAgree:
         joints = [random_joint(rng, 2, 2) for _ in range(100)]
         joints += [random_joint(rng, k, int(rng.integers(2, 5))) for k in (3, 4) for _ in range(3)]
         for j in joints:
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             k = p_in.shape[0]
             grid = _composition_grid(k, 200 if k == 2 else 100)
             vals = _evaluate(grid, p_in, p_out, T)[0]
@@ -720,7 +763,8 @@ class TestTopRows:
             grid = _composition_grid(k, 20)
             for draw in range(12):
                 if draw % 2:
-                    p_in, p_out, T = _oriented(random_joint(rng, k, int(rng.integers(2, 5))))
+                    j = random_joint(rng, k, int(rng.integers(2, 5)))
+                    p_in, p_out, T = _posed(j, "x_to_y")[1:]
                     values = _evaluate(grid, p_in, p_out, T)[0]
                 else:
                     score = grid @ rng.normal(size=k)
@@ -804,7 +848,7 @@ class TestTiltStarts:
 
     @staticmethod
     def vectors(j, direction):
-        return sdpi._correlation_svd(sdpi._posed(j, direction))[0].T[1:3]
+        return sdpi._correlation_svd(*_posed(j, direction)[:3])[0].T[1:3]
 
     @staticmethod
     def scanned(monkeypatch):
@@ -836,7 +880,7 @@ class TestTiltStarts:
         # 241 coarse tilts and at most 21 fine ones per start, per vector;
         # the full scan took 2 x 2,401.
         for j, direction in self.corpus():
-            p_in, p_out, T = _oriented(_posed(j, direction))
+            p_in, p_out, T = _posed(j, direction)[1:]
             evals = _tilt_starts(p_in, p_out, T, self.vectors(j, direction), 8)[1]
             assert evals <= 2 * (241 + 4 * 21)
 
@@ -856,7 +900,7 @@ class TestTiltStarts:
         # vertex at theta = -60, a kept coarse peak and a start.  Its window
         # keeps the fine points on its inner side and wraps to none at +60.
         j = random_joint(np.random.default_rng(5), 5, 3)
-        p_in, p_out, T = _oriented(j)
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
         vectors = self.vectors(j, "x_to_y")
         thetas = self.scanned(monkeypatch)
         starts, evals = _tilt_starts(p_in, p_out, T, vectors, 8)
@@ -900,7 +944,7 @@ class TestBatchedLineSearch:
         # merges it: the search runs without the merge here.  The merge
         # itself is checked in TestTrimmedKernels and TestMerge.
         for j in joints:
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             starts = _sstar_starts(j, cls.STARTS)
             rho2 = maximal_correlation(j) ** 2
             got_f, got_Q, got_evals = _multistart_search(p_in, p_out, T, starts, rounds, rho2,
@@ -961,7 +1005,7 @@ class TestBatchedLineSearch:
         rest = [2.0 ** -h for h in range(_FIRST_TRIES, sdpi._STEPS)]
         rounds = 0
         for j in [random_joint(rng, k, 3) for k in (2, 3, 4)]:
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             for start in _sstar_starts(j, 8):
                 sweeps.clear()
                 _multistart_search(p_in, p_out, T, start[None, :], 50, 0.0, merge=False)
@@ -980,7 +1024,7 @@ class TestBatchedLineSearch:
         # before), and its halving improves.  Below rho_m^2 the start
         # retires in that sweep, with its value and point; with rho2 at or
         # under its value it takes the halving and goes on.
-        p_in, p_out, T = _oriented(dsbs)
+        p_in, p_out, T = _posed(dsbs, "x_to_y")[1:]
         start = np.array([[0.53, 0.47]])
         scores, evaluate = [], sdpi._evaluate
 
@@ -1047,7 +1091,7 @@ class TestMerge:
         # it within the radius of start 0, below start 0's value; without
         # it, it goes on to start 0's value.
         j = random_joint(np.random.default_rng(40), 3, 3)
-        p_in, p_out, T = _oriented(j)
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
         best = sstar(j).argmax_q.probs
         starts = np.vstack([best, _mirror_rows(best[None, :], np.array([[0.05, -0.05, 0.0]]))])
         args = (p_in, p_out, T, starts, 2000, maximal_correlation(j) ** 2)
@@ -1071,7 +1115,7 @@ class TestMerge:
 
         monkeypatch.setattr(sdpi, "_directions", counted)
         j = random_joint(np.random.default_rng(40), 3, 3)
-        p_in, p_out, T = _oriented(j)
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
         start = _sstar_starts(j, 1)
         f, Q, _ = _multistart_search(p_in, p_out, T, np.vstack([start, start]), 2000,
                                      maximal_correlation(j) ** 2, merge=True)
@@ -1106,7 +1150,7 @@ class TestDirections:
         for k in (3, 4):
             for ny in (2, 3, 4):
                 j = random_joint(rng, k, ny)
-                p_in, p_out, T = _oriented(j)
+                p_in, p_out, T = _posed(j, "x_to_y")[1:]
                 Q = rng.dirichlet(np.full(k, 3.0), size=40)
                 Q = Q[0.5 * np.abs(Q - p_in).sum(axis=1) > 0.05]
                 B = _sum_zero_basis(k)
@@ -1246,7 +1290,7 @@ class TestDirections:
         for k in (5, 7):
             for ny in (2, 4):
                 j = random_joint(rng, k, ny)
-                p_in, p_out, T = _oriented(j)
+                p_in, p_out, T = _posed(j, "x_to_y")[1:]
                 # Flatter draws than interior_rows': fewer are concave here.
                 # Entries below 0.02 would spoil the differences.
                 Q = rng.dirichlet(np.ones(k), size=400)
@@ -1299,7 +1343,7 @@ class TestDirections:
         cases = []
         for rho in (0.3, 0.6, 0.85):
             j = quantized_gaussian_joint(rho, levels)
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             starts = _sstar_starts(j, 8)
             Q = np.vstack([starts, _multistart_search(p_in, p_out, T, starts, 1,
                                                       maximal_correlation(j) ** 2, merge=False)[1]])
@@ -1333,7 +1377,7 @@ class TestDirections:
         # while the solve finds it singular.  Such a row takes the gradient.
         # Alone and among interior rows, no row raises and every direction
         # is finite.
-        p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
+        p_in, p_out, T = _posed(JointDistribution(probs), direction)[1:]
         interior = np.random.default_rng(15).dirichlet(np.full(len(q), 3.0), size=5)
         for Q in (np.array([q]), np.vstack([interior[:2], q, interior[2:]])):
             assert np.isfinite(self.directions(Q, p_in, p_out, T)[1]).all()
@@ -1345,7 +1389,7 @@ class TestDirections:
         solved = sdpi._solved
         monkeypatch.setattr(sdpi, "_solved", lambda H, b: stacks.append((H, b)) or solved(H, b))
         for probs, direction, q in self.FACE_ROWS:
-            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
+            p_in, p_out, T = _posed(JointDistribution(probs), direction)[1:]
             self.directions(np.array([q]), p_in, p_out, T)
         monkeypatch.undo()
         return stacks
@@ -1428,7 +1472,7 @@ class TestDirections:
         cases = [(p_in, p_out, T, Q) for p_in, p_out, T, Q, _ in self.interior_rows(17)]
         rng = np.random.default_rng(19)
         for probs, direction, q in self.FACE_ROWS:
-            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
+            p_in, p_out, T = _posed(JointDistribution(probs), direction)[1:]
             cases.append((p_in, p_out, T, np.array([q])))
             cases.append((p_in, p_out, T, np.vstack([rng.dirichlet(np.full(len(q), 3.0), size=2), q])))
         failing = lambda H, b: np.full(b.shape, np.nan)
@@ -1500,12 +1544,12 @@ def _sstar_starts(j, count):
     """The ascent starts of sstar(j, "x_to_y") under the default grid size:
     grid points on up to 4 symbols, tilt points above.
     """
-    p_in, p_out, T = _oriented(j)
+    p_in, p_out, T = _posed(j, "x_to_y")[1:]
     k = p_in.shape[0]
     if k <= 4:
         grid = _composition_grid(k, 20)
         return _top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, count, 0.1)
-    U = sdpi._correlation_svd(j)[0]
+    U = sdpi._correlation_svd(*_posed(j, "x_to_y")[:3])[0]
     return np.vstack(_tilt_starts(p_in, p_out, T, U.T[1:3], count)[0])
 
 
@@ -1577,7 +1621,7 @@ class TestTrimmedKernels:
             shared = random_joint(rng, k, ny).probs.copy()
             shared[1] = shared[0] * (shared[1].sum() / shared[0].sum())
             for j in (random_joint(rng, k, ny), JointDistribution(shared / shared.sum())):
-                p_in, p_out, T = _oriented(j)
+                p_in, p_out, T = _posed(j, "x_to_y")[1:]
                 dense = rng.dirichlet(np.full(k, 2.0), size=6)
                 face = rng.dirichlet(np.ones(k), size=6)
                 face[:, 0] = 0.0
@@ -1596,7 +1640,7 @@ class TestTrimmedKernels:
             for size in cls.SIZES:
                 yield p_in, p_out, T, pool[rng.integers(0, pool.shape[0], size=size)]
         for probs, direction, q in TestDirections.FACE_ROWS:
-            p_in, p_out, T = _oriented(_posed(JointDistribution(probs), direction))
+            p_in, p_out, T = _posed(JointDistribution(probs), direction)[1:]
             interior = rng.dirichlet(np.full(len(q), 3.0), size=63)
             for Q in (np.array([q]), np.vstack([interior[:1], q]), np.vstack([interior[:7], q]),
                       np.vstack([interior[:31], q, interior[31:]])):
@@ -1633,7 +1677,7 @@ class TestTrimmedKernels:
         joints = TestBatchedLineSearch.cases() + [quantized_gaussian_joint(rho, levels)
                                                  for rho, levels in ((0.3, 9), (0.5, 17), (0.8, 33))]
         for j in joints:
-            p_in, p_out, T = _oriented(j)
+            p_in, p_out, T = _posed(j, "x_to_y")[1:]
             starts = _sstar_starts(j, 8)
             rho2 = maximal_correlation(j) ** 2
             # Grid starts merge, as sstar has them; tilt starts do not.

@@ -85,3 +85,21 @@ def test_diff_shows_witness_gaps_that_cross_1e_6_either_way(tool, tmp_path, caps
 
     assert tool.main(["diff", str(a), str(b)]) == 0
     assert "1 witness gaps across 1e-06" in capsys.readouterr().out
+
+
+def test_a_record_that_differs_only_in_evaluations_is_not_identical(tool, tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    tool.dump(a, ["three"])
+    records = [json.loads(line) for line in a.read_text().splitlines()]
+    was = records[2]["evaluations"]
+    records[2]["evaluations"] += 1
+    b.write_text("".join(json.dumps(r) + "\n" for r in records))
+    [d] = tool.compare(tool.read(a), tool.read(b)).values()
+    assert d.matched == d.same_values == 3 and d.identical == 2
+    assert d.changes() == d.recounted == [
+        f"evaluations at an unchanged value: gauss5 x_to_y {was:,} -> {was + 1:,}"]
+
+    assert tool.main(["diff", str(a), str(b)]) == 0
+    printed = capsys.readouterr().out
+    assert "3 results, 2 identical in every result field, 3 values bit-identical" in printed
+    assert "1 evaluation counts changed at an unchanged value" in printed

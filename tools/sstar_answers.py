@@ -22,9 +22,11 @@ call's seconds.  The corpora (all three by default):
   and at 5 to 65 levels and 18 rho in [-0.9, 0.95], ``x_to_y`` only: each
   joint equals its transpose bit for bit, so both directions agree.
 
-``diff`` reports per corpus: values that rise or fall by more than 1e-12
-relative, how many ``rho_m_squared`` values changed bits and their largest
-relative move, witnesses (``argmax_q``) gained or lost with their lead over
+``diff`` reports per corpus: how many results are identical in every
+``SdpiResult`` field and how many in value, values that rise or fall by
+more than 1e-12 relative, how many ``rho_m_squared`` values changed bits and
+their largest relative move, cases whose ``evaluations`` changed at an
+unchanged value, witnesses (``argmax_q``) gained or lost with their lead over
 rho_m^2, witnesses whose ``first_order_gap`` crosses 1e-6 either way with
 their value move, ``method`` changes, cases in one dump only, and the
 evaluations and seconds of each dump.  It adds no gate and always exits 0.
@@ -49,6 +51,8 @@ GAP_TOL = 1e-6
 BENCH_SEEDS = (1, 9001)
 BENCH_SECONDS = 40
 FUZZ_SEED, FUZZ_DRAWS = 20261019, 600
+# Every SdpiResult field; a record's seconds is not one.
+RESULT_FIELDS = ("value", "argmax_q", "rho_m_squared", "method", "evaluations", "first_order_gap")
 
 
 def _load(tree: Path) -> None:
@@ -169,6 +173,7 @@ class CorpusDiff:
 
     matched: int = 0
     identical: int = 0
+    same_values: int = 0
     largest_move: float = 0.0
     rho_moved: int = 0
     rho_largest_move: float = 0.0
@@ -178,13 +183,14 @@ class CorpusDiff:
     lost: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     methods: list = field(default_factory=list)
+    recounted: list = field(default_factory=list)
     only_in_one: list = field(default_factory=list)
     evaluations: list = field(default_factory=lambda: [0, 0])
     seconds: list = field(default_factory=lambda: [0.0, 0.0])
 
     def changes(self) -> list:
         return (self.rises + self.falls + self.gained + self.lost + self.gaps + self.methods
-                + self.only_in_one)
+                + self.recounted + self.only_in_one)
 
 
 def _relative_move(a: float, b: float) -> float:
@@ -208,7 +214,8 @@ def compare(a: dict, b: dict) -> dict:
         d.seconds[0] += ra["seconds"]
         d.seconds[1] += rb["seconds"]
         va, vb = ra["value"], rb["value"]
-        d.identical += va == vb
+        d.identical += all(ra[f] == rb[f] for f in RESULT_FIELDS)
+        d.same_values += va == vb
         move = _relative_move(va, vb)
         d.largest_move = max(d.largest_move, abs(move))
         ma, mb = ra["rho_m_squared"], rb["rho_m_squared"]
@@ -229,6 +236,9 @@ def compare(a: dict, b: dict) -> dict:
                           f"value move {move:.3g}")
         if ra["method"] != rb["method"]:
             d.methods.append(f"method: {name} {ra['method']} -> {rb['method']}")
+        if va == vb and ra["evaluations"] != rb["evaluations"]:
+            d.recounted.append(f"evaluations at an unchanged value: {name} "
+                               f"{ra['evaluations']:,} -> {rb['evaluations']:,}")
     return out
 
 
@@ -237,12 +247,14 @@ def report(diffs: dict) -> str:
     for corpus, d in diffs.items():
         (ea, eb), (sa, sb) = d.evaluations, d.seconds
         lines.append(
-            f"{corpus}: {d.matched} results, {d.identical} values bit-identical, largest move "
+            f"{corpus}: {d.matched} results, {d.identical} identical in every result field, "
+            f"{d.same_values} values bit-identical, largest move "
             f"{d.largest_move:.3g} relative; {d.rho_moved} rho_m^2 values changed bits, "
             f"largest move {d.rho_largest_move:.3g} relative; {len(d.rises)} rises and "
             f"{len(d.falls)} falls beyond {REL_TOL:g}, {len(d.gained)} witnesses gained and "
             f"{len(d.lost)} lost, {len(d.gaps)} witness gaps across {GAP_TOL:g}, "
-            f"{len(d.methods)} method changes; evaluations {ea:,} -> {eb:,}, "
+            f"{len(d.methods)} method changes, {len(d.recounted)} evaluation counts changed "
+            f"at an unchanged value; evaluations {ea:,} -> {eb:,}, "
             f"seconds {sa:.3f} -> {sb:.3f}")
         lines += [f"  {line}" for line in d.changes()]
     return "\n".join(lines)
