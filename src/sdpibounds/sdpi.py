@@ -10,11 +10,17 @@ correlation of the pair.  The supremum has no closed form in general, so
 this module estimates it from below and takes the best of:
 
  - the squared maximal correlation (a certified lower bound via SVD);
- - the k vertices, and a simplex grid at pitch 1/20 on small alphabets;
- - vectorized multi-start ascent on the log ratio, from the grid's best
-   points or, without a grid, the best local maxima along two SVD tilts
-   (_tilt_starts): a coarse scan of each, refined ten times finer near its
-   best peaks only, 575 to 650 evaluations where one fine scan took 4,802
+ - a simplex grid at pitch 1/20 on small alphabets, which holds the k
+   vertices, or the vertices alone without it;
+ - on two input symbols, one Newton search on the segment of input laws
+   from the grid's local maxima (_segment_search): safeguarded Newton
+   steps on the log ratio's slope in the log-odds, in about a third of the
+   time the ascent below took on the benchmark's binary-input joints (2
+   vCPUs of an Intel Xeon);
+ - otherwise, vectorized multi-start ascent on the log ratio, from the
+   grid's best points (3 or 4 input symbols) or, without a grid, the best
+   local maxima along two SVD tilts (_tilt_starts): a coarse scan of each,
+   refined ten times finer near its best peaks only, 575 to 650 evaluations where one fine scan took 4,802
    on the benchmark Gaussians.  No start is random.  Every start takes
    Newton steps where the log ratio is locally concave, saddle-free Newton
    steps where it is not, and gradient steps only where neither can be
@@ -49,9 +55,10 @@ ratio is above 1e-3, and within 3.0e-10 at a ratio of 9.1e-7.
 Every round of every ascent start tries the same steps, 1 and its
 halvings, whatever its direction; _multistart_search has the schedule.  The
 evaluation count includes the tries that halving one try at a time would
-skip (1,951 on the bundled quaternary joint, 71 on dsbs_p10, where every
-start below rho_m^2 steps into the ball around the marginal, and none on
-independent_binary).
+skip (1,947 on the bundled quaternary joint).  On two input symbols it
+counts the grid and each point the segment search scores (25 on dsbs_p10,
+where every bracket from below rho_m^2 heads into the ball around the
+marginal, and none on independent_binary).
 
 A row's ratio, output law and direction can move in the last bits with the
 number of rows in its _evaluate or _directions call: on 17 and 33 input
@@ -104,8 +111,10 @@ class SdpiConfig:
     """Which stages of the contraction-constant search run.
 
     The grid runs on input alphabets up to grid_max_alphabet (0: never),
-    and the ascent starts at multistart_count grid or tilt points.  Setting
-    multistart_count to 0 turns the ascent off (useful for isolating one
+    and the ascent starts at multistart_count grid or tilt points; on two
+    input symbols with the grid on, the ascent is the segment search
+    (_segment_search), whatever the count.  Setting multistart_count to 0
+    turns the ascent off (useful for isolating one
     method; the reported value is then a weaker lower bound).  Outside the
     tests, the benchmark's stage-isolating re-runs are the only callers that
     set either field; both go once the benchmark times the stages itself.
@@ -131,21 +140,23 @@ class SdpiResult:
     first-order (KKT) gap of the log ratio (_first_order_gap) at the best
     search point, argmax_q or not; None when there is none, on an
     independent joint.  Where grid starts merged (_multistart_search), the
-    best point is the start that stayed, so the gap is that start's.  It
-    is 0 at a local maximum, and inf at a point that leaves a
+    best point is the start that stayed, so the gap is that start's; on two
+    input symbols it is the best point a segment search bracket ended at
+    (_segment_search).  It is 0 at a local maximum, and inf at a point that leaves a
     symbol unused when the ratio rises into that symbol with infinite
     slope, as at every vertex of a channel with rows of full support.  So
     it shows how far the search was from converging there, not how far
     value is from the supremum.
     Where rho_m^2 wins, the best point is often a start that retired when
-    its try entered the ball around the marginal (_evaluate), and its gap
-    stays above the witnesses' (2.7e-5 on the 33-level Gaussian at
-    rho = 0.5, 3.4e-4 on dsbs_p10).  rho_m_squared is computed on the posed
+    its try entered the ball around the marginal (_evaluate), or a segment
+    search point at the ball's edge, and its gap stays above the witnesses'
+    (2.7e-5 on the 33-level Gaussian at rho = 0.5, 2.4e-2 on dsbs_p10).  rho_m_squared is computed on the posed
     pair, the transpose for y_to_x (_posed): its marginals are the joint's
     swapped bit for bit, but the SVD of a transpose can round differently,
     so the two directions of one joint can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
-    plus the ascent from its best points (2 to 4 input symbols),
+    plus the segment search from its local maxima on 2 input symbols or the
+    ascent from its best points on 3 and 4,
     "multistart" the ascent from SVD tilt starts alone (5 or more), and
     "independent" no search: the joint is independent (_independent, one
     input or output symbol included), value and rho_m_squared are 0.0,
@@ -594,6 +605,9 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
                        merge: bool):
     """Ascent on the log ratio from each row of starts.
 
+    sstar runs it from grid starts on 3 and 4 input symbols and from tilt
+    starts without a grid; on two input symbols with the grid it runs
+    _segment_search instead.
     A try is the mirror step q exp(t v)/Z along the direction v from
     _directions, in the KL geometry (Beck & Teboulle 2003), where the
     divergence's Hessian diag(1/q) would make Euclidean steps crawl.
@@ -621,9 +635,9 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     (Rinnooy Kan & Timmer, Math. Programming 39, 1987).  The 8 grid starts
     of 2 to 4 symbols nearly always end at one point, and the slowest of
     those duplicates set the sweep count: on the benchmark's bounds-small
-    joints (seeds 1 and 9001) merging cuts direction calls from 614 to 448
-    and sweeps from 692 to 490, and moves no s* by more than 7.1e-14
-    relative.  sstar merges only grid starts.  A tilt start can stall on a
+    joints (seeds 1 and 9001), while binary inputs still took this ascent,
+    merging cut direction calls from 614 to 448 and sweeps from 692 to 490,
+    and moved no s* by more than 7.1e-14 relative.  sstar merges only grid starts.  A tilt start can stall on a
     simplex face near a better start's path, where merging lost answers
     (fuzz draw 23 y_to_x fell 0.1480354896847176 -> 0.1480344266612553), and
     a radius in total variation lost up to 7.2e-6 on the fuzz.
@@ -704,6 +718,170 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     return np.array(f), Q, evals
 
 
+# On two input symbols, q = (x, 1 - x) is searched in its log-odds
+# z = ln(x / (1 - x)).  A vertex's bracket reaches _Z_REACH beyond the log of
+# the marginal's entry there, where the ratio has long settled at its vertex
+# value, and never past _Z_LIMIT, where x stays a normal double.  A bracket
+# stops once a step is below _Z_TOL times max(1, |z|), or after _Z_STEPS.
+_Z_REACH, _Z_LIMIT, _Z_TOL, _Z_STEPS = 40.0, 700.0, 1e-10, 100
+_EPS = 2.0 ** -52
+# The log-odds of the pitch-1/20 grid's rows 1 to 19.
+_Z_GRID = [math.log(i / (_GRID_PITCH - i)) for i in range(1, _GRID_PITCH)]
+
+
+def _log_ratio(a, d, p):
+    """ln(a / p) for a = p + d > 0: log1p(d / p) near p, where it keeps d's
+    digits, and ln(a / p) far from it, where d / p can round to -1."""
+    return math.log1p(d / p) if abs(d) < 0.5 * p else math.log(a / p)
+
+
+def _segment_search(p_in, p_out, T, vals, rho2):
+    """(candidate rows, evaluations): the ascent on two input symbols.
+
+    The laws are the segment q = (x, 1 - x), searched in the log-odds z,
+    the mirror geometry of _multistart_search.  vals are the ratios on the
+    pitch-1/20 grid, whose row i is (i/20, 1 - i/20).  Each of its local
+    maxima (_peaks) brackets one of the ratio's between its grid neighbours,
+    started at the peak, or between its neighbour and _Z_REACH beyond a
+    vertex, started at the bracket's middle.  A vertex peak whose ratio falls into the segment with
+    infinite slope is a local maximum itself, held by the grid, and gets no
+    bracket.  Two more brackets run from just outside the ball around the
+    marginal out to the next grid point on each side: the ratio tends to
+    rho2 at the marginal and rises into one side, where a maximum between
+    two grid points need not make a grid peak.
+
+    Each bracket is refined by the Newton-bisection hybrid of Press et al.,
+    Numerical Recipes, 9.4 (rtsafe), on g = d/dz ln(N/D): a Newton step
+    where g' < 0 and the step stays inside the bracket, a bisection
+    otherwise, and the bracket's end on the side that g's sign points away
+    from moved to each point scored.  N, D, their first two derivatives and
+    g are Python floats summed over the m outputs, each term in _kl_rows'
+    form; numpy calls per step were slower.  A bracket ends when a step
+    falls below _Z_TOL (its last point is the candidate), when a bisection
+    could move ln(N/D) by no more than rounding, or when a Newton step from
+    below rho2 enters the ball, exactly where _evaluate masks: the ratio
+    tends to at most rho2 there, which covers the ball, as in
+    _multistart_search.  Otherwise the candidate is the best point scored.
+    Each point scored counts as an evaluation.
+    """
+    a0, a1 = p_in.tolist()
+    r = _MERGE_RADIUS
+    ball = (a0 * math.expm1(-r), a0 * math.expm1(r), a1 * math.expm1(-r), a1 * math.expm1(r))
+    cols = list(zip(p_out.tolist(), *T.tolist()))
+
+    def near(z):
+        """Is q at z inside the ball around the marginal?"""
+        d0, d1 = 1.0 / (1.0 + math.exp(-z)) - a0, 1.0 / (1.0 + math.exp(z)) - a1
+        return ball[0] <= d0 <= ball[1] and ball[2] <= d1 <= ball[3]
+
+    def score(z):
+        """(ratio, g, g') at z, outside the ball."""
+        x0, x1 = 1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))
+        # The offset from the marginal is (d, -d) on the segment, taken
+        # from the smaller entry of q: offsets that fail to cancel by a
+        # rounding would swamp the output offset d (t0 - t1) of rows that
+        # differ by less than that.
+        d = x0 - a0 if z < 0.0 else a1 - x1
+        l0, l1 = _log_ratio(x0, d, a0), _log_ratio(x1, -d, a1)
+        D, D1, D2 = x0 * l0 - d + (x1 * l1 + d), l0 - l1, 1.0 / x0 + 1.0 / x1
+        N = N1 = N2 = 0.0
+        for p, t0, t1 in cols:
+            w = t0 - t1
+            qy = max(x0 * t0 + x1 * t1, _LOG_FLOOR)
+            dy = d * w
+            ly = _log_ratio(qy, dy, p)
+            N += qy * ly - dy
+            N1 += w * ly
+            N2 += w * w / qy
+        if N <= 0.0:
+            # Rows that differ only below rounding: a flat ratio of 0.
+            return 0.0, 0.0, 0.0
+        # d/dx ln(N/D) and its derivative; dx/dz = x0 x1.
+        gN, gD = N1 / N, D1 / D
+        gx = gN - gD
+        hx = N2 / N - gN * gN - D2 / D + gD * gD
+        s = x0 * x1
+        return N / D, s * gx, s * (s * hx + (x1 - x0) * gx)
+
+    ends = (max(-_Z_LIMIT, math.log(a0) - _Z_REACH), min(_Z_LIMIT, _Z_REACH - math.log(a1)))
+    z_grid = [ends[0], *_Z_GRID, ends[1]]
+    # Mass moved off the vertex (0, 1) onto symbol 0 raises the ratio with
+    # infinite slope where the mass c0 that row 0 puts on the outputs row 1
+    # misses is below the vertex's ratio, and lowers it where c0 is above
+    # (_first_order_gap).  Likewise c1 at the vertex (1, 0).
+    c0 = sum(t0 for _, t0, t1 in cols if t1 == 0.0)
+    c1 = sum(t1 for _, t0, t1 in cols if t0 == 0.0)
+    # (lo, hi, start) per bracket.
+    brackets = []
+    for i in np.isfinite(_peaks(vals)).nonzero()[0].tolist():
+        if i == 0 and c0 > vals[0] or i == _GRID_PITCH and c1 > vals[i]:
+            continue
+        lo, hi = z_grid[max(i - 1, 0)], z_grid[min(i + 1, _GRID_PITCH)]
+        brackets.append((lo, hi, z_grid[i] if 0 < i < _GRID_PITCH else 0.5 * (lo + hi)))
+    evals = 0
+
+    def climb(lo, hi, z, at=None):
+        """The point that the bracket [lo, hi] ends at from z, or None; at
+        is z's score where that is known."""
+        nonlocal evals
+        best, top = None, -math.inf
+        for _ in range(_Z_STEPS):
+            if at is None:
+                if near(z):
+                    break
+                at = score(z)
+                evals += 1
+            (f, g, h), at = at, None
+            if f > top:
+                best, top = z, f
+            if g > 0.0:
+                lo = z
+            elif g < 0.0:
+                hi = z
+            else:
+                break
+            step = -g / h if h < 0.0 else math.nan
+            if f < rho2 and abs(z + step) <= _Z_LIMIT and near(z + step):
+                # Headed for the marginal, where the ratio tends to at most
+                # rho2.
+                break
+            if not lo < z + step < hi:
+                # Bisect, unless ln(N/D) moves by less than rounding across
+                # the bracket at slope g.
+                if abs(g) * (hi - lo) <= _EPS:
+                    break
+                step = 0.5 * (lo + hi) - z
+            if abs(step) <= _Z_TOL * max(1.0, abs(z)):
+                # Converged: the last point holds the maximum, where the
+                # points before it can be higher only by rounding.
+                return z
+            z += step
+        return best
+
+    found = [climb(*b) for b in brackets]
+    # The ball's sides.  dz moves the larger ln q(x) at least dz / 2 = 2 r
+    # from the marginal's, outside the ball.  A side is climbed only where
+    # the ratio rises away from the ball at its edge and falls again by the
+    # grid point: where it still rises there, a grid peak beyond holds the
+    # maximum.
+    za, dz = math.log(a0 / a1), 4.0 * r
+    for sign in (-1.0, 1.0):
+        edge = za + sign * dz
+        if not ends[0] < edge < ends[1] or near(edge):
+            continue
+        at = score(edge)
+        evals += 1
+        if sign * at[1] <= 0.0:
+            continue
+        far = min((z for z in z_grid if sign * (z - edge) > 0.0), key=lambda z: abs(z - edge))
+        evals += 1
+        if sign * score(far)[1] > 0.0:
+            continue
+        found.append(climb(min(edge, far), max(edge, far), edge, at))
+    rows = [(1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))) for z in found if z is not None]
+    return np.array(rows).reshape(-1, 2), evals
+
+
 def sstar(
     j: JointDistribution,
     direction: str = "x_to_y",
@@ -713,8 +891,9 @@ def sstar(
 
     Takes the max over the squared maximal correlation, the vertices, the
     simplex grid (input alphabets of up to cfg.grid_max_alphabet symbols),
-    and multi-start ascent, and the first-order gap at the best of those
-    points.  At the default cfg, a function of the joint and the direction
+    and the ascent: the segment search on two input symbols with the grid,
+    multi-start ascent otherwise; and the first-order gap at the best of
+    those points.  At the default cfg, a function of the joint and the direction
     alone.  An independent joint (_independent), one input or output
     symbol included, takes no search: value and rho_m^2 are 0.0, with
     method "independent", no evaluation, no witness and no gap.
@@ -729,13 +908,9 @@ def sstar(
     U, rho = _correlation_svd(P, p_in, p_out)
     rho2 = rho ** 2
 
-    corners = np.eye(k)
-    cand_vals = [_evaluate(corners, p_in, p_out, T)[0]]
-    cand_rows = [corners]
-    evals = k
-
-    ran = []
+    cand_vals, cand_rows, evals, ran = [], [], 0, []
     if k <= cfg.grid_max_alphabet:
+        # The grid holds the vertices, bit for bit.
         grid = _composition_grid(k, _GRID_PITCH)
         vals = _evaluate(grid, p_in, p_out, T)[0]
         evals += grid.shape[0]
@@ -745,14 +920,24 @@ def sstar(
         top = vals == vals.max()
         cand_vals.append(vals[top])
         cand_rows.append(grid[top])
-        starts = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)]
+    else:
+        corners = np.eye(k)
+        cand_vals.append(_evaluate(corners, p_in, p_out, T)[0])
+        cand_rows.append(corners)
+        evals += k
     if cfg.multistart_count > 0:
-        if not ran:
-            starts, n = _tilt_starts(p_in, p_out, T, U.T[1:3], cfg.multistart_count)
-            evals += n
-        # Grid starts merge; tilt starts do not (_multistart_search).
-        f, Q, n = _multistart_search(p_in, p_out, T, np.vstack(starts), _MAX_ROUNDS, rho2,
-                                     merge=bool(ran))
+        if ran and k == 2:
+            Q, n = _segment_search(p_in, p_out, T, vals, rho2)
+            f = _evaluate(Q, p_in, p_out, T)[0]
+        else:
+            if ran:
+                starts, n = [_top_rows(vals, grid, cfg.multistart_count, _GRID_SPREAD)], 0
+            else:
+                starts, n = _tilt_starts(p_in, p_out, T, U.T[1:3], cfg.multistart_count)
+            # Grid starts merge; tilt starts do not (_multistart_search).
+            f, Q, m = _multistart_search(p_in, p_out, T, np.vstack(starts), _MAX_ROUNDS, rho2,
+                                         merge=bool(ran))
+            n += m
         evals += n
         ran.append("multistart")
         cand_vals.append(f)

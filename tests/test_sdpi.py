@@ -59,10 +59,11 @@ DATA = Path(sdpibounds.__file__).parent / "data"
 class TestConfig:
     def test_defaults(self, dsbs, quaternary):
         assert sdpi._MERGE_RADIUS == 1e-3
-        # Grid-only evaluations are the k vertices plus the grid at pitch
-        # 1/20: 21 points on binary inputs, C(23, 3) = 1,771 on four symbols.
-        assert sstar(dsbs, "x_to_y", GRID_ONLY).evaluations == 23
-        assert sstar(quaternary, "x_to_y", GRID_ONLY).evaluations == 1_775
+        # Grid-only evaluations are the grid at pitch 1/20, which holds the
+        # k vertices: 21 points on binary inputs, C(23, 3) = 1,771 on four
+        # symbols.
+        assert sstar(dsbs, "x_to_y", GRID_ONLY).evaluations == 21
+        assert sstar(quaternary, "x_to_y", GRID_ONLY).evaluations == 1_771
 
     @pytest.mark.parametrize("kwargs", [
         {"grid_max_alphabet": -1},
