@@ -20,14 +20,15 @@ this module estimates it from below and takes the best of:
  - otherwise, vectorized multi-start ascent on the log ratio, from the
    grid's best points (3 or 4 input symbols) or, without a grid, the best
    local maxima along two SVD tilts (_tilt_starts): a coarse scan of each,
-   refined ten times finer near its best peaks only, 575 to 650 evaluations where one fine scan took 4,802
-   on the benchmark Gaussians.  No start is random.  Every start takes
-   Newton steps where the log ratio is locally concave, saddle-free Newton
-   steps where it is not, and gradient steps only where neither can be
-   formed; _directions picks each direction.  Its concavity test is one
-   Cholesky call for all rows, its Newton steps one solve and its
-   saddle-free steps one eigendecomposition; each works per matrix, so a
-   failed matrix fails alone.  Every step is a mirror step, q exp(t v)/Z,
+   refined ten times finer near its best peaks only, 575 to 650
+   evaluations where one fine scan took 4,802 on the benchmark Gaussians.
+   No start is random.  Every start takes Newton steps where the log ratio
+   is locally concave, saddle-free Newton steps where it is not, and
+   gradient steps only where neither can be formed; _directions picks each
+   direction.  Its concavity test is one Cholesky call for all rows, its
+   Newton steps one solve and its saddle-free steps one
+   eigendecomposition; each works per matrix, so a failed matrix fails
+   alone.  Every step is a mirror step, q exp(t v)/Z,
    in the KL geometry, where projected gradient steps crawl (a 9-level
    Gaussian stopped 1.2e-5 short after 2,000 rounds) or park on a simplex
    face.  A grid start retires once a better start is within reach of it
@@ -114,10 +115,10 @@ class SdpiConfig:
     and the ascent starts at multistart_count grid or tilt points; on two
     input symbols with the grid on, the ascent is the segment search
     (_segment_search), whatever the count.  Setting multistart_count to 0
-    turns the ascent off (useful for isolating one
-    method; the reported value is then a weaker lower bound).  Outside the
-    tests, the benchmark's stage-isolating re-runs are the only callers that
-    set either field; both go once the benchmark times the stages itself.
+    turns the ascent off (useful for isolating one method; the reported
+    value is then a weaker lower bound).  Outside the tests, the
+    benchmark's stage-isolating re-runs are the only callers that set
+    either field; both go once the benchmark times the stages itself.
     """
 
     grid_max_alphabet: int = 4
@@ -142,25 +143,26 @@ class SdpiResult:
     independent joint.  Where grid starts merged (_multistart_search), the
     best point is the start that stayed, so the gap is that start's; on two
     input symbols it is the best point a segment search bracket ended at
-    (_segment_search).  It is 0 at a local maximum, and inf at a point that leaves a
-    symbol unused when the ratio rises into that symbol with infinite
-    slope, as at every vertex of a channel with rows of full support.  So
-    it shows how far the search was from converging there, not how far
-    value is from the supremum.
+    (_segment_search).  It is 0 at a local maximum, and inf at a point
+    that leaves a symbol unused when the ratio rises into that symbol with
+    infinite slope, as at every vertex of a channel with rows of full
+    support.  So it shows how far the search was from converging there,
+    not how far value is from the supremum.
     Where rho_m^2 wins, the best point is often a start that retired when
     its try entered the ball around the marginal (_evaluate), or a segment
     search point at the ball's edge, and its gap stays above the witnesses'
-    (2.7e-5 on the 33-level Gaussian at rho = 0.5, 2.4e-2 on dsbs_p10).  rho_m_squared is computed on the posed
-    pair, the transpose for y_to_x (_posed): its marginals are the joint's
-    swapped bit for bit, but the SVD of a transpose can round differently,
-    so the two directions of one joint can differ in it at rounding level.
+    (2.7e-5 on the 33-level Gaussian at rho = 0.5, 2.4e-2 on dsbs_p10).
+    rho_m_squared is computed on the posed pair, the transpose for y_to_x
+    (_posed): its marginals are the joint's swapped bit for bit, but the
+    SVD of a transpose can round differently, so the two directions of one
+    joint can differ in it at rounding level.
     method names the stages that ran: "combined" is the pitch-1/20 grid
     plus the segment search from its local maxima on 2 input symbols or the
-    ascent from its best points on 3 and 4,
-    "multistart" the ascent from SVD tilt starts alone (5 or more), and
-    "independent" no search: the joint is independent (_independent, one
-    input or output symbol included), value and rho_m_squared are 0.0,
-    evaluations 0, and argmax_q and first_order_gap None.  An SdpiConfig
+    ascent from its best points on 3 and 4, "multistart" the ascent from
+    SVD tilt starts alone (5 or more), and "independent" no search: the
+    joint is independent (_independent, one input or output symbol
+    included), value and rho_m_squared are 0.0, evaluations 0, and
+    argmax_q and first_order_gap None.  An SdpiConfig
     that switches a stage off can give "multistart" at any size, "grid"
     when the ascent is off, and "vertex" (the vertices alone) when both
     are.
@@ -637,10 +639,11 @@ def _multistart_search(p_in, p_out, T, starts: np.ndarray, max_iterations: int, 
     those duplicates set the sweep count: on the benchmark's bounds-small
     joints (seeds 1 and 9001), while binary inputs still took this ascent,
     merging cut direction calls from 614 to 448 and sweeps from 692 to 490,
-    and moved no s* by more than 7.1e-14 relative.  sstar merges only grid starts.  A tilt start can stall on a
-    simplex face near a better start's path, where merging lost answers
-    (fuzz draw 23 y_to_x fell 0.1480354896847176 -> 0.1480344266612553), and
-    a radius in total variation lost up to 7.2e-6 on the fuzz.
+    and moved no s* by more than 7.1e-14 relative.  sstar merges only grid
+    starts.  A tilt start can stall on a simplex face near a better start's
+    path, where merging lost answers (fuzz draw 23 y_to_x fell
+    0.1480354896847176 -> 0.1480344266612553), and a radius in total
+    variation lost up to 7.2e-6 on the fuzz.
     """
     Q = starts.copy()
     n = Q.shape[0]
@@ -741,14 +744,17 @@ def _segment_search(p_in, p_out, T, vals, rho2):
     The laws are the segment q = (x, 1 - x), searched in the log-odds z,
     the mirror geometry of _multistart_search.  vals are the ratios on the
     pitch-1/20 grid, whose row i is (i/20, 1 - i/20).  Each of its local
-    maxima (_peaks) brackets one of the ratio's between its grid neighbours,
-    started at the peak, or between its neighbour and _Z_REACH beyond a
-    vertex, started at the bracket's middle.  A vertex peak whose ratio falls into the segment with
-    infinite slope is a local maximum itself, held by the grid, and gets no
-    bracket.  Two more brackets run from just outside the ball around the
-    marginal out to the next grid point on each side: the ratio tends to
-    rho2 at the marginal and rises into one side, where a maximum between
-    two grid points need not make a grid peak.
+    maxima (_peaks) brackets one of the ratio's between its grid
+    neighbours, started at the peak, or between its neighbour and _Z_REACH
+    beyond a vertex, started at the bracket's middle.  A vertex peak whose
+    ratio falls into the segment with infinite slope is a local maximum
+    itself, held by the grid, and gets no bracket.  The ratio tends to rho2
+    at the marginal, and the two edges of the ball around it are scored
+    too.  An edge where the ratio rises into the ball is a candidate: the
+    best point near it on its side, which can lie above rho2 (by 8e-8
+    relative on a dense 2x3 joint).  An edge where it rises away from the
+    ball brackets a maximum out to the next grid point, which need not make
+    a grid peak, when the ratio falls again by that point.
 
     Each bracket is refined by the Newton-bisection hybrid of Press et al.,
     Numerical Recipes, 9.4 (rtsafe), on g = d/dz ln(N/D): a Newton step
@@ -756,12 +762,12 @@ def _segment_search(p_in, p_out, T, vals, rho2):
     otherwise, and the bracket's end on the side that g's sign points away
     from moved to each point scored.  N, D, their first two derivatives and
     g are Python floats summed over the m outputs, each term in _kl_rows'
-    form; numpy calls per step were slower.  A bracket ends when a step
-    falls below _Z_TOL (its last point is the candidate), when a bisection
-    could move ln(N/D) by no more than rounding, or when a Newton step from
-    below rho2 enters the ball, exactly where _evaluate masks: the ratio
-    tends to at most rho2 there, which covers the ball, as in
-    _multistart_search.  Otherwise the candidate is the best point scored.
+    form; numpy calls per step were slower.  A bracket ends when g is 0 or
+    a step falls below _Z_TOL, with its last point as the candidate; or,
+    with the best point it scored as the candidate, when a bisection could
+    move ln(N/D) by no more than rounding, or when a Newton step from below
+    rho2 enters the ball, exactly where _evaluate masks: the ratio tends to
+    at most rho2 there, which covers the ball, as in _multistart_search.
     Each point scored counts as an evaluation.
     """
     a0, a1 = p_in.tolist()
@@ -839,7 +845,7 @@ def _segment_search(p_in, p_out, T, vals, rho2):
             elif g < 0.0:
                 hi = z
             else:
-                break
+                return z
             step = -g / h if h < 0.0 else math.nan
             if f < rho2 and abs(z + step) <= _Z_LIMIT and near(z + step):
                 # Headed for the marginal, where the ratio tends to at most
@@ -859,26 +865,35 @@ def _segment_search(p_in, p_out, T, vals, rho2):
         return best
 
     found = [climb(*b) for b in brackets]
-    # The ball's sides.  dz moves the larger ln q(x) at least dz / 2 = 2 r
-    # from the marginal's, outside the ball.  A side is climbed only where
-    # the ratio rises away from the ball at its edge and falls again by the
-    # grid point: where it still rises there, a grid peak beyond holds the
-    # maximum.
-    za, dz = math.log(a0 / a1), 4.0 * r
+    # The ball's edges, where each side leaves it: a0 e^(+-r) for q's first
+    # entry or a1 e^(-+r) for its second, whichever comes first, moved out
+    # past rounding to where _evaluate no longer masks.  Where the ratio
+    # rises into the ball at an edge, the edge is the best point near it on
+    # that side.  Where it rises away from the ball, and falls again by the
+    # next grid point, a maximum lies between them, which need not make a
+    # grid peak; where it still rises there, a grid peak beyond holds it.
     for sign in (-1.0, 1.0):
-        edge = za + sign * dz
-        if not ends[0] < edge < ends[1] or near(edge):
+        e = math.exp(sign * r)
+        edges = [math.log(a0 * e) - math.log1p(-a0 * e)] if a0 * e < 1.0 else []
+        if a1 / e < 1.0:
+            edges.append(math.log1p(-a1 / e) - math.log(a1 / e))
+        edge = sign * min(sign * z for z in edges)
+        while near(edge):
+            edge += sign * 4.0 * _EPS * max(1.0, abs(edge))
+        if not ends[0] < edge < ends[1]:
             continue
         at = score(edge)
         evals += 1
         if sign * at[1] <= 0.0:
+            found.append(edge)
             continue
         far = min((z for z in z_grid if sign * (z - edge) > 0.0), key=lambda z: abs(z - edge))
         evals += 1
         if sign * score(far)[1] > 0.0:
             continue
         found.append(climb(min(edge, far), max(edge, far), edge, at))
-    rows = [(1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))) for z in found if z is not None]
+    rows = [(1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z)))
+            for z in found if z is not None]
     return np.array(rows).reshape(-1, 2), evals
 
 

@@ -309,9 +309,12 @@ class TestSstar:
         # Every start retires within a short round budget, so the default
         # 2,000 rounds change nothing, because locally concave rows take
         # Newton steps.  dsbs took 2,661 evaluations before starts below
-        # rho_m^2 retired at the ball around the marginal (71 now).  The
-        # 3x3 joint, from the benchmark inputs, was still rising at round
-        # 2,000 under gradient steps alone.
+        # rho_m^2 retired at the ball around the marginal (71 when sstar
+        # still ran this ascent on binary inputs).  The 3x3 joint, from the
+        # benchmark inputs, was still rising at round 2,000 under gradient
+        # steps alone.  Binary inputs now take the segment search in sstar,
+        # so their grid starts run _multistart_search directly here, with
+        # the merge, as sstar ran them; the rest run through sstar.
         rng = np.random.default_rng(2)
         binary = [dsbs, *(random_joint(rng, 2, n) for n in (2, 3, 4))]
         larger = [random_joint(rng, k, n) for n in (2, 3, 4) for k in (3, 4)]
@@ -321,14 +324,26 @@ class TestSstar:
             [0.04345279792817732, 0.05201448466777489, 0.030872460343245728],
         ]))
         calls = [(j, direction) for j in binary + larger for direction in ("x_to_y", "y_to_x")]
-        full = [sstar(j, direction) for j, direction in calls]
+
+        def run(j, direction):
+            """(value, evaluations) of the ascent, at the current round cap."""
+            P, p_in, p_out, T = _posed(j, direction)
+            if p_in.size > 2:
+                res = sstar(j, direction)
+                return res.value, res.evaluations
+            grid = _composition_grid(2, 20)
+            starts = _top_rows(_evaluate(grid, p_in, p_out, T)[0], grid, 8, 0.1)
+            rho2 = sdpi._correlation_svd(P, p_in, p_out)[1] ** 2
+            f, _, evals = _multistart_search(p_in, p_out, T, starts, sdpi._MAX_ROUNDS, rho2,
+                                             merge=True)
+            assert evals < 30_000
+            return f.max(), evals
+
+        full = [run(j, direction) for j, direction in calls]
+        assert sum(_posed(j, d)[1].size == 2 for j, d in calls) == 8
         monkeypatch.setattr(sdpi, "_MAX_ROUNDS", 200)
         for (j, direction), res in zip(calls, full):
-            short = sstar(j, direction)
-            assert res.evaluations == short.evaluations
-            assert res.value == short.value
-            if _posed(j, direction)[1].size == 2:
-                assert res.evaluations < 30_000
+            assert run(j, direction) == res
 
     def test_quaternary(self, quaternary):
         res = sstar(quaternary)
@@ -719,6 +734,106 @@ class TestGridAndMultistartAgree:
         assert _composition_grid(3, 10) is g
         with pytest.raises(ValueError):
             g[0, 0] = 0.5
+
+
+class TestSegmentSearch:
+    """The search on two input symbols (_segment_search)."""
+
+    @staticmethod
+    def joints():
+        """200 joints with two inputs in one direction or both, x_to_y on a
+        2 x m table and y_to_x on an m x 2 one, m = 2 to 6: by draw mod 3
+        the fuzz's dense, zero-celled and Dirichlet(0.05) classes, and
+        every fourth draw with one input row scaled down so that its
+        marginal entry is below 1e-5."""
+        rng = np.random.default_rng(20261022)
+        joints = []
+        while len(joints) < 200:
+            i, m = len(joints), int(rng.integers(2, 7))
+            P = ANSWERS.fuzz_cells(rng, i % 3, 2 * m).reshape(2, m)
+            if i % 4 == 3:
+                P[int(rng.integers(2))] *= 10.0 ** -rng.uniform(5.5, 9.0)
+            if (P.sum(axis=1) == 0).any() or (P.sum(axis=0) == 0).any():
+                continue
+            joints.append(JointDistribution((P if rng.random() < 0.5 else P.T) / P.sum()))
+        return joints
+
+    @staticmethod
+    def fine_grid():
+        """2,001 log-odds points on [-40, 40] and the pitch-1/200 grid.
+
+        Each log-odds row is its smaller entry and 1 minus that, which sum
+        to 1 exactly (Sterbenz): _evaluate's offsets q - p_in then cancel.
+        On rows that miss 1 by an ulp they do not, and on a joint whose rows
+        of P(Y|X) differ by 1e-25 the ratio read 2.752e-25 at one such row
+        where the 50-digit ratio is 2.736e-25.
+        """
+        z = np.linspace(-40.0, 40.0, 2001)
+        big = 1.0 / (1.0 + np.exp(-np.abs(z)))
+        pairs = np.column_stack([big, 1.0 - big])
+        rows = np.where(z[:, None] >= 0.0, pairs, pairs[:, ::-1])
+        return np.vstack([rows, _composition_grid(2, 200)])
+
+    def test_never_below_a_fine_grid(self):
+        fine = self.fine_grid()
+        cases = tiny = 0
+        for j in self.joints():
+            for direction in ("x_to_y", "y_to_x"):
+                p_in, p_out, T = _posed(j, direction)[1:]
+                if p_in.size != 2:
+                    continue
+                cases += 1
+                tiny += p_in.min() < 1e-5
+                best = _evaluate(fine, p_in, p_out, T)[0].max()
+                assert sstar(j, direction).value >= best * (1 - 1e-12)
+        assert cases >= 240 and tiny >= 40
+
+    def test_bench_witnesses_are_first_order_points(self, monkeypatch):
+        # The 40 binary-input calls of the benchmark's s* inputs: the
+        # 8-start ascent left gaps up to 1.0e-7 at their 24 witnesses.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        cases = [(j, d) for _, j, d in ANSWERS.bench_cases() if _posed(j, d)[1].size == 2]
+        assert len(cases) == 40
+        gaps = [res.first_order_gap for res in (sstar(j, d) for j, d in cases)
+                if res.argmax_q is not None]
+        assert len(gaps) >= 20 and max(gaps) <= 1e-9
+
+    def test_ball_edge_is_a_candidate(self):
+        # The ratio rises into the ball around the marginal from below, past
+        # rho_m^2, on this dense joint's x_to_y: the best law outside the
+        # ball is at its edge, 8e-8 relative above rho_m^2, where a bracket
+        # that stops as its Newton step heads into the ball, or a start
+        # that retires there, would leave rho_m^2.
+        P = np.array([[0.051093288655349525, 0.09720206121055935, 0.3973507720416204],
+                      [0.012146434430133302, 0.31483113401563995, 0.1273763096466976]])
+        j = JointDistribution(P / P.sum())
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
+        res = sstar(j, "x_to_y")
+        assert res.value > res.rho_m_squared * (1 + 5e-8)
+        z = math.log(p_in[0] / p_in[1]) + np.linspace(-0.01, 0.01, 20001)
+        near = np.column_stack([1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))])
+        assert res.value >= _evaluate(near, p_in, p_out, T)[0].max() * (1 - 1e-12)
+        assert divergence_ratio(res.argmax_q, j) == res.value
+
+    def test_binary_inputs_take_the_segment_search(self, dsbs, monkeypatch):
+        # The default search runs the segment search once on two input
+        # symbols, with no multi-start ascent and no direction; switching
+        # the grid off brings back the tilt-started ascent, and switching
+        # the ascent off leaves the grid alone.
+        calls = []
+        for name in ("_segment_search", "_multistart_search", "_directions"):
+            monkeypatch.setattr(sdpi, name, lambda *a, _f=getattr(sdpi, name), _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        j = random_joint(np.random.default_rng(44), 2, 3)
+        for cfg, method, ran in [(None, "combined", {"_segment_search"}),
+                                 (SdpiConfig(grid_max_alphabet=0), "multistart",
+                                  {"_multistart_search", "_directions"}),
+                                 (GRID_ONLY, "grid", set())]:
+            for joint in (dsbs, j):
+                calls.clear()
+                assert sstar(joint, "x_to_y", cfg).method == method
+                assert set(calls) == ran
+                assert calls.count("_segment_search") == (method == "combined")
 
 
 class TestTopRows:
@@ -1543,7 +1658,8 @@ def _lex_sorted(rows):
 
 def _sstar_starts(j, count):
     """The ascent starts of sstar(j, "x_to_y") under the default grid size:
-    grid points on up to 4 symbols, tilt points above.
+    grid points on 3 and 4 symbols, tilt points above.  On 2 symbols, the
+    grid points sstar started from before it ran _segment_search there.
     """
     p_in, p_out, T = _posed(j, "x_to_y")[1:]
     k = p_in.shape[0]

@@ -103,3 +103,28 @@ def test_a_record_that_differs_only_in_evaluations_is_not_identical(tool, tmp_pa
     printed = capsys.readouterr().out
     assert "3 results, 2 identical in every result field, 3 values bit-identical" in printed
     assert "1 evaluation counts changed at an unchanged value" in printed
+
+
+def test_diff_breaks_evaluations_and_seconds_down_by_input_alphabet_size(tool, tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    tool.dump(a, ["three"])
+    records = [json.loads(line) for line in a.read_text().splitlines()]
+    # dsbs x_to_y, the 3x3 joint y_to_x and the 5-level Gaussian x_to_y.
+    assert [r["inputs"] for r in records] == [2, 3, 5]
+    was = records[0]["evaluations"]
+    records[0]["evaluations"] += 10
+    records[0]["seconds"] += 1.0
+    b.write_text("".join(json.dumps(r) + "\n" for r in records))
+    [d] = tool.compare(tool.read(a), tool.read(b)).values()
+    assert sorted(d.by_inputs) == [2, 3, 5]
+    ea, eb, sa, sb = d.by_inputs[2]
+    assert (ea, eb) == (was, was + 10) and sb == pytest.approx(sa + 1.0)
+    for k in (3, 5):
+        ea, eb, sa, sb = d.by_inputs[k]
+        assert ea == eb and sa == sb
+    assert [sum(v[i] for v in d.by_inputs.values()) for i in (0, 1)] == d.evaluations
+
+    assert tool.main(["diff", str(a), str(b)]) == 0
+    printed = capsys.readouterr().out
+    assert f"  2 inputs: evaluations {was:,} -> {was + 10:,}, seconds " in printed
+    assert "  3 inputs: " in printed and "  5 inputs: " in printed

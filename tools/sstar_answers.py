@@ -7,8 +7,9 @@
 ``dump`` imports ``sdpibounds`` from ``DIR/src`` (default: the checkout that
 holds this script), so one copy of the tool dumps any tree, a parent commit
 included.  It writes one JSON line per ``sstar`` call: the corpus, a key
-naming the case, the direction, every ``SdpiResult.to_dict()`` field and the
-call's seconds.  The corpora (all three by default):
+naming the case, the direction, the input alphabet size of that direction
+(``inputs``), every ``SdpiResult.to_dict()`` field and the call's seconds.
+The corpora (all three by default):
 
 - ``bench``: the benchmark's s* inputs at seeds 1 and 9001 and ``--seconds
   40``, read through ``bench/workloads.py``: each ``bounds-small`` joint in
@@ -29,7 +30,9 @@ their largest relative move, cases whose ``evaluations`` changed at an
 unchanged value, witnesses (``argmax_q``) gained or lost with their lead over
 rho_m^2, witnesses whose ``first_order_gap`` crosses 1e-6 either way with
 their value move, ``method`` changes, cases in one dump only, and the
-evaluations and seconds of each dump.  It adds no gate and always exits 0.
+evaluations and seconds of each dump, in total and by input alphabet size,
+so that a change to one size shows where it moved.  It adds no gate and
+always exits 0.
 """
 
 from __future__ import annotations
@@ -146,8 +149,9 @@ def dump(out: Path, corpora: list[str]) -> int:
                 t0 = time.perf_counter()
                 res = sstar(j, direction)
                 seconds = time.perf_counter() - t0
+                inputs = j.x_size if direction == "x_to_y" else j.y_size
                 record = {"corpus": corpus, "key": key, "direction": direction,
-                          **res.to_dict(), "seconds": seconds}
+                          "inputs": inputs, **res.to_dict(), "seconds": seconds}
                 fh.write(json.dumps(record) + "\n")
                 count += 1
     return count
@@ -187,6 +191,8 @@ class CorpusDiff:
     only_in_one: list = field(default_factory=list)
     evaluations: list = field(default_factory=lambda: [0, 0])
     seconds: list = field(default_factory=lambda: [0.0, 0.0])
+    # {input alphabet size: [evaluations A, B, seconds A, B]}
+    by_inputs: dict = field(default_factory=dict)
 
     def changes(self) -> list:
         return (self.rises + self.falls + self.gained + self.lost + self.gaps + self.methods
@@ -213,6 +219,10 @@ def compare(a: dict, b: dict) -> dict:
         d.evaluations[1] += rb["evaluations"]
         d.seconds[0] += ra["seconds"]
         d.seconds[1] += rb["seconds"]
+        size = d.by_inputs.setdefault(ra["inputs"], [0, 0, 0.0, 0.0])
+        for i, (r, f) in enumerate(((ra, "evaluations"), (rb, "evaluations"),
+                                    (ra, "seconds"), (rb, "seconds"))):
+            size[i] += r[f]
         va, vb = ra["value"], rb["value"]
         d.identical += all(ra[f] == rb[f] for f in RESULT_FIELDS)
         d.same_values += va == vb
@@ -256,6 +266,8 @@ def report(diffs: dict) -> str:
             f"{len(d.methods)} method changes, {len(d.recounted)} evaluation counts changed "
             f"at an unchanged value; evaluations {ea:,} -> {eb:,}, "
             f"seconds {sa:.3f} -> {sb:.3f}")
+        lines += [f"  {k} inputs: evaluations {ea:,} -> {eb:,}, seconds {sa:.3f} -> {sb:.3f}"
+                  for k, (ea, eb, sa, sb) in sorted(d.by_inputs.items())]
         lines += [f"  {line}" for line in d.changes()]
     return "\n".join(lines)
 
