@@ -151,7 +151,7 @@ class SdpiResult:
     Where rho_m^2 wins, the best point is often a start that retired when
     its try entered the ball around the marginal (_evaluate), or a segment
     search point at the ball's edge, and its gap stays above the witnesses'
-    (2.7e-5 on the 33-level Gaussian at rho = 0.5, 2.4e-2 on dsbs_p10).
+    (2.7e-5 on the 33-level Gaussian at rho = 0.5, 2.4e-4 on dsbs_p10).
     rho_m_squared is computed on the posed pair, the transpose for y_to_x
     (_posed): its marginals are the joint's swapped bit for bit, but the
     SVD of a transpose can round differently, so the two directions of one
@@ -908,10 +908,10 @@ def sstar(
     simplex grid (input alphabets of up to cfg.grid_max_alphabet symbols),
     and the ascent: the segment search on two input symbols with the grid,
     multi-start ascent otherwise; and the first-order gap at the best of
-    those points.  At the default cfg, a function of the joint and the direction
-    alone.  An independent joint (_independent), one input or output
-    symbol included, takes no search: value and rho_m^2 are 0.0, with
-    method "independent", no evaluation, no witness and no gap.
+    those points.  At the default cfg, a function of the joint and the
+    direction alone.  An independent joint (_independent), one input or
+    output symbol included, takes no search: value and rho_m^2 are 0.0,
+    with method "independent", no evaluation, no witness and no gap.
     """
     if cfg is None:
         cfg = SdpiConfig()
