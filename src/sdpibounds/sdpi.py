@@ -746,9 +746,11 @@ def _segment_search(p_in, p_out, T, vals, rho2):
     pitch-1/20 grid, whose row i is (i/20, 1 - i/20).  Each of its local
     maxima (_peaks) brackets one of the ratio's between its grid
     neighbours, started at the peak, or between its neighbour and _Z_REACH
-    beyond a vertex, started at the bracket's middle.  A vertex peak whose
-    ratio falls into the segment with infinite slope is a local maximum
-    itself, held by the grid, and gets no bracket.  The ratio tends to rho2
+    beyond a vertex, started 1 in z from the neighbour: most of that
+    bracket lies deep in the vertex's tail, where the ratio can be flat to
+    rounding and a start there reads no slope.  A vertex peak whose ratio
+    falls into the segment with infinite slope is a local maximum itself,
+    held by the grid, and gets no bracket.  The ratio tends to rho2
     at the marginal, and the two edges of the ball around it are scored
     too.  An edge where the ratio rises into the ball is a candidate: the
     best point near it on its side, which can lie above rho2 (by 8e-8
@@ -823,7 +825,8 @@ def _segment_search(p_in, p_out, T, vals, rho2):
         if i == 0 and c0 > vals[0] or i == _GRID_PITCH and c1 > vals[i]:
             continue
         lo, hi = z_grid[max(i - 1, 0)], z_grid[min(i + 1, _GRID_PITCH)]
-        brackets.append((lo, hi, z_grid[i] if 0 < i < _GRID_PITCH else 0.5 * (lo + hi)))
+        brackets.append((lo, hi, z_grid[i] if 0 < i < _GRID_PITCH else
+                         hi - 1.0 if i == 0 else lo + 1.0))
     evals = 0
 
     def climb(lo, hi, z, at=None):

@@ -815,6 +815,28 @@ class TestSegmentSearch:
         assert res.value >= _evaluate(near, p_in, p_out, T)[0].max() * (1 - 1e-12)
         assert divergence_ratio(res.argmax_q, j) == res.value
 
+    @pytest.mark.parametrize("probs", [
+        [[0.016903893239441792, 4.854968040945222e-24, 1.9038727283168272e-13,
+          1.4119086589495649e-24],
+         [1.6827697393320417e-11, 0.5234907215023853, 2.5798754567334315e-09,
+          0.4596053826612793]],
+        [[3.0698378885370745e-86, 9.136296250653745e-225, 7.781233437713699e-294,
+          2.126868259928291e-84, 1.702497403347679e-163, 8.059356152544079e-94],
+         [2.2815557609069847e-19, 1.8161020197945338e-181, 2.4775787211994797e-47,
+          5.0086553054757006e-207, 6.856697341028525e-225, 1.9801767105084153e-43]],
+    ], ids=["2x4", "2x6-tiny"])
+    def test_vertex_bracket_finds_the_maximum_near_the_grid(self, probs):
+        # Each joint's best law lies in the grid cell next to a vertex peak,
+        # at x = 0.0076 and 4.7e-8 from the vertex, with a second local
+        # maximum or a plateau flat to rounding deeper in the vertex's tail,
+        # where a bracket started at its middle read no usable slope.
+        P = np.array(probs)
+        j = JointDistribution(P / P.sum())
+        p_in, p_out, T = _posed(j, "x_to_y")[1:]
+        best = _evaluate(self.fine_grid(), p_in, p_out, T)[0].max()
+        assert best > _evaluate(np.eye(2), p_in, p_out, T)[0].max() * (1 + 1e-12)
+        assert sstar(j, "x_to_y").value >= best * (1 - 1e-12)
+
     def test_binary_inputs_take_the_segment_search(self, dsbs, monkeypatch):
         # The default search runs the segment search once on two input
         # symbols, with no multi-start ascent and no direction; switching
