@@ -16,7 +16,9 @@ its pmf equals its transpose and its 180-degree rotation, so both s*
 directions are one problem.  It computes one cell per symmetry orbit, with
 sum_i (levels + 1 - 2i) * 40 math.erfc calls (12,240 at 33 levels), each
 cell a difference of small normal tails: every cell above 1e-30 lies within
-1.5e-13 relative of a 40-digit reference, and none comes out 0.
+1.5e-13 relative of a 40-digit reference, and none comes out 0.  The tails
+of several rows of cells go through one vectorized pass (1 at 9 levels, 6
+at 33), so numpy's per-call cost is paid per pass, not per row.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ _SPAN = 4.0
 _TAIL = 12.0
 _TAIL_WIDTH = 8.0
 _QUAD_NODES = 40
+# The quantizer takes the normal tails of as many rows as fit _BATCH_PAIRS
+# (row, edge) pairs, _QUAD_NODES tails each, in one _normal_cdf call.
+_BATCH_PAIRS = 64
 
 
 @lru_cache(maxsize=1)
@@ -59,10 +64,28 @@ def _check_rho(rho: float) -> None:
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal cdf, 1/2 erfc(-x / sqrt 2), one math.erfc call per entry."""
+    """Standard normal cdf, 1/2 erfc(-x / sqrt 2), one math.erfc call per entry.
+
+    The entries reach math.erfc through a memoryview, one float at a time:
+    no list of them is built, and it is faster than tolist.
+    """
     z = -x / math.sqrt(2.0)
-    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
-    return 0.5 * erfc.reshape(z.shape)
+    erfc = np.fromiter(map(math.erfc, memoryview(z.ravel())), np.float64, z.size)
+    erfc *= 0.5
+    return erfc.reshape(z.shape)
+
+
+def _cdf_steps(x: np.ndarray) -> np.ndarray:
+    """cdf(x[1:]) - cdf(x[:-1]), the normal cdf taken entry by entry.
+
+    cdf(x) is [x >= 0] plus the signed smaller tail, and each part is
+    differenced alone: two entries on one side of 0 subtract their small
+    tails, never two values near 1.
+    """
+    upper = x >= 0.0
+    signed = _normal_cdf(-np.abs(x))
+    np.negative(signed, out=signed, where=upper)
+    return (upper[1:] > upper[:-1]) + (signed[1:] - signed[:-1])
 
 
 @dataclass(frozen=True)
@@ -226,6 +249,12 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     transpose and its 180-degree rotation: the result equals both bit for
     bit.  Row i needs the normal cdf at edges i .. levels - i only, which is
     sum_i (levels + 1 - 2i) * 40 math.erfc calls (12,240 at 33 levels).
+    Consecutive rows share one _normal_cdf call while their (row, edge)
+    pairs fit _BATCH_PAIRS = 64: one call at 9 levels, 2 at 17 and 6 at 33.
+    The batch bounds the memory: at 33 levels the tracemalloc peak is 140
+    KB, against 118 KB one row at a time and 511 KB for all tails at once
+    (numpy 2.4).  Each row keeps its own quadrature matmul, so the result
+    is the row-by-row loop's bit for bit.
     Against 40-digit references at 2 to 65 levels and |rho| up to 0.95,
     every cell above 1e-30 is within 1.5e-13 relative, and the smaller ones
     (down to 1e-127) within 4e-11; none comes out 0.
@@ -238,31 +267,38 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     edges = np.concatenate([[-_TAIL], mids, [_TAIL]])
     nodes, weights = _legendre()
     s = float(np.sqrt(1.0 - rho * rho))
+    # Row i of the fundamental domain integrates across x-cell [a, b] =
+    # edges[i], edges[i + 1] at nodes t[i] with weights w[i].
+    half = (levels + 1) // 2
+    a, b = edges[:half, None], edges[1:half + 1, None]
+    t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    w = 0.5 * (b - a) * weights
+    # The tail cell is wide, and every integrand on it is at most the normal
+    # density, which falls off steeply away from b: its nodes are packed
+    # toward b, t = b - h d^2 for d in [0, 1].
+    h = min(b[0, 0] - a[0, 0], _TAIL_WIDTH)
+    d = 0.5 * (1.0 - nodes)
+    t[0], w[0] = b[0, 0] - h * d * d, h * d * weights
+    w = w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+    # Row i needs the cdf at edges i .. levels - i only: the (row, edge)
+    # pairs start[i] .. end[i] - 1 of one list, with 40 nodes each.
+    size = levels + 1 - 2 * np.arange(half)
+    end = np.cumsum(size)
+    start = end - size
     mass = np.empty((levels, levels))
-    for i in range((levels + 1) // 2):
-        a, b = edges[i], edges[i + 1]
-        if i == 0:
-            # The tail cell is wide, and every integrand on it is at most the
-            # normal density, which falls off steeply away from b: the nodes
-            # are packed toward b, t = b - h d^2 for d in [0, 1].
-            h = min(b - a, _TAIL_WIDTH)
-            d = 0.5 * (1.0 - nodes)
-            t = b - h * d * d
-            w = h * d * weights
-        else:
-            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            w = 0.5 * (b - a) * weights
-        w = w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-        x = (edges[i:levels + 1 - i, None] - rho * t[None, :]) / s
-        # cdf(x) is [x >= 0] plus the signed smaller tail, and each part is
-        # differenced alone: two edges on one side of 0 subtract their small
-        # tails, never two values near 1.
-        upper = x >= 0.0
-        tail = _normal_cdf(-np.abs(x))
-        signed = np.where(upper, -tail, tail)
-        row = ((upper[1:] > upper[:-1]) + (signed[1:] - signed[:-1])) @ w
-        j = levels - 1 - i
-        mass[i, i:j + 1] = mass[i:j + 1, i] = row
-        mass[j, i:j + 1] = mass[i:j + 1, j] = row[::-1]
+    lo = 0
+    while lo < half:
+        # Rows lo .. hi - 1, as many as fit one batch (at least one row).
+        hi = max(lo + 1, int(np.searchsorted(end, start[lo] + _BATCH_PAIRS, side="right")))
+        r = np.repeat(np.arange(lo, hi), size[lo:hi])
+        e = r + np.arange(start[lo], end[hi - 1]) - start[r]
+        steps = _cdf_steps((edges[e, None] - rho * t[r]) / s)
+        for i in range(lo, hi):
+            # Differences across two rows' pairs are skipped.
+            row = steps[start[i] - start[lo]:end[i] - start[lo] - 1] @ w[i]
+            j = levels - 1 - i
+            mass[i, i:j + 1] = mass[i:j + 1, i] = row
+            mass[j, i:j + 1] = mass[i:j + 1, j] = row[::-1]
+        lo = hi
     mass /= mass.sum()
     return JointDistribution(mass)

@@ -328,16 +328,24 @@ def _top_rows(values: np.ndarray, rows: np.ndarray, count: int, spread: float) -
 
     That is one greedy pass down the rows sorted by value, descending, then
     lexicographically, and a row's fate depends only on the rows before it.
-    So the pass reads that order in blocks of 5 count rows (at most 64),
-    sorting only the rows at or above the block's last value, and stops once
-    it has count rows: the 8 grid starts of 2 to 4 symbols took at most 39
-    rows on the benchmark inputs.  A block takes its distances to the rows
-    already taken and among its own rows in one call.  They are summed in
-    the order a row sum takes below 8 symbols; at spread 0 a distance only
-    has to be a number, not NaN, to keep a row, whatever the order.
+    At spread 0 the pass keeps every row (the rows are finite, so each
+    distance is a number), which is the first count rows of that order:
+    one partial sort to the count-th best value, then one sort of the rows
+    at or above it.  Otherwise the pass reads the order in blocks of 5
+    count rows (at most 64), sorting only the rows at or above the block's
+    last value, and stops once it has count rows: the 8 grid starts of 2
+    to 4 symbols took at most 39 rows on the benchmark inputs.  A block
+    takes its distances to the rows already taken and among its own rows
+    in one call, summed in the order a row sum takes below 8 symbols.
     """
     live = np.isfinite(values).nonzero()[0]
     v = values[live]
+    if spread == 0.0:
+        n = min(count, live.size)
+        if n == 0:
+            return rows[:0]
+        cand = live[v >= np.partition(v, -n)[-n]]
+        return rows[cand[np.lexsort((*rows[cand, ::-1].T, -values[cand]))][:n]]
     taken, done = [], 0
     while len(taken) < count and done < live.size:
         lo, done = done, min(live.size, done + min(5 * count, 64))

@@ -876,15 +876,19 @@ class TestTopRows:
     @pytest.mark.parametrize("spread", [0.0, 0.1])
     def test_matches_a_full_sort(self, spread):
         # Few distinct values, so ties are common; +-inf and NaN; rows
-        # repeated with the same and with other values.
+        # repeated with the same and with other values.  Besides grid rows,
+        # rows of 1, 9 and 33 symbols, the shapes of the tilt scan's picks
+        # and of the final pick on quantized Gaussians, drawn from a pool of
+        # 12 with entries in {0, 1/8, 1/4}: lexicographic ties run deep, and
+        # every distance is exact.
         rng = np.random.default_rng(31)
-        for k in (2, 3, 4):
-            grid = _composition_grid(k, 10)
+        for k in (2, 3, 4, 1, 9, 33):
+            pool = _composition_grid(k, 10) if 2 <= k <= 4 else rng.integers(0, 3, (12, k)) / 8
             for _ in range(40):
-                rows = grid[rng.integers(0, grid.shape[0], size=int(rng.integers(1, 60)))]
+                rows = pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 60)))]
                 values = rng.choice([0.1, 0.2, 0.3, -0.0, 0.0, np.inf, -np.inf, np.nan],
                                     size=rows.shape[0])
-                for count in (1, 3, 8, rows.shape[0]):
+                for count in (0, 1, 3, 8, rows.shape[0]):
                     want = self.by_lexsort(values, rows, count, spread)
                     got = _top_rows(values, rows, count, spread)
                     assert got.shape == want.shape
