@@ -276,9 +276,9 @@ def quantized_gaussian_joint(rho: float, levels: int) -> JointDistribution:
     # The tail cell is wide, and every integrand on it is at most the normal
     # density, which falls off steeply away from b: its nodes are packed
     # toward b, t = b - h d^2 for d in [0, 1].
-    h = min(b[0, 0] - a[0, 0], _TAIL_WIDTH)
+    h = min(edges[1] - edges[0], _TAIL_WIDTH)
     d = 0.5 * (1.0 - nodes)
-    t[0], w[0] = b[0, 0] - h * d * d, h * d * weights
+    t[0], w[0] = edges[1] - h * d * d, h * d * weights
     w = w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
     # Row i needs the cdf at edges i .. levels - i only: the (row, edge)
     # pairs start[i] .. end[i] - 1 of one list, with 40 nodes each.

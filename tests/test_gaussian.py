@@ -316,7 +316,7 @@ class TestQuantizedJoint:
     def test_peak_memory_follows_the_row_by_row_loop(self, levels):
         # Rows share a pass only while they fit a bounded batch, so large
         # quantizers stay at the row loop's scale (within 6 % at 129 and
-        # 257 levels); one pass over all tails took 5x at 33 levels.
+        # 257 levels); one pass over all tails took over 4x at 33 levels.
         peaks = []
         for build in (self.row_by_row_reference, quantized_gaussian_joint):
             build(0.5, levels)
